@@ -1,8 +1,12 @@
 """Benchmark the compiled kernels against the pure-Python fallback.
 
-Times the three hot kernels on realistic workloads: free-tree generation,
-canonical coding, and index computation, plus a combined relocation-style
-sweep (regenerate + recompute after each leaf move). Usage:
+A kernel micro-benchmark: times the three hot kernels on realistic
+workloads (free-tree generation, canonical coding, index computation) plus
+a kernel stress sweep that rebuilds the edge list and recomputes the full
+index bundle after every leaf move, and asserts that both backends agree
+on every task. The claim verifier updates the indices of a moved tree by
+deltas instead; end-to-end runs are measured with ``perfbench/run.py``.
+Usage:
 
     python benchmarks/bench_kernels.py [--order 13] [--repeat 3]
 """
@@ -43,7 +47,7 @@ def bench(fn, repeat):
 
 def sweep(kernel, n, trees):
     # For every admissible leaf move, rebuild the edge list and recompute
-    # the full index bundle; this is the claim verifier's inner loop.
+    # the full index bundle: a stress loop for index_bundle.
     total = 0
     for flat in trees:
         deg = [0] * n
@@ -115,9 +119,10 @@ def main():
             line += f"  {cy:10.4f}  {results[task, 'python'] / cy:7.2f}x"
         print(line)
 
-    out_py = tasks["indices"](_pykernels)
-    for name, kernel in backends[1:]:
-        assert tasks["indices"](kernel) == out_py, "backend disagreement"
+    for task, fn in tasks.items():
+        out_py = fn(_pykernels)
+        for name, kernel in backends[1:]:
+            assert fn(kernel) == out_py, f"backend disagreement on {task}"
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ from .edgelist import parse_edge_list
 from .enumeration import (
     EnumerationGuard,
     all_trees,
-    relocate_leaf,
     tree_degree_sequences,
     trees_with_degree_sequence,
 )
@@ -42,7 +41,7 @@ from .formulas import (
     sigma_ordered_value,
     three_c_values,
 )
-from .indices import compute_indices, total_irregularity_by_sequence
+from .indices import IndexBundle, compute_indices, total_irregularity_by_sequence
 from .tree import Tree, canonical_code, degrees, is_caterpillar, strong_support_vertices
 
 DEFAULT_WITNESS_CAP = 25
@@ -317,35 +316,117 @@ def _seq_extremes(seq: DegreeSequence, attr: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _relocation_instances(n_lo, n_hi, lam_ok: Callable[[int], bool]):
-    """All leaf relocations with admissible support degree, annotated.
+def _edge_sums(pairs) -> tuple[int, int, int]:
+    # irr, sigma and M2 terms of edges given by their end degrees.
+    irr = sigma = m2 = 0
+    for a, b in pairs:
+        d = a - b
+        irr += abs(d)
+        sigma += d * d
+        m2 += a * b
+    return irr, sigma, m2
 
-    Yields the tree, the move, the support degree, whether the support sits
-    strictly below the maximum degree or merely ties it, and the index
-    bundles before and after.
+
+def _moved_bundle(
+    before: IndexBundle,
+    deg: Sequence[int],
+    adjacency: Sequence[Sequence[int]],
+    at_least: Sequence[int],
+    y: int,
+    recipient: int,
+) -> IndexBundle:
+    """The bundle after a leaf of ``y`` moves to its neighbor ``recipient``.
+
+    Only ``deg[y]`` (down by one) and ``deg[recipient]`` (up by one)
+    change, so ``before`` is updated on the edges at either vertex and on
+    the vertex pairs that contain either. ``at_least[a]`` counts the
+    vertices of degree ``>= a``. The donor is a leaf, so the result does
+    not depend on which one moves.
+    """
+    lam, dr = deg[y], deg[recipient]
+    # Edges at y or at the recipient, y-recipient once. The moved edge
+    # leaves y as a leaf edge and comes back at the recipient.
+    old = [(lam, deg[w]) for w in adjacency[y] if w != recipient]
+    old += [(dr, deg[w]) for w in adjacency[recipient]]
+    new = [(lam - 1, deg[w]) for w in adjacency[y] if w != recipient]
+    new.remove((lam - 1, 1))
+    new += [(dr + 1, deg[w]) for w in adjacency[recipient] if w != y]
+    new += [(dr + 1, lam - 1), (dr + 1, 1)]
+    irr_old, sigma_old, m2_old = _edge_sums(old)
+    irr_new, sigma_new, m2_new = _edge_sums(new)
+    # A third vertex of degree d gains 1 against y if d >= lam and loses 1
+    # otherwise; against the recipient it gains 1 if d <= dr and loses 1
+    # otherwise. Over the n - 2 others that nets 2 * (#{d >= lam} - #{d > dr}).
+    ge_lam = at_least[lam] - 1 - (dr >= lam)
+    gt_dr = at_least[dr + 1] - (lam > dr)
+    irr_t = before.irr_t + 2 * (ge_lam - gt_dr) + abs(lam - dr - 2) - abs(lam - dr)
+    return IndexBundle(
+        irr=before.irr + irr_new - irr_old,
+        irr_t=irr_t,
+        sigma=before.sigma + sigma_new - sigma_old,
+        m1=before.m1 - 2 * lam + 1 + 2 * dr + 1,
+        m2=before.m2 + m2_new - m2_old,
+    )
+
+
+def _tree_relocations(t: Tree, lam_ok: Callable[[int], bool]):
+    """Every leaf relocation on ``t`` with admissible support degree, annotated.
+
+    Yields the move, the support degree, whether the support sits strictly
+    below the maximum degree or merely ties it, and the index bundles
+    before and after. No moved tree is built: each after-bundle is a delta
+    on the degree list (:func:`_moved_bundle`), computed once per (support,
+    recipient) pair and shared by its donors. ``before`` is computed only
+    when the tree has a move.
+    """
+    n = t.n
+    adjacency = t.adjacency
+    deg = degrees(t)
+    supports = [
+        y
+        for y in range(n)
+        if deg[y] >= 3 and lam_ok(deg[y]) and any(deg[w] == 1 for w in adjacency[y])
+    ]
+    if not supports:
+        return
+    delta = max(deg)
+    ties = deg.count(delta)
+    at_least = [0] * (delta + 2)
+    for d in deg:
+        at_least[d] += 1
+    for a in range(delta - 1, -1, -1):
+        at_least[a] += at_least[a + 1]
+    before = compute_indices(t)
+    for y in supports:
+        lam = deg[y]
+        strict = lam < delta
+        tied = lam == delta and ties >= 2
+        after: dict[int, IndexBundle] = {}
+        for donor in adjacency[y]:
+            if deg[donor] != 1:
+                continue
+            for recipient in adjacency[y]:
+                if recipient == donor:
+                    continue
+                if recipient not in after:
+                    after[recipient] = _moved_bundle(
+                        before, deg, adjacency, at_least, y, recipient
+                    )
+                yield y, donor, recipient, lam, strict, tied, before, after[recipient]
+
+
+def _relocation_instances(n_lo, n_hi, lam_ok: Callable[[int], bool]):
+    """:func:`_tree_relocations` over all unlabeled trees of orders n_lo..n_hi.
+
+    Yields the tree followed by the move's fields. The after-bundles are
+    deltas, not recomputations; the tests check them against
+    ``relocate_leaf`` plus a full recompute on every move up to order 9
+    and on random Prüfer trees up to order 16.
     """
     for n in range(n_lo, n_hi + 1):
         for t in all_trees(n):
-            deg = degrees(t)
-            delta = max(deg)
-            ties = sum(1 for d in deg if d == delta)
-            before = compute_indices(t)
-            for y in range(n):
-                lam = deg[y]
-                if lam < 3 or not lam_ok(lam):
-                    continue
-                leaf_nbrs = [w for w in t.adjacency[y] if deg[w] == 1]
-                if not leaf_nbrs:
-                    continue
-                strict = lam < delta
-                tied = lam == delta and ties >= 2
-                for donor in leaf_nbrs:
-                    for recipient in t.adjacency[y]:
-                        if recipient == donor:
-                            continue
-                        moved, _ = relocate_leaf(t, y, donor, recipient)
-                        after = compute_indices(moved)
-                        yield t, y, donor, recipient, lam, strict, tied, before, after
+            for move in _tree_relocations(t, lam_ok):
+                yield (t, *move)
 
 
 def _relocation_claim(params, cap, lam_ok, bad, value_key, apply_support_filter):

@@ -49,7 +49,8 @@ def all_trees(n: int, max_order: int = DEFAULT_MAX_ORDER) -> Iterator[Tree]:
     Deterministic emission: ascending canonical code.
     """
     _check_order(n, max_order)
-    trees = [Tree(n, _levels_to_edges(seq)) for seq in _kernels.level_sequences(n)]
+    # A level sequence encodes a tree, and _levels_to_edges lists parent < child.
+    trees = [Tree._unchecked(n, _levels_to_edges(seq)) for seq in _kernels.level_sequences(n)]
     trees.sort(key=canonical_code)
     yield from trees
 

@@ -58,10 +58,28 @@ class Tree:
                         stack.append(y)
             if count != n:
                 raise TreeError("edge list is disconnected")
+        self._fill(n, norm, adj)
+
+    def _fill(self, n: int, edges: list[tuple[int, int]], adj: list[list[int]]) -> None:
         self.n = n
-        self.edges = tuple(sorted(norm))
+        self.edges = tuple(sorted(edges))
         self.adjacency = tuple(tuple(sorted(a)) for a in adj)
         self._code = None
+
+    @classmethod
+    def _unchecked(cls, n: int, edges: list[tuple[int, int]]) -> "Tree":
+        """Build from ``(u, v)`` pairs with ``u < v`` already known to form a tree.
+
+        Skips every check of :meth:`__init__`. Only for enumerators whose
+        output is a tree by construction; the test suite validates theirs.
+        """
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        t = cls.__new__(cls)
+        t._fill(n, edges, adj)
+        return t
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]], n: int | None = None) -> "Tree":

@@ -1,9 +1,21 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from treeirr import Tree, canonical_code, star
+from treeirr import (
+    Tree,
+    all_trees,
+    canonical_code,
+    compute_indices,
+    degrees,
+    prufer_decode,
+    relocate_leaf,
+    star,
+)
 from treeirr.claims import (
     CATALOG,
     CLAIM_IDS,
@@ -22,12 +34,15 @@ from treeirr.claims import (
     table1_text,
     verify,
 )
+from treeirr.claims import _relocation_instances, _tree_relocations
 from treeirr.enumeration import EnumerationGuard
 
 from _brute import brute_indices, spanning_trees
 
 TABLE1_SHA256 = "acaa463bf17fd9ca3b3c19c6c425e8d0dbba0bc1cc9eb08e7676b4c4e4395185"
 FIG2_SHA256 = "5ec994fc7dd151bb8105ebcdfc48befd0b6e8b2ed42801f5c6494294649c0204"
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestCatalog:
@@ -226,6 +241,47 @@ def _brute_relocation_sweep(n_max, lam_ok, bad, support_filter):
                         if bad(before, brute_indices(n, moved), lam):
                             violations += 1
     return checked, violations
+
+
+def _admissible_moves(t):
+    deg = degrees(t)
+    return [
+        (y, donor, recipient)
+        for y in range(t.n)
+        if deg[y] >= 3
+        for donor in t.adjacency[y]
+        if deg[donor] == 1
+        for recipient in t.adjacency[y]
+        if recipient != donor
+    ]
+
+
+def _assert_matches_recompute(instances):
+    # The oracle is the validated move plus a full recompute of the bundle.
+    for t, y, donor, recipient, lam, _strict, _tied, before, after in instances:
+        assert lam == t.degree(y)
+        assert before == compute_indices(t)
+        assert after == compute_indices(relocate_leaf(t, y, donor, recipient)[0])
+
+
+class TestRelocationDeltas:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_prufer_trees(self, data):
+        n = data.draw(st.integers(4, 16))
+        code = data.draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+        t = prufer_decode(code, n)
+        swept = [(t, *move) for move in _tree_relocations(t, lambda lam: True)]
+        assert [inst[1:4] for inst in swept] == _admissible_moves(t)
+        _assert_matches_recompute(swept)
+
+    def test_every_move_up_to_order_nine(self):
+        swept = list(_relocation_instances(2, 9, lambda lam: True))
+        expected = [
+            (t, *move) for n in range(2, 10) for t in all_trees(n) for move in _admissible_moves(t)
+        ]
+        assert [inst[:4] for inst in swept] == expected
+        _assert_matches_recompute(swept)
 
 
 class TestRelocationClaims:
@@ -443,6 +499,17 @@ class TestReport:
     def test_timings_shown_on_request(self):
         r = verify("table1")
         assert "wall_time_s:" in result_to_text(r, include_timings=True)
+
+    def test_default_report_matches_golden_files(self):
+        # Pinned bytes of `treeirr report --deterministic` (text and --json)
+        # with the backend and Python version masked.
+        report = run_report(ReportConfig())
+        text = re.sub(r"^meta: .*$", "meta: <masked>", report_to_text(report), count=1, flags=re.M)
+        assert text == (DATA / "report_default.txt").read_text(encoding="utf-8")
+        payload = json.loads(report_to_json(report))
+        payload["metadata"].update(kernel_backend="<masked>", python="<masked>")
+        masked = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert masked == (DATA / "report_default.json").read_text(encoding="utf-8")
 
     def test_golden_record_format(self):
         # Frozen stable text for two hand-countable claims: star sizes

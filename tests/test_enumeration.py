@@ -33,6 +33,21 @@ class TestAllTrees:
     def test_counts_match_recurrence(self, n):
         assert len(list(all_trees(n))) == unlabeled_tree_count(n)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_networkx_oracle(self, n):
+        # A third, unrelated enumerator. all_trees skips Tree validation, so
+        # every tree it yields is also checked as a graph and rebuilt validated.
+        nx = pytest.importorskip("networkx")
+        trees = list(all_trees(n))
+        assert len(trees) == len(list(nx.nonisomorphic_trees(n)))
+        for t in trees:
+            g = nx.Graph()
+            g.add_nodes_from(range(n))
+            g.add_edges_from(t.edges)
+            assert nx.is_tree(g)
+            assert Tree(n, t.edges) == t
+            assert Tree(n, t.edges).adjacency == t.adjacency
+
     def test_no_duplicates_and_sorted_emission(self):
         for n in range(1, 11):
             codes = [canonical_code(t) for t in all_trees(n)]
