@@ -1,25 +1,31 @@
 """Benchmark the compiled kernels against the pure-Python fallback.
 
 A kernel micro-benchmark: times the three hot kernels on realistic
-workloads (free-tree generation, canonical coding, index computation) plus
-a kernel stress sweep that rebuilds the edge list and recomputes the full
-index bundle after every leaf move, and asserts that both backends agree
-on every task. The claim verifier updates the indices of a moved tree by
-deltas instead; end-to-end runs are measured with ``perfbench/run.py``.
+workloads (free-tree generation, canonical coding, index computation on
+every tree of the order and on a random tree, a star and a path of order
+2000, where a quadratic irr_T sum would show) plus a kernel stress sweep
+that rebuilds the edge list and recomputes the full index bundle after
+every leaf move, and asserts that both backends agree on every task.
+The claim verifier updates the indices of a moved tree by deltas
+instead; end-to-end runs are measured with ``perfbench/run.py``.
 Usage:
 
     python benchmarks/bench_kernels.py [--order 13] [--repeat 3]
 """
 
 import argparse
+import random
 import time
 
+from treeirr import prufer_decode
 from treeirr._kernels import _pykernels
 
 try:
     from treeirr._kernels import _ckernels
 except ImportError:
     _ckernels = None
+
+LARGE_ORDER = 2000
 
 
 def levels_to_flat(levels):
@@ -33,6 +39,15 @@ def levels_to_flat(levels):
             flat.append(i)
         stack.append(i)
     return flat
+
+
+def large_trees(n):
+    # One uniform random tree (fixed seed), one star and one path.
+    rng = random.Random(n)
+    code = [rng.randrange(n) for _ in range(n - 2)]
+    star = [x for i in range(1, n) for x in (0, i)]
+    path = [x for i in range(n - 1) for x in (i, i + 1)]
+    return [prufer_decode(code, n).flat_edges(), star, path]
 
 
 def bench(fn, repeat):
@@ -94,11 +109,13 @@ def main():
     levels = _pykernels.level_sequences(n)
     trees = [levels_to_flat(seq) for seq in levels]
     print(f"order {n}: {len(trees)} unlabeled trees")
+    large = large_trees(LARGE_ORDER)
 
     tasks = {
         "generate": lambda k: k.level_sequences(n),
         "canonize": lambda k: [k.canon_code(n, flat) for flat in trees],
         "indices": lambda k: [k.index_bundle(n, flat) for flat in trees],
+        "indices-large": lambda k: [k.index_bundle(LARGE_ORDER, flat) for flat in large],
         "sweep": lambda k: sweep(k, n, trees),
     }
 

@@ -152,6 +152,15 @@ def index_bundle(n, flat_edges):
     irr sums |d(u)-d(v)| over edges, irr_T over all unordered vertex pairs,
     sigma the squared edge differences, M1 the squared degrees, M2 the
     degree products over edges.
+
+    irr_T groups the vertices into degree classes: with ``c_d`` vertices of
+    degree ``d``, it is the sum of ``c_a * c_b * (b - a)`` over the pairs of
+    distinct degree values ``a < b`` that occur. Distinct degrees that sum
+    to at most ``2n - 2`` number fewer than ``2 * sqrt(n)``, so the pair
+    loop is O(n) and the kernel O(n + Delta). The sum stays a direct
+    reading of the pairwise definition, independent of the sorted-sequence
+    formula ``2(n+1)m - 2 * sum(i * d_i)`` that the ``irrT-seq-formula``
+    claim checks against it.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -170,12 +179,14 @@ def index_bundle(n, flat_edges):
         irr += d
         sigma += d * d
         m2 += du * dv
+    count = [0] * n
+    for d in deg:
+        count[d] += 1
+    classes = [(d, c) for d, c in enumerate(count) if c]
     m1 = 0
     irr_t = 0
-    for i in range(n):
-        di = deg[i]
-        m1 += di * di
-        for j in range(i + 1, n):
-            dj = deg[j]
-            irr_t += di - dj if di >= dj else dj - di
+    for i, (a, ca) in enumerate(classes):
+        m1 += ca * a * a
+        for b, cb in classes[i + 1:]:
+            irr_t += ca * cb * (b - a)
     return irr, irr_t, sigma, m1, m2

@@ -369,15 +369,17 @@ def _moved_bundle(
     )
 
 
-def _tree_relocations(t: Tree, lam_ok: Callable[[int], bool]):
+def _tree_relocations(t: Tree, lam_ok: Callable[[int], bool], support_filter: bool = False):
     """Every leaf relocation on ``t`` with admissible support degree, annotated.
 
     Yields the move, the support degree, whether the support sits strictly
     below the maximum degree or merely ties it, and the index bundles
-    before and after. No moved tree is built: each after-bundle is a delta
-    on the degree list (:func:`_moved_bundle`), computed once per (support,
-    recipient) pair and shared by its donors. ``before`` is computed only
-    when the tree has a move.
+    before and after. With ``support_filter`` a support that holds the
+    maximum degree alone is skipped before any bundle is computed. No moved
+    tree is built: each after-bundle is a delta on the degree list
+    (:func:`_moved_bundle`), computed once per (support, recipient) pair
+    and shared by its donors. ``before`` is computed only when the tree has
+    a move.
     """
     n = t.n
     adjacency = t.adjacency
@@ -391,6 +393,10 @@ def _tree_relocations(t: Tree, lam_ok: Callable[[int], bool]):
         return
     delta = max(deg)
     ties = deg.count(delta)
+    if support_filter:
+        supports = [y for y in supports if deg[y] < delta or ties >= 2]
+        if not supports:
+            return
     at_least = [0] * (delta + 2)
     for d in deg:
         at_least[d] += 1
@@ -415,7 +421,9 @@ def _tree_relocations(t: Tree, lam_ok: Callable[[int], bool]):
                 yield y, donor, recipient, lam, strict, tied, before, after[recipient]
 
 
-def _relocation_instances(n_lo, n_hi, lam_ok: Callable[[int], bool]):
+def _relocation_instances(
+    n_lo, n_hi, lam_ok: Callable[[int], bool], support_filter: bool = False
+):
     """:func:`_tree_relocations` over all unlabeled trees of orders n_lo..n_hi.
 
     Yields the tree followed by the move's fields. The after-bundles are
@@ -425,7 +433,7 @@ def _relocation_instances(n_lo, n_hi, lam_ok: Callable[[int], bool]):
     """
     for n in range(n_lo, n_hi + 1):
         for t in all_trees(n):
-            for move in _tree_relocations(t, lam_ok):
+            for move in _tree_relocations(t, lam_ok, support_filter):
                 yield (t, *move)
 
 
@@ -444,11 +452,8 @@ def _relocation_claim(params, cap, lam_ok, bad, value_key, apply_support_filter)
     per_filter = {"strict": [0, 0], "tied": [0, 0], "unfiltered": [0, 0]}
     pair_seen = pair_decrease = 0
     for t, y, donor, recipient, lam, strict, tied, before, after in _relocation_instances(
-        2, n_max, lam_ok
+        2, n_max, lam_ok, apply_support_filter
     ):
-        in_scope = (strict or tied) if apply_support_filter else True
-        if not in_scope:
-            continue
         checked += 1
         is_bad = bad(before, after, lam)
         for name, flag in (("strict", strict), ("tied", tied), ("unfiltered", True)):

@@ -282,6 +282,9 @@ class TestRelocationDeltas:
         ]
         assert [inst[:4] for inst in swept] == expected
         _assert_matches_recompute(swept)
+        # The support filter drops exactly the moves that are neither strict nor tied.
+        filtered = list(_relocation_instances(2, 9, lambda lam: True, support_filter=True))
+        assert filtered == [inst for inst in swept if inst[5] or inst[6]]
 
 
 class TestRelocationClaims:

@@ -7,7 +7,6 @@ from treeirr import (
     EnumerationGuard,
     Tree,
     all_trees,
-    all_trees_by_realization,
     canonical_code,
     degrees,
     path,
@@ -68,12 +67,6 @@ class TestAllTrees:
             list(all_trees(17))
         # raising the cap is an explicit opt-in
         assert len(list(all_trees(13, max_order=13))) == unlabeled_tree_count(13)
-
-    def test_cross_validation_enumerators(self):
-        for n in range(1, 11):
-            a = [canonical_code(t) for t in all_trees(n)]
-            b = [canonical_code(t) for t in all_trees_by_realization(n)]
-            assert a == b
 
 
 class TestDegreeSequences:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treeirr import (
     Tree,
@@ -6,12 +7,38 @@ from treeirr import (
     compute_indices,
     path,
     path_imbalance,
+    prufer_decode,
     star,
     total_irregularity_by_sequence,
 )
 from treeirr.claims import load_fig2_tree
 
 from _brute import brute_indices
+
+
+def _assert_matches_definition(t):
+    got = compute_indices(t)
+    want = brute_indices(t.n, t.edges)
+    assert (got.irr, got.irr_t, got.sigma, got.m1, got.m2) == (
+        want["irr"],
+        want["irr_T"],
+        want["sigma"],
+        want["m1"],
+        want["m2"],
+    )
+
+
+def _broom(handle, bristles):
+    # A path on `handle` vertices with `bristles` leaves at its last vertex.
+    edges = [(i, i + 1) for i in range(handle - 1)]
+    edges += [(handle - 1, handle + j) for j in range(bristles)]
+    return Tree(handle + bristles, edges)
+
+
+def _double_star(a, b):
+    # Adjacent centers 0 and 1 carrying a and b leaves.
+    edges = [(0, 1)] + [(0, 2 + j) for j in range(a)] + [(1, 2 + a + j) for j in range(b)]
+    return Tree(a + b + 2, edges)
 
 
 class TestComputeIndices:
@@ -43,15 +70,26 @@ class TestComputeIndices:
     def test_against_definition_oracle(self):
         for n in range(1, 9):
             for t in all_trees(n):
-                got = compute_indices(t)
-                want = brute_indices(t.n, t.edges)
-                assert (got.irr, got.irr_t, got.sigma, got.m1, got.m2) == (
-                    want["irr"],
-                    want["irr_T"],
-                    want["sigma"],
-                    want["m1"],
-                    want["m2"],
-                )
+                _assert_matches_definition(t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_prufer_trees_against_definition(self, data):
+        # Large orders, where the degree classes of irr_T hold many vertices.
+        n = data.draw(st.integers(2, 400))
+        code = data.draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+        _assert_matches_definition(prufer_decode(code, n))
+
+    @pytest.mark.parametrize("n", [5, 6, 9, 17, 64, 151, 400])
+    def test_families_against_definition(self, n):
+        # Stars and paths put all but a few vertices in one degree class;
+        # brooms and double stars split them between one or two hubs.
+        _assert_matches_definition(star(n - 1))
+        _assert_matches_definition(path(n))
+        for k in (2, n // 2, n - 2):
+            _assert_matches_definition(_broom(n - k, k))
+        for a in (1, (n - 2) // 2, n - 3):
+            _assert_matches_definition(_double_star(a, n - 2 - a))
 
     def test_sandwich_inequalities(self):
         for n in range(1, 9):

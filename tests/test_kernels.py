@@ -1,7 +1,10 @@
 """Backend parity: the compiled kernels must match the pure twin exactly."""
 
+import random
+
 import pytest
 
+from treeirr import prufer_decode
 from treeirr._kernels import _pykernels
 
 cython_kernels = pytest.importorskip(
@@ -52,9 +55,16 @@ def test_index_bundles_identical():
 
 
 def test_large_star_and_path():
+    # The compiled index_bundle still sums irr_T pair by pair, so it is a
+    # second reference for the pure degree-class sum on large random trees.
+    rng = random.Random(2000)
     star_edges = _flat((0, i) for i in range(1, 51))
     path_edges = _flat((i, i + 1) for i in range(60))
-    for n, flat in ((51, star_edges), (61, path_edges)):
+    cases = [(51, star_edges), (61, path_edges)]
+    for n in (500, 1000, 2000):
+        t = prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
+        cases.append((n, t.flat_edges()))
+    for n, flat in cases:
         assert _pykernels.canon_code(n, flat) == cython_kernels.canon_code(n, flat)
         assert _pykernels.index_bundle(n, flat) == cython_kernels.index_bundle(n, flat)
 
