@@ -307,13 +307,32 @@ class _Witnesses:
             self.kept.append(item)
 
 
+def _tally(cases, cap, check: Callable[..., dict | None]):
+    """Each case through ``check``, which returns a witness dict or ``None``."""
+    wit = _Witnesses(cap)
+    checked = 0
+    for case in cases:
+        checked += 1
+        bad = check(case)
+        if bad is not None:
+            wit.add(bad)
+    return ("fails" if wit.total else "holds"), checked, wit, []
+
+
+def _per_tree_claim(orders: range, cap, check: Callable[[Tree], dict | None]):
+    """:func:`_tally` over every unlabeled tree of the given orders."""
+    return _tally((t for n in orders for t in all_trees(n)), cap, check)
+
+
 def _seq_extremes(seq: DegreeSequence, attr: str) -> tuple[int, int]:
-    lo = hi = None
-    for t in trees_with_degree_sequence(seq):
-        v = getattr(compute_indices(t), attr)
-        lo = v if lo is None else min(lo, v)
-        hi = v if hi is None else max(hi, v)
-    return lo, hi
+    # Min and max over the trees of all_trees(n) that realize the sequence;
+    # trees_with_degree_sequence stays out of this path as its oracle.
+    values = [
+        getattr(compute_indices(t), attr)
+        for t in all_trees(seq.n)
+        if tuple(sorted(degrees(t), reverse=True)) == seq.values
+    ]
+    return min(values), max(values)
 
 
 def _edge_sums(pairs) -> tuple[int, int, int]:
@@ -525,79 +544,62 @@ def _check_fig2(params, cap):
 
 
 def _check_star_albertson(params, cap):
-    wit = _Witnesses(cap)
-    checked = 0
-    for k in range(3, params["n_max"] + 1):
-        checked += 1
+    def check(k):
         got = compute_indices(star(k)).irr
         if got != k * (k - 1):
-            wit.add({"leaves": k, "got": got, "want": k * (k - 1)})
-    return ("fails" if wit.total else "holds"), checked, wit, []
+            return {"leaves": k, "got": got, "want": k * (k - 1)}
+
+    return _tally(range(3, params["n_max"] + 1), cap, check)
 
 
 def _check_star_iso_sum(params, cap):
     # Two disjoint isomorphic stars: the indices add up.
-    wit = _Witnesses(cap)
-    checked = 0
-    for k in range(3, params["n_max"] + 1):
-        checked += 1
+    def check(k):
         one = compute_indices(star(k)).irr
         other = compute_indices(star(k)).irr
         if one + other != 2 * k * (k - 1):
-            wit.add({"leaves": k, "got": one + other, "want": 2 * k * (k - 1)})
-    return ("fails" if wit.total else "holds"), checked, wit, []
+            return {"leaves": k, "got": one + other, "want": 2 * k * (k - 1)}
+
+    return _tally(range(3, params["n_max"] + 1), cap, check)
 
 
 def _check_sandwich(params, cap):
-    wit = _Witnesses(cap)
-    checked = 0
-    for n in range(1, params["n_max"] + 1):
-        for t in all_trees(n):
-            checked += 1
-            b = compute_indices(t)
-            if not (b.sigma <= b.irr ** 2 and b.irr ** 2 <= (n - 1) * b.sigma):
-                wit.add({"tree": _edges_str(t), "irr": b.irr, "sigma": b.sigma})
-    return ("fails" if wit.total else "holds"), checked, wit, []
+    def check(t):
+        b = compute_indices(t)
+        if not (b.sigma <= b.irr ** 2 and b.irr ** 2 <= (t.n - 1) * b.sigma):
+            return {"tree": _edges_str(t), "irr": b.irr, "sigma": b.sigma}
+
+    return _per_tree_claim(range(1, params["n_max"] + 1), cap, check)
 
 
 def _check_irr_upper(params, cap):
-    wit = _Witnesses(cap)
-    checked = 0
-    for n in range(2, params["n_max"] + 1):
-        bound = (n - 1) * (n - 2)
-        for t in all_trees(n):
-            checked += 1
-            got = compute_indices(t).irr
-            if got > bound:
-                wit.add({"tree": _edges_str(t), "irr": got, "bound": bound})
-    return ("fails" if wit.total else "holds"), checked, wit, []
+    def check(t):
+        got, bound = compute_indices(t).irr, (t.n - 1) * (t.n - 2)
+        if got > bound:
+            return {"tree": _edges_str(t), "irr": got, "bound": bound}
+
+    return _per_tree_claim(range(2, params["n_max"] + 1), cap, check)
 
 
 def _check_irrT_seq(params, cap):
-    wit = _Witnesses(cap)
-    checked = 0
-    for n in range(1, params["n_max"] + 1):
-        for t in all_trees(n):
-            checked += 1
-            pairwise = compute_indices(t).irr_t
-            by_seq = total_irregularity_by_sequence(t)
-            if pairwise != by_seq:
-                wit.add({"tree": _edges_str(t), "pairwise": pairwise, "sequence": by_seq})
-    return ("fails" if wit.total else "holds"), checked, wit, []
+    def check(t):
+        pairwise = compute_indices(t).irr_t
+        by_seq = total_irregularity_by_sequence(t)
+        if pairwise != by_seq:
+            return {"tree": _edges_str(t), "pairwise": pairwise, "sequence": by_seq}
+
+    return _per_tree_claim(range(1, params["n_max"] + 1), cap, check)
 
 
 def _check_m1_identity(params, cap):
-    wit = _Witnesses(cap)
-    checked = 0
-    for n in range(1, params["n_max"] + 1):
-        for t in all_trees(n):
-            checked += 1
-            deg = degrees(t)
-            edge_sum = sum(deg[u] + deg[v] for u, v in t.edges)
-            m1 = compute_indices(t).m1
-            if m1 != edge_sum:
-                wit.add({"tree": _edges_str(t), "m1": m1, "edge_sum": edge_sum})
-    return ("fails" if wit.total else "holds"), checked, wit, []
+    def check(t):
+        deg = degrees(t)
+        edge_sum = sum(deg[u] + deg[v] for u, v in t.edges)
+        m1 = compute_indices(t).m1
+        if m1 != edge_sum:
+            return {"tree": _edges_str(t), "m1": m1, "edge_sum": edge_sum}
+
+    return _per_tree_claim(range(1, params["n_max"] + 1), cap, check)
 
 
 def _check_three_c(params, cap):
@@ -891,14 +893,9 @@ def _check_sigma_increase(params, cap):
 
 
 def _check_cor3_part1(params, cap):
-    wit = _Witnesses(cap)
-    checked = 0
-    for d3 in range(4, params["d_max"] + 1):
-        for d4 in range(d3, params["d_max"] + 1):
-            checked += 1
-            if not log_bound_holds(d3, d4):
-                wit.add({"d3": d3, "d4": d4})
-    return ("fails" if wit.total else "holds"), checked, wit, []
+    d_max = params["d_max"]
+    pairs = ((d3, d4) for d3 in range(4, d_max + 1) for d4 in range(d3, d_max + 1))
+    return _tally(pairs, cap, lambda p: None if log_bound_holds(*p) else {"d3": p[0], "d4": p[1]})
 
 
 def _check_sigma_ordered(params, cap):

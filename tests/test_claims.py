@@ -34,8 +34,12 @@ from treeirr.claims import (
     table1_text,
     verify,
 )
-from treeirr.claims import _relocation_instances, _tree_relocations
-from treeirr.enumeration import EnumerationGuard
+from treeirr.claims import _relocation_instances, _seq_extremes, _tree_relocations
+from treeirr.enumeration import (
+    EnumerationGuard,
+    tree_degree_sequences,
+    trees_with_degree_sequence,
+)
 
 from _brute import brute_indices, spanning_trees
 
@@ -262,6 +266,44 @@ def _assert_matches_recompute(instances):
         assert lam == t.degree(y)
         assert before == compute_indices(t)
         assert after == compute_indices(relocate_leaf(t, y, donor, recipient)[0])
+
+
+class TestEnumerationOnce:
+    def test_sequence_extremes_match_realization(self):
+        # The claims take per-sequence extremes from all_trees; the Prüfer
+        # realization enumerator stays their independent oracle.
+        for n in range(3, 10):
+            for seq in tree_degree_sequences(n):
+                bundles = [compute_indices(t) for t in trees_with_degree_sequence(seq)]
+                for attr in ("irr", "sigma"):
+                    values = [getattr(b, attr) for b in bundles]
+                    assert _seq_extremes(seq, attr) == (min(values), max(values)), (seq, attr)
+
+    def test_report_generates_each_order_once(self, monkeypatch):
+        from treeirr import _kernels, degseq, enumeration
+
+        orders, decodes = [], []
+        level_sequences, prufer = _kernels.level_sequences, degseq.prufer_decode
+
+        def counted_levels(n):
+            orders.append(n)
+            return level_sequences(n)
+
+        def counted_decode(code, n):
+            decodes.append(n)
+            return prufer(code, n)
+
+        monkeypatch.setattr(enumeration, "_CANONICAL_ORDERS", {})
+        monkeypatch.setattr(_kernels, "level_sequences", counted_levels)
+        for module in (degseq, enumeration):
+            monkeypatch.setattr(module, "prufer_decode", counted_decode)
+        report = run_report(ReportConfig(n_max=10))
+        assert report.errors == ()
+        assert sorted(orders) == list(range(1, 11))
+        assert decodes == []
+        # The counters do see the realization path when it runs.
+        list(trees_with_degree_sequence((2, 2, 1, 1)))
+        assert decodes
 
 
 class TestRelocationDeltas:

@@ -17,9 +17,19 @@ from treeirr import (
     trees_with_degree_sequence,
     validate_tree_sequence,
 )
+from treeirr import enumeration
 from treeirr.enumeration import realization_count
 
 from _brute import brute_canonical, spanning_trees, unlabeled_tree_count
+
+
+@pytest.fixture
+def cold_orders():
+    # all_trees keeps each order's canonical order for the process; start
+    # and end empty so that test order cannot decide which path runs.
+    enumeration._CANONICAL_ORDERS.clear()
+    yield
+    enumeration._CANONICAL_ORDERS.clear()
 
 
 class TestAllTrees:
@@ -33,19 +43,33 @@ class TestAllTrees:
         assert len(list(all_trees(n))) == unlabeled_tree_count(n)
 
     @pytest.mark.parametrize("n", range(1, 13))
-    def test_networkx_oracle(self, n):
-        # A third, unrelated enumerator. all_trees skips Tree validation, so
-        # every tree it yields is also checked as a graph and rebuilt validated.
-        nx = pytest.importorskip("networkx")
-        trees = list(all_trees(n))
-        assert len(trees) == len(list(nx.nonisomorphic_trees(n)))
-        for t in trees:
-            g = nx.Graph()
-            g.add_nodes_from(range(n))
-            g.add_edges_from(t.edges)
-            assert nx.is_tree(g)
-            assert Tree(n, t.edges) == t
-            assert Tree(n, t.edges).adjacency == t.adjacency
+    def test_networkx_oracle(self, n, cold_orders):
+        # A third, unrelated enumerator, on the first call of the order.
+        assert_networkx_trees(n, list(all_trees(n)))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_networkx_oracle_warm(self, n, cold_orders):
+        # The same oracle on a later call, rebuilt from the kept order.
+        list(all_trees(n))
+        assert n in enumeration._CANONICAL_ORDERS
+        assert_networkx_trees(n, list(all_trees(n)))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_warm_call_repeats_cold_call(self, n, cold_orders):
+        cold = list(all_trees(n))
+        blob = enumeration._CANONICAL_ORDERS[n]
+        assert len(blob) == n * len(cold)
+        warm = list(all_trees(n))
+        assert [t.edges for t in warm] == [t.edges for t in cold]
+        assert all(t._code is None for t in warm)
+        assert [canonical_code(t) for t in warm] == [canonical_code(t) for t in cold]
+
+    def test_partial_first_call_keeps_the_whole_order(self, cold_orders):
+        # The order is kept before the first tree is yielded, so a caller
+        # that stops early still leaves all of it.
+        first = next(all_trees(9))
+        assert len(enumeration._CANONICAL_ORDERS[9]) == 9 * unlabeled_tree_count(9)
+        assert next(all_trees(9)) == first
 
     def test_no_duplicates_and_sorted_emission(self):
         for n in range(1, 11):
@@ -225,3 +249,17 @@ def caterpillar_fixture():
     from treeirr import caterpillar
 
     return caterpillar((2, 3, 2))
+
+
+def assert_networkx_trees(n, trees):
+    # all_trees skips Tree validation, so every tree it yields is also
+    # checked as a graph and rebuilt validated.
+    nx = pytest.importorskip("networkx")
+    assert len(trees) == len(list(nx.nonisomorphic_trees(n)))
+    for t in trees:
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(t.edges)
+        assert nx.is_tree(g)
+        assert Tree(n, t.edges) == t
+        assert Tree(n, t.edges).adjacency == t.adjacency
