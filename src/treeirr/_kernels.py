@@ -1,7 +1,10 @@
-"""Pure-Python kernels. Reference semantics for the compiled twin.
+"""The hot loops: free-tree generation, canonical codes and index sums.
 
 Trees are passed around as flat edge lists ``[u0, v0, u1, v1, ...]`` over
-dense vertex ids ``0..n-1``; nothing here validates, callers do.
+dense vertex ids ``0..n-1``; nothing here validates, callers do. Callers
+look the kernels up as ``_kernels.<name>`` at call time, so a tracer or a
+test can replace one by setting the module attribute. ``BACKEND`` names
+this implementation in report metadata.
 """
 
 BACKEND = "python"

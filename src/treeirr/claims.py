@@ -16,6 +16,7 @@ the notes spelling out what was actually checked.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -1193,8 +1194,10 @@ def run_report(config: ReportConfig | None = None) -> ClaimReport:
 
     Unknown ids become per-claim error entries instead of aborting the
     run; so do exceptions raised inside a claim. With ``jobs > 1`` and
-    ``deterministic=False`` the claims run in a process pool; results are
-    identical either way, only the timings differ.
+    ``deterministic=False`` the claims run in a process pool of at most
+    ``jobs`` workers, and no more than there are claims or CPUs, since
+    extra workers only add start-up and contention; results are identical
+    either way, only the timings differ.
     """
     config = config or ReportConfig()
     wanted = config.claim_ids if config.claim_ids is not None else CLAIM_IDS
@@ -1202,8 +1205,8 @@ def run_report(config: ReportConfig | None = None) -> ClaimReport:
     runnable = [cid for cid in wanted if cid in _CHECKERS]
     tasks = [(cid, _scaled_params(cid, config), config.witness_cap) for cid in runnable]
     results: list[ClaimResult] = []
-    jobs = 1 if config.deterministic else max(1, config.jobs)
-    if jobs > 1 and len(tasks) > 1:
+    jobs = 1 if config.deterministic else min(config.jobs, len(tasks), os.cpu_count() or 1)
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -1,5 +1,7 @@
+import concurrent.futures
 import hashlib
 import json
+import os
 import re
 from pathlib import Path
 
@@ -522,6 +524,37 @@ class TestReport:
             run_report(ReportConfig(claim_ids=self.SMALL, n_max=6, deterministic=False, jobs=2))
         )
         assert serial == parallel
+
+    @pytest.mark.parametrize("cpus, workers", [(2, 2), (64, 3), (1, None), (None, None)])
+    def test_pool_capped_by_claims_and_cpus(self, monkeypatch, cpus, workers):
+        # A stand-in pool records its size and runs each task inline, so a
+        # huge --jobs value starts no process.
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                try:
+                    future.set_result(fn(*args))
+                except Exception as exc:  # noqa: BLE001 - delivered through the future
+                    future.set_exception(exc)
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        serial = report_to_text(run_report(ReportConfig(claim_ids=self.SMALL, n_max=6)))
+        config = ReportConfig(claim_ids=self.SMALL, n_max=6, deterministic=False, jobs=10_000)
+        assert report_to_text(run_report(config)) == serial
+        assert pools == ([] if workers is None else [workers])
 
     def test_json_shape(self):
         report = run_report(ReportConfig(claim_ids=("table1",)))
