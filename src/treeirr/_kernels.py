@@ -1,7 +1,8 @@
 """The hot loops: free-tree generation, canonical codes and index sums.
 
 Trees are passed around as flat edge lists ``[u0, v0, u1, v1, ...]`` over
-dense vertex ids ``0..n-1``; nothing here validates, callers do. Callers
+dense vertex ids ``0..n-1``, except by ``level_code``, which takes a level
+sequence from ``level_sequences``; nothing here validates, callers do. Callers
 look the kernels up as ``_kernels.<name>`` at call time, so a tracer or a
 test can replace one by setting the module attribute. ``BACKEND`` names
 this implementation in report metadata.
@@ -83,6 +84,63 @@ def _skip_to_free(layout):
         tail = list(range(1, max(new_left) + 2))
         nxt[len(nxt) - len(tail):] = tail
     return nxt
+
+
+def level_code(levels):
+    """The :func:`canon_code` of the tree a free-tree level sequence encodes.
+
+    ``levels`` is a level sequence rooted at a center of its tree, as every
+    layout from :func:`level_sequences` is (a tuple or a ``bytes`` slice),
+    not flat edges. Each vertex's parent is the nearest earlier vertex one
+    level up, so one stack pass builds the rooted codes bottom-up with no
+    edge list, adjacency or center search. If exactly one child of the
+    root reaches the maximum level, that child is the second center, and
+    the code rerooted there competes for the smaller code.
+    """
+    n = len(levels)
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    if n == 1:
+        return b"()"
+    # open_kids[d]: child codes of the open vertex at level d, the open
+    # vertices being the path from the root to the latest vertex.
+    open_kids = [[]]
+    root_child_kids = []
+    depth = 0
+    for lv in levels[1:]:
+        while depth >= lv:
+            kids = open_kids.pop()
+            if kids:
+                kids.sort()
+                open_kids[-1].append(b"(" + b"".join(kids) + b")")
+            else:
+                open_kids[-1].append(b"()")
+            depth -= 1
+        kids = []
+        if lv == 1:
+            root_child_kids.append(kids)
+        open_kids.append(kids)
+        depth = lv
+    while depth > 0:
+        kids = open_kids.pop()
+        kids.sort()
+        open_kids[-1].append(b"(" + b"".join(kids) + b")")
+        depth -= 1
+    root_kids = open_kids[0]
+    code = b"(" + b"".join(sorted(root_kids)) + b")"
+    height = max(levels)
+    first = levels.index(height)
+    last = n - 1 - levels[::-1].index(height)
+    if 1 in levels[first + 1 : last + 1]:
+        return code
+    # Bicentral: every vertex at the maximum level lies below one root child.
+    tall = levels[: first + 1].count(1) - 1
+    others = root_kids[:tall] + root_kids[tall + 1 :]
+    others.sort()
+    kids = root_child_kids[tall] + [b"(" + b"".join(others) + b")"]
+    kids.sort()
+    rerooted = b"(" + b"".join(kids) + b")"
+    return rerooted if rerooted < code else code
 
 
 def canon_code(n, flat_edges):

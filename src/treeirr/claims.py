@@ -1132,7 +1132,10 @@ CATALOG: tuple[Claim, ...] = (
 
 CLAIM_IDS: tuple[str, ...] = tuple(c.claim_id for c in CATALOG)
 
-assert set(CLAIM_IDS) == set(_CHECKERS)
+if set(CLAIM_IDS) != set(_CHECKERS):
+    raise RuntimeError(
+        f"catalog and checker registry disagree: {sorted(set(CLAIM_IDS) ^ set(_CHECKERS))}"
+    )
 
 
 def get_claim(claim_id: str) -> Claim:

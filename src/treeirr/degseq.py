@@ -163,9 +163,9 @@ def caterpillar(spine_degrees: Sequence[int]) -> Tree:
         for _ in range(s - backbone):
             edges.append((i, nxt))
             nxt += 1
-    if nxt == 1:
-        return Tree(1, [])
-    return Tree(nxt, edges)
+    # Spine edges (i, i+1) and pendant edges (i, nxt) with nxt >= k > i:
+    # a tree on 0..nxt-1 with u < v by construction, so skip validation.
+    return Tree._unchecked(nxt, edges)
 
 
 def build_special(kind: str, params: dict) -> Tree:

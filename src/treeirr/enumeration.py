@@ -48,30 +48,21 @@ def _levels_to_edges(levels: Sequence[int]) -> list[tuple[int, int]]:
 _CANONICAL_ORDERS: dict[int, bytes] = {}
 
 
-def _tree_levels(t: Tree) -> bytearray:
-    # Inverse of _levels_to_edges: its vertex ids are in preorder, so the
-    # smaller end of an edge is the parent, and the sorted edges reach each
-    # vertex's own edge before the edges to its children.
-    levels = bytearray(t.n)
-    for parent, child in t.edges:
-        levels[child] = levels[parent] + 1
-    return levels
-
-
 def all_trees(n: int, max_order: int = DEFAULT_MAX_ORDER) -> Iterator[Tree]:
     """One representative per isomorphism class of trees on ``n`` vertices.
 
     Deterministic emission: ascending canonical code.
 
-    The first call for an order generates the level sequences, builds the
-    trees and sorts them by canonical code. Before it yields the first
-    tree, it keeps their level sequences, in that order, as one ``bytes``
-    blob of n bytes per tree (72 KB for all orders up to 14, 0.5 MB up to
-    16) for the rest of the process. Later calls rebuild the trees from
-    the blob one at a time, with no generation, canonical coding or sort.
-    A slice gives the same labeled tree as on the first call, so the output
-    is identical; only the canonical code is not yet cached on the rebuilt
-    trees.
+    The first call for an order generates the level sequences and sorts
+    them by the canonical code each one holds (``_kernels.level_code``),
+    with no ``Tree`` built before the sort. Before it yields the first
+    tree, it keeps the sorted level sequences as one ``bytes`` blob of n
+    bytes per tree (72 KB for all orders up to 14, 0.5 MB up to 16) for
+    the rest of the process. It then builds the trees one at a time, each
+    carrying its canonical code. Later calls rebuild the trees from the
+    blob, with no generation, canonical coding or sort. A slice gives the
+    same labeled tree as on the first call, so the output is identical;
+    only the canonical code is not yet cached on the rebuilt trees.
     """
     _check_order(n, max_order)
     blob = _CANONICAL_ORDERS.get(n)
@@ -79,11 +70,14 @@ def all_trees(n: int, max_order: int = DEFAULT_MAX_ORDER) -> Iterator[Tree]:
         for start in range(0, len(blob), n):
             yield Tree._unchecked(n, _levels_to_edges(blob[start : start + n]))
         return
-    # A level sequence encodes a tree, and _levels_to_edges lists parent < child.
-    trees = [Tree._unchecked(n, _levels_to_edges(seq)) for seq in _kernels.level_sequences(n)]
-    trees.sort(key=canonical_code)
-    _CANONICAL_ORDERS[n] = b"".join(map(_tree_levels, trees))
-    yield from trees
+    seqs = map(bytes, _kernels.level_sequences(n))
+    keyed = sorted((_kernels.level_code(seq), seq) for seq in seqs)
+    _CANONICAL_ORDERS[n] = b"".join(seq for _, seq in keyed)
+    for code, seq in keyed:
+        # A level sequence encodes a tree, and _levels_to_edges lists parent < child.
+        t = Tree._unchecked(n, _levels_to_edges(seq))
+        t._code = code
+        yield t
 
 
 def tree_degree_sequences(n: int) -> Iterator[DegreeSequence]:
@@ -227,5 +221,6 @@ def relocate_leaf(t: Tree, y: int, donor: int, recipient: int) -> tuple[Tree, Re
         degrees_before=(lam, 1, t.degree(recipient)),
         degrees_after=(out.degree(y), out.degree(donor), out.degree(recipient)),
     )
-    assert step.degrees_after == (lam - 1, 1, t.degree(recipient) + 1)
+    if step.degrees_after != (lam - 1, 1, t.degree(recipient) + 1):
+        raise RuntimeError(f"relocation broke its degree post-condition: {step}")
     return out, step

@@ -134,6 +134,23 @@ class TestBuilders:
     def test_caterpillar_single_slot(self):
         assert caterpillar((3,)) == star(3)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_caterpillar_rebuilds_validated(self, data):
+        # caterpillar skips Tree validation; a validated rebuild must agree.
+        k = data.draw(st.integers(1, 8))
+        floors = [1 if k == 1 or i in (0, k - 1) else 2 for i in range(k)]
+        spine = [data.draw(st.integers(f, f + 5)) for f in floors]
+        t = caterpillar(spine)
+        assert Tree(t.n, t.edges) == t
+        assert Tree(t.n, t.edges).adjacency == t.adjacency
+        assert [t.degree(i) for i in range(k)] == spine
+        assert all(t.degree(v) == 1 for v in range(k, t.n))
+        slot = data.draw(st.integers(0, k - 1))
+        spine[slot] = data.draw(st.integers(-2, floors[slot] - 1))
+        with pytest.raises(ValueError, match="infeasible"):
+            caterpillar(spine)
+
     def test_builder_outputs_validate(self):
         for t in (star(5), path(6), caterpillar((2, 3, 4))):
             seq = degree_sequence_of(t)

@@ -17,7 +17,7 @@ from treeirr import (
     trees_with_degree_sequence,
     validate_tree_sequence,
 )
-from treeirr import enumeration
+from treeirr import _kernels, enumeration
 from treeirr.enumeration import realization_count
 
 from _brute import brute_canonical, spanning_trees, unlabeled_tree_count
@@ -63,6 +63,26 @@ class TestAllTrees:
         assert [t.edges for t in warm] == [t.edges for t in cold]
         assert all(t._code is None for t in warm)
         assert [canonical_code(t) for t in warm] == [canonical_code(t) for t in cold]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_cold_call_presets_codes(self, n, cold_orders):
+        # The first call codes level sequences, not trees: each tree's
+        # preset code must be the one canon_code gives its edges.
+        trees = list(all_trees(n))
+        for t in trees:
+            assert t._code is not None
+            assert t._code == _kernels.canon_code(n, t.flat_edges())
+        if n <= 7:
+            # Equal codes iff brute-force isomorphic, over every tree and a
+            # relabeled copy of it.
+            perm = list(range(n))[::-1]
+            seen = {}
+            for t in trees:
+                copy = Tree(n, [(perm[u], perm[v]) for u, v in t.edges])
+                for s in (t, copy):
+                    brute = brute_canonical(n, s.edges)
+                    assert seen.setdefault(canonical_code(s), brute) == brute
+            assert len(set(seen.values())) == len(seen) == len(trees)
 
     def test_partial_first_call_keeps_the_whole_order(self, cold_orders):
         # The order is kept before the first tree is yielded, so a caller
