@@ -30,19 +30,6 @@ def _check_order(n: int, max_order: int) -> None:
         raise EnumerationGuard(f"order {n} outside guard range 1..{max_order}")
 
 
-def _levels_to_edges(levels: Sequence[int]) -> list[tuple[int, int]]:
-    # Parent of vertex i is the nearest earlier vertex one level up.
-    edges = []
-    stack: list[int] = []
-    for i, lv in enumerate(levels):
-        while stack and levels[stack[-1]] >= lv:
-            stack.pop()
-        if stack:
-            edges.append((stack[-1], i))
-        stack.append(i)
-    return edges
-
-
 # Order -> the level sequences of all_trees(order), concatenated in
 # emission order: one byte per vertex, n bytes per tree.
 _CANONICAL_ORDERS: dict[int, bytes] = {}
@@ -60,22 +47,23 @@ def all_trees(n: int, max_order: int = DEFAULT_MAX_ORDER) -> Iterator[Tree]:
     bytes per tree (72 KB for all orders up to 14, 0.5 MB up to 16) for
     the rest of the process. It then builds the trees one at a time, each
     carrying its canonical code. Later calls rebuild the trees from the
-    blob, with no generation, canonical coding or sort. A slice gives the
-    same labeled tree as on the first call, so the output is identical;
-    only the canonical code is not yet cached on the rebuilt trees.
+    blob, with no generation, canonical coding or sort. Both calls build a
+    tree in one unvalidated pass over its level sequence
+    (``Tree._from_levels``), so a slice gives the same labeled tree as on
+    the first call and the output is identical; only the canonical code
+    is not yet cached on the rebuilt trees.
     """
     _check_order(n, max_order)
     blob = _CANONICAL_ORDERS.get(n)
     if blob is not None:
         for start in range(0, len(blob), n):
-            yield Tree._unchecked(n, _levels_to_edges(blob[start : start + n]))
+            yield Tree._from_levels(blob[start : start + n])
         return
     seqs = map(bytes, _kernels.level_sequences(n))
     keyed = sorted((_kernels.level_code(seq), seq) for seq in seqs)
     _CANONICAL_ORDERS[n] = b"".join(seq for _, seq in keyed)
     for code, seq in keyed:
-        # A level sequence encodes a tree, and _levels_to_edges lists parent < child.
-        t = Tree._unchecked(n, _levels_to_edges(seq))
+        t = Tree._from_levels(seq)
         t._code = code
         yield t
 

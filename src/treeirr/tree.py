@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import _kernels
 
@@ -16,9 +16,15 @@ class TreeError(ValueError):
 class Tree:
     """A tree on vertex ids ``0..n-1``, immutable after construction.
 
-    Construction validates everything: exactly ``n-1`` edges, no loops or
-    duplicates, ids in range, connected. Degree sums to ``2(n-1)`` by
-    consequence. Instances hash and compare by labeled edge set.
+    The constructor validates everything: exactly ``n-1`` edges, no loops
+    or duplicates, ids in range, connected. Degree sums to ``2(n-1)`` by
+    consequence. Two private builders skip the checks for input that is a
+    tree by construction: :meth:`_unchecked` (edge pairs, used by
+    ``degseq.caterpillar``) and :meth:`_from_levels` (a level sequence,
+    used by ``all_trees``). The test suite rebuilds their output through
+    the constructor: ``TestFromLevels`` in ``tests/test_tree.py`` and
+    ``test_caterpillar_rebuilds_validated`` in ``tests/test_degseq.py``.
+    Instances hash and compare by labeled edge set.
     """
 
     __slots__ = ("n", "edges", "adjacency", "_code")
@@ -79,6 +85,36 @@ class Tree:
             adj[v].append(u)
         t = cls.__new__(cls)
         t._fill(n, edges, adj)
+        return t
+
+    @classmethod
+    def _from_levels(cls, levels: Sequence[int]) -> "Tree":
+        """Build from a preorder level sequence (a tuple or ``bytes``).
+
+        ``levels[0] == 0`` and ``1 <= levels[i] <= levels[i - 1] + 1``;
+        vertex ``i`` hangs from the latest earlier vertex one level up.
+        Skips every check of :meth:`__init__`, like :meth:`_unchecked`.
+        Each parent id is below its child and children come in ascending
+        id, so every adjacency list is sorted as built; only the edges
+        need a sort.
+        """
+        n = len(levels)
+        last = [0] * n  # last[d]: the latest vertex seen at level d
+        edges = []
+        adj: list[list[int]] = [[]]
+        for i in range(1, n):
+            lv = levels[i]
+            p = last[lv - 1]
+            last[lv] = i
+            edges.append((p, i))
+            adj[p].append(i)
+            adj.append([p])
+        edges.sort()
+        t = cls.__new__(cls)
+        t.n = n
+        t.edges = tuple(edges)
+        t.adjacency = tuple(map(tuple, adj))
+        t._code = None
         return t
 
     @classmethod

@@ -44,6 +44,22 @@ def is_connected(n, edges):
     return len(seen) == n
 
 
+def levels_to_edges(levels):
+    """Edges of the tree a preorder level sequence lays out, by a stack scan.
+
+    The parent of vertex i is the nearest earlier vertex one level up.
+    """
+    edges = []
+    stack = []
+    for i, lv in enumerate(levels):
+        while stack and levels[stack[-1]] >= lv:
+            stack.pop()
+        if stack:
+            edges.append((stack[-1], i))
+        stack.append(i)
+    return edges
+
+
 def spanning_trees(n):
     """Every labeled tree on n vertices, enumerated from edge subsets."""
     if n == 1:

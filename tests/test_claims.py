@@ -307,6 +307,41 @@ class TestEnumerationOnce:
         list(trees_with_degree_sequence((2, 2, 1, 1)))
         assert decodes
 
+    def test_all_trees_builds_without_fallback(self, monkeypatch):
+        # Cold and warm, all_trees builds every tree in one pass from its
+        # level sequence: no validation, no edge-list build, no coding.
+        from treeirr import _kernels, enumeration
+
+        calls = []
+        init, unchecked, canon = Tree.__init__, Tree._unchecked, _kernels.canon_code
+
+        def counted_init(self, n, edges):
+            calls.append("__init__")
+            init(self, n, edges)
+
+        def counted_unchecked(cls, n, edges):
+            calls.append("_unchecked")
+            return unchecked(n, edges)
+
+        def counted_canon(n, flat):
+            calls.append("canon_code")
+            return canon(n, flat)
+
+        monkeypatch.setattr(enumeration, "_CANONICAL_ORDERS", {})
+        monkeypatch.setattr(Tree, "__init__", counted_init)
+        monkeypatch.setattr(Tree, "_unchecked", classmethod(counted_unchecked))
+        monkeypatch.setattr(_kernels, "canon_code", counted_canon)
+        cold = list(all_trees(10))
+        assert 10 in enumeration._CANONICAL_ORDERS
+        warm = list(all_trees(10))
+        assert calls == []
+        assert warm == cold and len(cold) == 106
+        # The counters do see each fallback when it runs.
+        Tree(2, [(0, 1)])
+        Tree._unchecked(2, [(0, 1)])
+        canonical_code(warm[0])
+        assert calls == ["__init__", "_unchecked", "canon_code"]
+
 
 class TestRelocationDeltas:
     @settings(max_examples=200, deadline=None)

@@ -5,7 +5,8 @@ import pytest
 import treeirr
 from treeirr import _kernels
 from treeirr.claims import ReportConfig, run_report
-from treeirr.enumeration import _levels_to_edges
+
+from _brute import levels_to_edges
 
 
 def test_backend_is_python():
@@ -35,7 +36,7 @@ def test_level_code_matches_canon_code(n):
     # the tree it encodes, on every free tree of the order, from both the
     # tuple the generator yields and the bytes all_trees keeps.
     for seq in _kernels.level_sequences(n):
-        flat = [v for edge in _levels_to_edges(seq) for v in edge]
+        flat = [v for edge in levels_to_edges(seq) for v in edge]
         want = _kernels.canon_code(n, flat)
         assert _kernels.level_code(seq) == want
         assert _kernels.level_code(bytes(seq)) == want
@@ -47,7 +48,7 @@ def _siblings_reversed(levels):
     # reverse order: the generator's layouts list siblings in code order,
     # so this makes level_code do its own sorting.
     kids = [[] for _ in levels]
-    for parent, child in _levels_to_edges(levels):
+    for parent, child in levels_to_edges(levels):
         kids[parent].append(child)
     out = []
     stack = [0]

@@ -15,9 +15,10 @@ from treeirr import (
     path,
     star,
 )
+from treeirr import _kernels
 from treeirr.claims import load_fig2_tree
 
-from _brute import brute_isomorphic
+from _brute import brute_isomorphic, levels_to_edges
 
 
 def relabeled(t, perm):
@@ -62,6 +63,41 @@ class TestTreeValidation:
         for n in range(1, 9):
             for t in all_trees(n):
                 assert sum(degrees(t)) == 2 * (n - 1)
+
+
+def assert_built_from_levels(levels):
+    # _from_levels skips validation; the stack-scan oracle's edges, rebuilt
+    # by the validating constructor, must give the same tree.
+    n = len(levels)
+    want = Tree(n, levels_to_edges(levels))
+    got = Tree._from_levels(levels)
+    assert got.n == n
+    assert got.edges == want.edges
+    assert got.adjacency == want.adjacency
+    assert got == want
+    assert hash(got) == hash(want)
+    assert got._code is None
+
+
+class TestFromLevels:
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_every_layout(self, n):
+        for seq in _kernels.level_sequences(n):
+            assert_built_from_levels(tuple(seq))
+            assert_built_from_levels(bytes(seq))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 200), max_size=199))
+    def test_random_layouts(self, picks):
+        # Any preorder layout of order 1-200, canonical or not:
+        # levels[0] == 0 and 1 <= levels[i] <= levels[i - 1] + 1. Every
+        # pick above levels[i - 1] goes one level deeper, so deep paths
+        # are common.
+        levels = [0]
+        for x in picks:
+            levels.append(min(x, levels[-1] + 1))
+        assert_built_from_levels(tuple(levels))
+        assert_built_from_levels(bytes(levels))
 
 
 class TestDegrees:
