@@ -1,8 +1,9 @@
 """The hot loops: free-tree generation, canonical codes and index sums.
 
-Trees are passed around as flat edge lists ``[u0, v0, u1, v1, ...]`` over
-dense vertex ids ``0..n-1``, except by ``level_code``, which takes a level
-sequence from ``level_sequences``; nothing here validates, callers do. Callers
+Trees are passed in as ``Tree.edges``: a sequence of ``n - 1`` pairs
+``(u, v)`` over dense vertex ids ``0..n-1``, except to ``level_code``, which
+takes a level sequence from ``level_sequences``; nothing here validates,
+callers do. Callers
 look the kernels up as ``_kernels.<name>`` at call time, so a tracer or a
 test can replace one by setting the module attribute. ``BACKEND`` names
 this implementation in report metadata.
@@ -91,7 +92,7 @@ def level_code(levels):
 
     ``levels`` is a level sequence rooted at a center of its tree, as every
     layout from :func:`level_sequences` is (a tuple or a ``bytes`` slice),
-    not flat edges. Each vertex's parent is the nearest earlier vertex one
+    not edge pairs. Each vertex's parent is the nearest earlier vertex one
     level up, so one stack pass builds the rooted codes bottom-up with no
     edge list, adjacency or center search. If exactly one child of the
     root reaches the maximum level, that child is the second center, and
@@ -143,7 +144,7 @@ def level_code(levels):
     return rerooted if rerooted < code else code
 
 
-def canon_code(n, flat_edges):
+def canon_code(n, edges):
     """Relabeling-invariant code of a tree: equal codes iff isomorphic.
 
     Rooted at the tree center; for bicentral trees the smaller of the two
@@ -154,7 +155,7 @@ def canon_code(n, flat_edges):
         raise ValueError("order must be >= 1")
     if n == 1:
         return b"()"
-    adj = _adjacency(n, flat_edges)
+    adj = _adjacency(n, edges)
     best = None
     for root in _centers(n, adj):
         code = _rooted_code(n, adj, root)
@@ -163,11 +164,9 @@ def canon_code(n, flat_edges):
     return best
 
 
-def _adjacency(n, flat_edges):
+def _adjacency(n, edges):
     adj = [[] for _ in range(n)]
-    for k in range(0, 2 * (n - 1), 2):
-        u = flat_edges[k]
-        v = flat_edges[k + 1]
+    for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
     return adj
@@ -207,7 +206,7 @@ def _rooted_code(n, adj, root):
     return codes[root]
 
 
-def index_bundle(n, flat_edges):
+def index_bundle(n, edges):
     """(irr, irr_T, sigma, M1, M2) of the tree, exact integers.
 
     irr sums |d(u)-d(v)| over edges, irr_T over all unordered vertex pairs,
@@ -225,17 +224,16 @@ def index_bundle(n, flat_edges):
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    m = n - 1
     deg = [0] * n
-    for k in range(0, 2 * m, 2):
-        deg[flat_edges[k]] += 1
-        deg[flat_edges[k + 1]] += 1
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
     irr = 0
     sigma = 0
     m2 = 0
-    for k in range(0, 2 * m, 2):
-        du = deg[flat_edges[k]]
-        dv = deg[flat_edges[k + 1]]
+    for u, v in edges:
+        du = deg[u]
+        dv = deg[v]
         d = du - dv if du >= dv else dv - du
         irr += d
         sigma += d * d

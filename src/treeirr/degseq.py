@@ -123,21 +123,23 @@ def prufer_decode(code: Sequence[int], n: int) -> Tree:
     u = heapq.heappop(heap)
     v = heapq.heappop(heap)
     edges.append((u, v) if u < v else (v, u))
-    return Tree(n, edges)
+    # Every code of length n - 2 over 0..n-1 decodes to a tree (the Pruefer
+    # bijection) and the pairs are normalized, so skip validation.
+    return Tree._unchecked(n, edges)
 
 
 def star(leaf_count: int) -> Tree:
     """Center 0 adjacent to ``leaf_count`` leaves."""
     if leaf_count < 1:
         raise ValueError("a star needs at least one leaf")
-    return Tree(leaf_count + 1, [(0, i) for i in range(1, leaf_count + 1)])
+    return Tree._unchecked(leaf_count + 1, [(0, i) for i in range(1, leaf_count + 1)])
 
 
 def path(order: int) -> Tree:
     """The path on ``order`` vertices with consecutive ids."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return Tree(order, [(i, i + 1) for i in range(order - 1)])
+    return Tree._unchecked(order, [(i, i + 1) for i in range(order - 1)])
 
 
 def caterpillar(spine_degrees: Sequence[int]) -> Tree:

@@ -27,7 +27,7 @@ class IndexBundle:
 
 def compute_indices(t: Tree) -> IndexBundle:
     """All five invariants in one pass; a single vertex yields all zeros."""
-    irr, irr_t, sigma, m1, m2 = _kernels.index_bundle(t.n, t.flat_edges())
+    irr, irr_t, sigma, m1, m2 = _kernels.index_bundle(t.n, t.edges)
     return IndexBundle(irr=irr, irr_t=irr_t, sigma=sigma, m1=m1, m2=m2)
 
 

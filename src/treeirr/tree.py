@@ -18,12 +18,23 @@ class Tree:
 
     The constructor validates everything: exactly ``n-1`` edges, no loops
     or duplicates, ids in range, connected. Degree sums to ``2(n-1)`` by
-    consequence. Two private builders skip the checks for input that is a
-    tree by construction: :meth:`_unchecked` (edge pairs, used by
-    ``degseq.caterpillar``) and :meth:`_from_levels` (a level sequence,
-    used by ``all_trees``). The test suite rebuilds their output through
-    the constructor: ``TestFromLevels`` in ``tests/test_tree.py`` and
-    ``test_caterpillar_rebuilds_validated`` in ``tests/test_degseq.py``.
+    consequence. It and :meth:`from_edges` are the entry points for
+    untrusted pairs. Two private builders skip the checks for input that
+    is already known to be a tree: :meth:`_unchecked` (normalized edge
+    pairs) and :meth:`_from_levels` (a level sequence). Their callers, and
+    the tests that rebuild each caller's output through the constructor:
+
+    - ``all_trees`` via :meth:`_from_levels`: ``TestFromLevels`` in
+      ``tests/test_tree.py``;
+    - ``edgelist.parse_edge_list``, after its own line-numbered checks:
+      ``TestParserOracle`` in ``tests/test_cli.py``;
+    - ``degseq.prufer_decode``: ``test_roundtrip_and_cayley_count`` and
+      ``test_decode_rebuilds_validated`` in ``tests/test_degseq.py``;
+    - ``degseq.star`` and ``degseq.path``:
+      ``test_star_and_path_rebuild_validated`` there;
+    - ``degseq.caterpillar``: ``test_caterpillar_rebuilds_validated``
+      there.
+
     Instances hash and compare by labeled edge set.
     """
 
@@ -46,11 +57,9 @@ class Tree:
             norm.append(e)
         if len(norm) != n - 1:
             raise TreeError(f"a tree on {n} vertices needs {n - 1} edges, got {len(norm)}")
-        adj = [[] for _ in range(n)]
-        for u, v in norm:
-            adj[u].append(v)
-            adj[v].append(u)
+        self._fill(n, norm)
         if n > 1:
+            adj = self.adjacency
             stack = [0]
             visited = bytearray(n)
             visited[0] = 1
@@ -64,27 +73,32 @@ class Tree:
                         stack.append(y)
             if count != n:
                 raise TreeError("edge list is disconnected")
-        self._fill(n, norm, adj)
 
-    def _fill(self, n: int, edges: list[tuple[int, int]], adj: list[list[int]]) -> None:
+    def _fill(self, n: int, edges: list[tuple[int, int]]) -> None:
+        # With the ``u < v`` pairs sorted, a vertex x meets its neighbours
+        # below it in edges (u, x) before those above it in edges (x, v),
+        # each group in ascending order: every adjacency list comes out
+        # sorted.
+        edges = sorted(edges)
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
         self.n = n
-        self.edges = tuple(sorted(edges))
-        self.adjacency = tuple(tuple(sorted(a)) for a in adj)
+        self.edges = tuple(edges)
+        self.adjacency = tuple(map(tuple, adj))
         self._code = None
 
     @classmethod
     def _unchecked(cls, n: int, edges: list[tuple[int, int]]) -> "Tree":
         """Build from ``(u, v)`` pairs with ``u < v`` already known to form a tree.
 
-        Skips every check of :meth:`__init__`. Only for enumerators whose
-        output is a tree by construction; the test suite validates theirs.
+        Skips every check of :meth:`__init__`. For builders whose output is
+        a tree by construction or by their own proof; the class docstring
+        lists them with the tests that validate each.
         """
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
         t = cls.__new__(cls)
-        t._fill(n, edges, adj)
+        t._fill(n, edges)
         return t
 
     @classmethod
@@ -136,13 +150,6 @@ class Tree:
     def leaves(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if len(self.adjacency[v]) == 1)
 
-    def flat_edges(self) -> list[int]:
-        flat = []
-        for u, v in self.edges:
-            flat.append(u)
-            flat.append(v)
-        return flat
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Tree) and self.n == other.n and self.edges == other.edges
 
@@ -180,7 +187,7 @@ def strong_support_vertices(t: Tree, min_leaves: int = 2) -> frozenset[int]:
 def canonical_code(t: Tree) -> CanonicalCode:
     """Relabeling-invariant byte code; equal codes decide isomorphism."""
     if t._code is None:
-        t._code = _kernels.canon_code(t.n, t.flat_edges())
+        t._code = _kernels.canon_code(t.n, t.edges)
     return t._code
 
 

@@ -1,11 +1,15 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from treeirr import is_isomorphic
+from treeirr import Tree, is_isomorphic, prufer_decode
 from treeirr.cli import main
 from treeirr.claims import fig2_text
 from treeirr.edgelist import ParseError, format_edge_list, parse_edge_list, parse_tree
+
+from _brute import brute_indices
 
 
 @pytest.fixture()
@@ -58,6 +62,78 @@ class TestParsing:
         again = parse_edge_list(format_edge_list(parsed.tree, parsed.labels))
         assert again.tree == parsed.tree
         assert is_isomorphic(again.tree, parsed.tree)
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            # A duplicate also closes a cycle; it is reported as a duplicate.
+            ("0 1\n0 1\n", 2, "duplicate edge (0, 1)"),
+            # The first offending line wins over a later duplicate.
+            ("0 1\n1 2\n2 0\n0 1\n", 3, "edge closes a cycle"),
+            # A format error on any line comes before a self-loop on an earlier one.
+            ("0 1\n1 1\nx y\n", 3, "non-integer vertex label in 'x y'"),
+            # A duplicate on a disconnected graph is still a duplicate.
+            ("0 1\n2 3\n3 2\n", 3, "duplicate edge (2, 3)"),
+        ],
+        ids=["duplicate", "cycle-first", "format-first", "duplicate-not-disconnected"],
+    )
+    def test_first_error_wins(self, text, line, message):
+        with pytest.raises(ParseError) as info:
+            parse_edge_list(text)
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: {message}"
+
+
+def _shuffled_document(t: Tree, rng) -> tuple[str, list[int], list[tuple[int, int]]]:
+    # Sparse, shuffled and partly negative labels; random line order and
+    # orientation, with blank and comment lines mixed in.
+    labels = rng.sample(range(-5 * t.n, 5 * t.n), t.n)
+    pairs = []
+    for u, v in t.edges:
+        a, b = labels[u], labels[v]
+        pairs.append((a, b) if rng.random() < 0.5 else (b, a))
+    rng.shuffle(pairs)
+    lines = []
+    for a, b in pairs:
+        filler = rng.random()
+        if filler < 0.1:
+            lines.append("")
+        elif filler < 0.2:
+            lines.append(f"# {a} {b}")
+        lines.append(f"{a}\t{b}" if filler > 0.9 else f"  {a} {b} ")
+    return "\n".join(lines) + "\n", labels, pairs
+
+
+class TestParserOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_labeled_trees(self, data):
+        n = data.draw(st.integers(2, 400))
+        rng = data.draw(st.randoms(use_true_random=True))
+        code = [rng.randrange(n) for _ in range(n - 2)]
+        text, labels, pairs = _shuffled_document(prufer_decode(code, n), rng)
+        parsed = parse_edge_list(text)
+        t = parsed.tree
+        rebuilt = Tree(n, t.edges)
+        assert t == rebuilt
+        assert t.edges == rebuilt.edges
+        assert t.adjacency == rebuilt.adjacency
+        assert parsed.labels == tuple(sorted(labels))
+        back = sorted(
+            tuple(sorted((parsed.labels[u], parsed.labels[v]))) for u, v in t.edges
+        )
+        assert back == sorted(tuple(sorted(p)) for p in pairs)
+
+    def test_compute_json_on_shuffled_tree(self, tmp_path, capsys):
+        rng = random.Random(400)
+        n = 400
+        t = prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
+        text, _, _ = _shuffled_document(t, rng)
+        target = tmp_path / "big.edges"
+        target.write_text(text)
+        assert main(["compute", "--tree", str(target), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"n": n, "m": n - 1, **brute_indices(n, list(t.edges))}
 
 
 class TestCompute:

@@ -81,12 +81,13 @@ class TestPrufer:
         with pytest.raises(ValueError, match="length"):
             prufer_decode((0,), 4)
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_roundtrip_and_cayley_count(self, n):
         seen = set()
         for code in product(range(n), repeat=n - 2):
             t = prufer_decode(code, n)
             assert prufer_encode(t) == code
+            assert_rebuilds_validated(t)
             seen.add(t.edges)
         assert len(seen) == n ** (n - 2)
 
@@ -98,6 +99,22 @@ class TestPrufer:
             data.draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
         )
         assert prufer_encode(prufer_decode(code, n)) == code
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_decode_rebuilds_validated(self, data):
+        n = data.draw(st.integers(2, 300))
+        rng = data.draw(st.randoms(use_true_random=True))
+        code = [rng.randrange(n) for _ in range(n - 2)]
+        assert_rebuilds_validated(prufer_decode(code, n))
+
+
+def assert_rebuilds_validated(t):
+    # The builders skip Tree validation; a validated rebuild must agree.
+    rebuilt = Tree(t.n, t.edges)
+    assert t == rebuilt
+    assert t.edges == rebuilt.edges
+    assert t.adjacency == rebuilt.adjacency
 
 
 class TestBuilders:
@@ -142,14 +159,19 @@ class TestBuilders:
         floors = [1 if k == 1 or i in (0, k - 1) else 2 for i in range(k)]
         spine = [data.draw(st.integers(f, f + 5)) for f in floors]
         t = caterpillar(spine)
-        assert Tree(t.n, t.edges) == t
-        assert Tree(t.n, t.edges).adjacency == t.adjacency
+        assert_rebuilds_validated(t)
         assert [t.degree(i) for i in range(k)] == spine
         assert all(t.degree(v) == 1 for v in range(k, t.n))
         slot = data.draw(st.integers(0, k - 1))
         spine[slot] = data.draw(st.integers(-2, floors[slot] - 1))
         with pytest.raises(ValueError, match="infeasible"):
             caterpillar(spine)
+
+    def test_star_and_path_rebuild_validated(self):
+        for order in range(1, 201):
+            assert_rebuilds_validated(path(order))
+            if order > 1:
+                assert_rebuilds_validated(star(order - 1))
 
     def test_builder_outputs_validate(self):
         for t in (star(5), path(6), caterpillar((2, 3, 4))):

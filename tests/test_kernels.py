@@ -36,8 +36,7 @@ def test_level_code_matches_canon_code(n):
     # the tree it encodes, on every free tree of the order, from both the
     # tuple the generator yields and the bytes all_trees keeps.
     for seq in _kernels.level_sequences(n):
-        flat = [v for edge in levels_to_edges(seq) for v in edge]
-        want = _kernels.canon_code(n, flat)
+        want = _kernels.canon_code(n, levels_to_edges(seq))
         assert _kernels.level_code(seq) == want
         assert _kernels.level_code(bytes(seq)) == want
         assert _kernels.level_code(_siblings_reversed(seq)) == want
