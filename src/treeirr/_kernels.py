@@ -3,10 +3,9 @@
 Trees are passed in as ``Tree.edges``: a sequence of ``n - 1`` pairs
 ``(u, v)`` over dense vertex ids ``0..n-1``, except to ``level_code``, which
 takes a level sequence from ``level_sequences``; nothing here validates,
-callers do. Callers
-look the kernels up as ``_kernels.<name>`` at call time, so a tracer or a
-test can replace one by setting the module attribute. ``BACKEND`` names
-this implementation in report metadata.
+callers do. Callers look the kernels up as ``_kernels.<name>`` at call
+time, so a tracer or a test can replace one by setting the module
+attribute. ``BACKEND`` names this implementation in report metadata.
 """
 
 BACKEND = "python"
