@@ -37,7 +37,6 @@ from .enumeration import (
     EnumerationGuard,
     RelocationStep,
     all_trees,
-    all_trees_by_realization,
     relocate_leaf,
     tree_degree_sequences,
     trees_with_degree_sequence,
@@ -71,7 +70,6 @@ __all__ = [
     "EnumerationGuard",
     "RelocationStep",
     "all_trees",
-    "all_trees_by_realization",
     "relocate_leaf",
     "tree_degree_sequences",
     "trees_with_degree_sequence",

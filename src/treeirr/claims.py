@@ -7,10 +7,13 @@ Results never round and never sample non-deterministically, so a re-run
 with the same parameters reproduces the same report byte for byte (timings
 are kept out of the deterministic serialization for exactly that reason).
 
-Verdicts are three-valued. ``holds`` and ``fails`` mean what they say,
-with every counterexample witnessed; ``holds-with-notes`` marks statements
-whose reading is ambiguous or that carry a documented discrepancy, with
-the notes spelling out what was actually checked.
+Verdicts are three-valued, and :func:`verify` applies one rule to every
+claim: a claim with any violation ``fails``, with every counterexample
+counted and the first ``witness_cap`` kept as witnesses; otherwise it gets
+the clean verdict registered with it. That is ``holds``, or
+``holds-with-notes`` for statements whose reading is ambiguous or that
+carry a documented discrepancy, with the notes spelling out what was
+actually checked.
 """
 
 from __future__ import annotations
@@ -294,35 +297,27 @@ def perm_search(degree_tuple: Sequence[int], interpretation: str) -> PermSearchR
     )
 
 
-class _Witnesses:
-    """Counts every violation, retains at most ``cap`` of them."""
+class _Tally:
+    """Cases checked and violations of one claim run, with the first ``cap`` witnesses."""
 
     def __init__(self, cap: int | None):
         self.cap = cap
-        self.total = 0
-        self.kept: list[dict] = []
+        self.checked = 0
+        self.violations = 0
+        self.witnesses: list[dict] = []
 
-    def add(self, item: dict) -> None:
-        self.total += 1
-        if self.cap is None or len(self.kept) < self.cap:
-            self.kept.append(item)
+    def add(self, witness: dict) -> None:
+        self.violations += 1
+        if self.cap is None or len(self.witnesses) < self.cap:
+            self.witnesses.append(witness)
 
-
-def _tally(cases, cap, check: Callable[..., dict | None]):
-    """Each case through ``check``, which returns a witness dict or ``None``."""
-    wit = _Witnesses(cap)
-    checked = 0
-    for case in cases:
-        checked += 1
-        bad = check(case)
-        if bad is not None:
-            wit.add(bad)
-    return ("fails" if wit.total else "holds"), checked, wit, []
-
-
-def _per_tree_claim(orders: range, cap, check: Callable[[Tree], dict | None]):
-    """:func:`_tally` over every unlabeled tree of the given orders."""
-    return _tally((t for n in orders for t in all_trees(n)), cap, check)
+    def run(self, cases, check: Callable[..., dict | None]) -> None:
+        """Each case through ``check``, which returns a witness dict or ``None``."""
+        for case in cases:
+            self.checked += 1
+            bad = check(case)
+            if bad is not None:
+                self.add(bad)
 
 
 def _seq_extremes(seq: DegreeSequence, attr: str) -> tuple[int, int]:
@@ -457,7 +452,7 @@ def _relocation_instances(
                 yield (t, *move)
 
 
-def _relocation_claim(params, cap, lam_ok, bad, value_key, apply_support_filter):
+def _relocation_claim(params, tally, lam_ok, bad, value_key, apply_support_filter):
     """Shared engine for the relocation sweeps.
 
     ``bad(before, after, lam)`` decides a violation. With
@@ -466,15 +461,11 @@ def _relocation_claim(params, cap, lam_ok, bad, value_key, apply_support_filter)
     condition are tallied separately); without it every admissible move
     counts and the filter split is reported in the notes.
     """
-    n_max = params["n_max"]
-    wit = _Witnesses(cap)
-    checked = 0
     per_filter = {"strict": [0, 0], "tied": [0, 0], "unfiltered": [0, 0]}
-    pair_seen = pair_decrease = 0
     for t, y, donor, recipient, lam, strict, tied, before, after in _relocation_instances(
-        2, n_max, lam_ok, apply_support_filter
+        2, params["n_max"], lam_ok, apply_support_filter
     ):
-        checked += 1
+        tally.checked += 1
         is_bad = bad(before, after, lam)
         for name, flag in (("strict", strict), ("tied", tied), ("unfiltered", True)):
             if flag:
@@ -482,7 +473,7 @@ def _relocation_claim(params, cap, lam_ok, bad, value_key, apply_support_filter)
                 if is_bad:
                     per_filter[name][1] += 1
         if is_bad:
-            wit.add(
+            tally.add(
                 {
                     "tree": _edges_str(t),
                     "n": t.n,
@@ -506,26 +497,52 @@ def _relocation_claim(params, cap, lam_ok, bad, value_key, apply_support_filter)
             f"no side condition on the support vertex: {per_filter['unfiltered'][0]} moves, "
             f"{per_filter['unfiltered'][1]} violations"
         )
-    verdict = "fails" if wit.total else "holds"
-    return verdict, checked, wit, notes
+    return notes
 
 
 # ---------------------------------------------------------------------------
 # the catalog
+#
+# Each claim is registered once, on its checker. A checker takes the
+# claim's parameters and a fresh _Tally, records every case it checks and
+# every violation there, and returns its notes; verify decides the verdict.
 
 
-def _check_fig2(params, cap):
+_REGISTRY: dict[str, tuple[Claim, Callable[[dict, _Tally], list[str]], dict, str]] = {}
+
+
+def _claim(claim_id, statement, parameter_space, oracle_kind, clean="holds", **defaults):
+    """Register the decorated checker as ``claim_id``.
+
+    ``defaults`` are the claim's parameters, and ``clean`` is its verdict
+    when the checker records no violation.
+    """
+
+    def register(check):
+        claim = Claim(claim_id, statement, parameter_space, oracle_kind)
+        _REGISTRY[claim_id] = (claim, check, defaults, clean)
+        return check
+
+    return register
+
+
+@_claim(
+    "fig2-fixture",
+    "the bundled demonstration tree has irr 20 and sigma 54, and the "
+    "support-vertex closed form written for it evaluates to the same irr",
+    "one fixture tree",
+    "table-fixture",
+    clean="holds-with-notes",
+)
+def _check_fig2(params, tally):
     t = load_fig2_tree()
     deg = degrees(t)
     bundle = compute_indices(t)
-    wit = _Witnesses(cap)
-    checked = 0
 
     def expect(name, got, want):
-        nonlocal checked
-        checked += 1
+        tally.checked += 1
         if got != want:
-            wit.add({"check": name, "got": str(got), "want": str(want)})
+            tally.add({"check": name, "got": str(got), "want": str(want)})
 
     expect("labeled degrees", deg[:5], (4, 1, 1, 3, 4))
     expect("irr", bundle.irr, 20)
@@ -535,25 +552,38 @@ def _check_fig2(params, cap):
     display += 2 * abs(deg[3] - 1) + 3 * abs(deg[4] - 1)
     expect("displayed closed form equals irr", display, bundle.irr)
     expect("strong support vertices", strong_support_vertices(t), frozenset({0, 3, 4}))
-    notes = [
+    return [
         "vertex 4 is drawn with degree 4; the companion description gives it "
         "degree 3, which contradicts the weight-3 pendant term, so the fixture "
         "follows the drawing",
     ]
-    verdict = "fails" if wit.total else "holds-with-notes"
-    return verdict, checked, wit, notes
 
 
-def _check_star_albertson(params, cap):
+@_claim(
+    "star-albertson",
+    "a star with k leaves has Albertson irregularity k(k-1)",
+    "leaf counts 3..n_max",
+    "arithmetic",
+    n_max=50,
+)
+def _check_star_albertson(params, tally):
     def check(k):
         got = compute_indices(star(k)).irr
         if got != k * (k - 1):
             return {"leaves": k, "got": got, "want": k * (k - 1)}
 
-    return _tally(range(3, params["n_max"] + 1), cap, check)
+    tally.run(range(3, params["n_max"] + 1), check)
+    return []
 
 
-def _check_star_iso_sum(params, cap):
+@_claim(
+    "star-iso-sum",
+    "two disjoint isomorphic k-stars have irregularities summing to 2k(k-1)",
+    "leaf counts 3..n_max",
+    "arithmetic",
+    n_max=50,
+)
+def _check_star_iso_sum(params, tally):
     # Two disjoint isomorphic stars: the indices add up.
     def check(k):
         one = compute_indices(star(k)).irr
@@ -561,38 +591,70 @@ def _check_star_iso_sum(params, cap):
         if one + other != 2 * k * (k - 1):
             return {"leaves": k, "got": one + other, "want": 2 * k * (k - 1)}
 
-    return _tally(range(3, params["n_max"] + 1), cap, check)
+    tally.run(range(3, params["n_max"] + 1), check)
+    return []
 
 
-def _check_sandwich(params, cap):
+@_claim(
+    "sandwich",
+    "sigma <= irr^2 and irr^2 <= m * sigma on every tree",
+    "all unlabeled trees up to n_max",
+    "exhaustive-trees",
+    n_max=10,
+)
+def _check_sandwich(params, tally):
     def check(t):
         b = compute_indices(t)
         if not (b.sigma <= b.irr ** 2 and b.irr ** 2 <= (t.n - 1) * b.sigma):
             return {"tree": _edges_str(t), "irr": b.irr, "sigma": b.sigma}
 
-    return _per_tree_claim(range(1, params["n_max"] + 1), cap, check)
+    tally.run((t for n in range(1, params["n_max"] + 1) for t in all_trees(n)), check)
+    return []
 
 
-def _check_irr_upper(params, cap):
+@_claim(
+    "irr-upper-tree",
+    "irr <= (n-1)(n-2) on every tree of order >= 2",
+    "all unlabeled trees up to n_max",
+    "exhaustive-trees",
+    n_max=10,
+)
+def _check_irr_upper(params, tally):
     def check(t):
         got, bound = compute_indices(t).irr, (t.n - 1) * (t.n - 2)
         if got > bound:
             return {"tree": _edges_str(t), "irr": got, "bound": bound}
 
-    return _per_tree_claim(range(2, params["n_max"] + 1), cap, check)
+    tally.run((t for n in range(2, params["n_max"] + 1) for t in all_trees(n)), check)
+    return []
 
 
-def _check_irrT_seq(params, cap):
+@_claim(
+    "irrT-seq-formula",
+    "2(n+1)m - 2*sum(i*d_i) equals the pairwise total irregularity",
+    "all unlabeled trees up to n_max",
+    "exhaustive-trees",
+    n_max=9,
+)
+def _check_irrT_seq(params, tally):
     def check(t):
         pairwise = compute_indices(t).irr_t
         by_seq = total_irregularity_by_sequence(t)
         if pairwise != by_seq:
             return {"tree": _edges_str(t), "pairwise": pairwise, "sequence": by_seq}
 
-    return _per_tree_claim(range(1, params["n_max"] + 1), cap, check)
+    tally.run((t for n in range(1, params["n_max"] + 1) for t in all_trees(n)), check)
+    return []
 
 
-def _check_m1_identity(params, cap):
+@_claim(
+    "m1-edge-identity",
+    "the first Zagreb index equals the sum of d(u)+d(v) over edges",
+    "all unlabeled trees up to n_max",
+    "exhaustive-trees",
+    n_max=10,
+)
+def _check_m1_identity(params, tally):
     def check(t):
         deg = degrees(t)
         edge_sum = sum(deg[u] + deg[v] for u, v in t.edges)
@@ -600,20 +662,27 @@ def _check_m1_identity(params, cap):
         if m1 != edge_sum:
             return {"tree": _edges_str(t), "m1": m1, "edge_sum": edge_sum}
 
-    return _per_tree_claim(range(1, params["n_max"] + 1), cap, check)
+    tally.run((t for n in range(1, params["n_max"] + 1) for t in all_trees(n)), check)
+    return []
 
 
-def _check_three_c(params, cap):
+@_claim(
+    "three-c",
+    "the paired three-value closed form gives the extremal irr over "
+    "realizations of sequences with three distinct degree values",
+    "tree sequences of length 3..n_max with three distinct values",
+    "exhaustive-trees",
+    n_max=8,
+)
+def _check_three_c(params, tally):
     # The closed form takes the three distinct degree values of a sequence.
-    wit = _Witnesses(cap)
-    checked = 0
     max_hits = min_hits = anomalies = 0
     for n in range(3, params["n_max"] + 1):
         for seq in tree_degree_sequences(n):
             distinct = tuple(sorted(set(seq.values), reverse=True))
             if len(distinct) != 3:
                 continue
-            checked += 1
+            tally.checked += 1
             fmx, fmn = three_c_values(distinct)
             tmn, tmx = _seq_extremes(seq, "irr")
             if fmn > fmx:
@@ -621,7 +690,7 @@ def _check_three_c(params, cap):
             max_hits += fmx == tmx
             min_hits += fmn == tmn
             if fmx != tmx or fmn != tmn:
-                wit.add(
+                tally.add(
                     {
                         "sequence": str(seq),
                         "distinct": str(distinct),
@@ -631,25 +700,28 @@ def _check_three_c(params, cap):
                         "true_min": tmn,
                     }
                 )
-    notes = [
-        f"formula max matches the exhaustive max in {max_hits}/{checked} sequences",
-        f"formula min matches the exhaustive min in {min_hits}/{checked} sequences",
-        f"formula min exceeds formula max in {anomalies}/{checked} sequences",
+    return [
+        f"formula max matches the exhaustive max in {max_hits}/{tally.checked} sequences",
+        f"formula min matches the exhaustive min in {min_hits}/{tally.checked} sequences",
+        f"formula min exceeds formula max in {anomalies}/{tally.checked} sequences",
     ]
-    return ("fails" if wit.total else "holds"), checked, wit, notes
 
 
-def _check_hyp_four(params, cap):
-    wit = _Witnesses(cap)
-    checked = 0
+@_claim(
+    "hyp-four",
+    "the order-4 closed form gives the irr of trees on four vertices",
+    "both tree-graphical 4-tuples",
+    "exhaustive-trees",
+)
+def _check_hyp_four(params, tally):
     notes = []
     for seq in tree_degree_sequences(4):
-        checked += 1
+        tally.checked += 1
         value = hyp_four_value(seq.values)
         bmx, bmn = hyp_four_bounds_values(seq.values)
         tmn, tmx = _seq_extremes(seq, "irr")
         if not (tmn <= value <= tmx):
-            wit.add(
+            tally.add(
                 {
                     "sequence": str(seq),
                     "formula": value,
@@ -661,16 +733,22 @@ def _check_hyp_four(params, cap):
             f"{seq}: single form {value}, paired bounds ({bmx}, {bmn}), "
             f"exhaustive range [{tmn}, {tmx}]"
         )
-    return ("fails" if wit.total else "holds"), checked, wit, notes
+    return notes
 
 
-def _check_table1(params, cap):
+@_claim(
+    "table1",
+    "the 24 bundled reference rows: diff column, the documented gap and "
+    "floor bounds, and the systematic +4 offset of the closed-form bounds",
+    "bundled fixture",
+    "table-fixture",
+    clean="holds-with-notes",
+)
+def _check_table1(params, tally):
     rows = load_table1()
-    wit = _Witnesses(cap)
-    checked = 0
     offsets = set()
     for row in rows:
-        checked += 1
+        tally.checked += 1
         d1, d2, d3, d4 = row.seq
         fmx, fmn = hyp_four_bounds_values(row.seq)
         bad = {}
@@ -685,25 +763,30 @@ def _check_table1(params, cap):
         if (fmx - row.irr_max, fmn - row.irr_min) != (4, 4):
             bad["offset"] = f"({fmx - row.irr_max}, {fmn - row.irr_min}) != (4, 4)"
         if bad:
-            wit.add({"row": str(row.seq), **bad})
+            tally.add({"row": str(row.seq), **bad})
     top = max(rows, key=lambda r: r.irr_max)
     bottom = min(rows, key=lambda r: r.irr_min)
-    checked += 2
+    tally.checked += 2
     if (top.seq, top.irr_max) != ((18, 12, 6, 4), 454):
-        wit.add({"check": "global max", "got": f"{top.seq} {top.irr_max}"})
+        tally.add({"check": "global max", "got": f"{top.seq} {top.irr_max}"})
     if (bottom.seq, bottom.irr_min) != ((14, 9, 5, 3), 248):
-        wit.add({"check": "global min", "got": f"{bottom.seq} {bottom.irr_min}"})
-    notes = [
+        tally.add({"check": "global min", "got": f"{bottom.seq} {bottom.irr_min}"})
+    return [
         "printed diff column equals 2(d2-d4) in every row",
         f"closed-form bounds sit exactly +4 above every printed value "
         f"(offsets seen: {sorted(offsets)}); documented transcription mismatch",
     ]
-    verdict = "fails" if wit.total else "holds-with-notes"
-    return verdict, checked, wit, notes
 
 
-def _check_caterpillar_support(params, cap):
-    wit = _Witnesses(cap)
+@_claim(
+    "caterpillar-support",
+    "every caterpillar maximizing irr among caterpillars with fixed order "
+    "and pendant count has a strong support vertex",
+    "caterpillars up to n_max grouped by (order, pendants)",
+    "exhaustive-trees",
+    n_max=14,
+)
+def _check_caterpillar_support(params, tally):
     groups: dict[tuple[int, int], list[tuple[int, Tree]]] = {}
     for n in range(2, params["n_max"] + 1):
         for t in all_trees(n):
@@ -711,16 +794,15 @@ def _check_caterpillar_support(params, cap):
                 continue
             pendants = len(t.leaves())
             groups.setdefault((n, pendants), []).append((compute_indices(t).irr, t))
-    checked = 0
     weak_violations = 0
     for (n, pendants), members in sorted(groups.items()):
-        checked += 1
+        tally.checked += 1
         best = max(v for v, _ in members)
         for value, t in members:
             if value != best:
                 continue
             if not strong_support_vertices(t, min_leaves=2):
-                wit.add(
+                tally.add(
                     {
                         "n": n,
                         "pendants": pendants,
@@ -730,20 +812,28 @@ def _check_caterpillar_support(params, cap):
                 )
             if not strong_support_vertices(t, min_leaves=1):
                 weak_violations += 1
-    notes = [
+    return [
         "operative reading: a strong support vertex needs two pendant neighbors",
         f"under the one-pendant-neighbor reading the violations drop to {weak_violations}",
         "the documented example family uses spine degrees 3, 5, 7, ...; calling "
         "them primes contradicts the displayed sums, so consecutive odd degrees "
         "are what the builder implements",
     ]
-    return ("fails" if wit.total else "holds"), checked, wit, notes
 
 
-def _check_irr_decrease(params, cap):
+@_claim(
+    "irr-decrease",
+    "moving a pendant leaf off a support vertex of degree >= 3 onto a "
+    "sibling neighbor strictly lowers irr",
+    "all admissible moves on trees up to n_max, support not alone at the "
+    "maximum degree",
+    "exhaustive-trees",
+    n_max=12,
+)
+def _check_irr_decrease(params, tally):
     return _relocation_claim(
         params,
-        cap,
+        tally,
         lam_ok=lambda lam: lam >= 3,
         bad=lambda before, after, lam: not after.irr < before.irr,
         value_key="irr",
@@ -751,10 +841,18 @@ def _check_irr_decrease(params, cap):
     )
 
 
-def _check_irr_decrease_bound(params, cap):
+@_claim(
+    "irr-decrease-bound",
+    "each such move lowers irr by less than 3*lambda - 6",
+    "all admissible moves on trees up to n_max, support not alone at the "
+    "maximum degree",
+    "exhaustive-trees",
+    n_max=12,
+)
+def _check_irr_decrease_bound(params, tally):
     return _relocation_claim(
         params,
-        cap,
+        tally,
         lam_ok=lambda lam: lam >= 3,
         bad=lambda before, after, lam: not before.irr - after.irr < 3 * lam - 6,
         value_key="irr",
@@ -762,12 +860,19 @@ def _check_irr_decrease_bound(params, cap):
     )
 
 
-def _check_seq_monotonicity(params, cap):
+@_claim(
+    "seq-monotonicity",
+    "between comparable equal-length tree sequences the one dominated "
+    "componentwise in prefix sums has the smaller extremal irr",
+    "tree sequence pairs of equal length up to n_max",
+    "exhaustive-trees",
+    clean="holds-with-notes",
+    n_max=8,
+)
+def _check_seq_monotonicity(params, tally):
     # Equal-length tree sequences share the degree total, so the only
     # comparison with content is prefix-sum dominance; both the max and the
     # min over realizations are compared along it.
-    wit = _Witnesses(cap)
-    checked = 0
     max_bad = min_bad = 0
     for n in range(3, params["n_max"] + 1):
         seqs = list(tree_degree_sequences(n))
@@ -786,7 +891,7 @@ def _check_seq_monotonicity(params, cap):
             for high in seqs:
                 if low.values == high.values or not dominates(low.values, high.values):
                     continue
-                checked += 1
+                tally.checked += 1
                 lo_min, lo_max = extremes[low.values]
                 hi_min, hi_max = extremes[high.values]
                 bad_max = not lo_max <= hi_max
@@ -794,7 +899,7 @@ def _check_seq_monotonicity(params, cap):
                 max_bad += bad_max
                 min_bad += bad_min
                 if bad_max or bad_min:
-                    wit.add(
+                    tally.add(
                         {
                             "low": str(low),
                             "high": str(high),
@@ -802,20 +907,25 @@ def _check_seq_monotonicity(params, cap):
                             "high_range": f"[{hi_min}, {hi_max}]",
                         }
                     )
-    notes = [
+    return [
         "pairs ordered by componentwise prefix-sum dominance of equal-length "
         "tree sequences (equal totals make the raw sum comparison vacuous)",
         f"max-vs-max violations: {max_bad}; min-vs-min violations: {min_bad}",
     ]
-    verdict = "fails" if wit.total else "holds-with-notes"
-    return verdict, checked, wit, notes
 
 
-def _check_resn1(params, cap):
+@_claim(
+    "resn1",
+    "sum of the first sequence minus 2 stays at least the sum of the "
+    "second for sequence pairs of different lengths",
+    "tree sequences of lengths 2..n_max, ordered pairs of unequal length",
+    "arithmetic",
+    clean="holds-with-notes",
+    n_max=7,
+)
+def _check_resn1(params, tally):
     # Reduces to sum(D1) - 2 >= sum(D2), i.e. 2(i-1) - 2 >= 2(j-1) for
     # tree sequences of lengths i and j: true exactly when i > j.
-    wit = _Witnesses(cap)
-    checked = 0
     holds_cnt = expected_fail = 0
     lengths = range(2, params["n_max"] + 1)
     seqs = {i: list(tree_degree_sequences(i)) for i in lengths}
@@ -825,35 +935,37 @@ def _check_resn1(params, cap):
                 continue
             for a in seqs[i]:
                 for b in seqs[j]:
-                    checked += 1
+                    tally.checked += 1
                     ok = sum(a.values) - 2 >= sum(b.values)
                     if ok:
                         holds_cnt += 1
                     elif i > j:
-                        wit.add({"first": str(a), "second": str(b)})
+                        tally.add({"first": str(a), "second": str(b)})
                     else:
                         expected_fail += 1
-    notes = [
+    return [
         "the displayed inequality cancels to sum(first) - 2 >= sum(second), "
         "which for tree sequences is length(first) > length(second)",
-        f"holds for {holds_cnt}/{checked} ordered pairs; the {expected_fail} "
+        f"holds for {holds_cnt}/{tally.checked} ordered pairs; the {expected_fail} "
         "failing pairs are exactly those with the shorter sequence first",
     ]
-    verdict = "fails" if wit.total else "holds-with-notes"
-    return verdict, checked, wit, notes
 
 
-def _check_sigma_five(params, cap):
-    wit = _Witnesses(cap)
-    checked = 0
+@_claim(
+    "sigma-five",
+    "the five-value closed form gives the sigma of trees on five vertices",
+    "all tree-graphical 5-tuples",
+    "exhaustive-trees",
+)
+def _check_sigma_five(params, tally):
     notes = []
     for seq in tree_degree_sequences(5):
-        checked += 1
+        tally.checked += 1
         ascending = tuple(reversed(seq.values))
         value = sigma_five_value(ascending)
         tmn, tmx = _seq_extremes(seq, "sigma")
         if not (tmn <= value <= tmx):
-            wit.add(
+            tally.add(
                 {
                     "sequence": str(seq),
                     "formula": value,
@@ -862,13 +974,21 @@ def _check_sigma_five(params, cap):
                 }
             )
         notes.append(f"{seq}: formula {value}, exhaustive sigma range [{tmn}, {tmx}]")
-    return ("fails" if wit.total else "holds"), checked, wit, notes
+    return notes
 
 
-def _check_sigma_decrease(params, cap):
+@_claim(
+    "sigma-decrease",
+    "moves whose support vertex has degree strictly between 3 and 10 "
+    "strictly lower sigma",
+    "all admissible moves on trees up to n_max",
+    "exhaustive-trees",
+    n_max=13,
+)
+def _check_sigma_decrease(params, tally):
     return _relocation_claim(
         params,
-        cap,
+        tally,
         lam_ok=lambda lam: 3 < lam < 10,
         bad=lambda before, after, lam: not after.sigma < before.sigma,
         value_key="sigma",
@@ -876,10 +996,17 @@ def _check_sigma_decrease(params, cap):
     )
 
 
-def _check_sigma_increase(params, cap):
-    verdict, checked, wit, notes = _relocation_claim(
+@_claim(
+    "sigma-increase",
+    "moves whose support vertex has degree >= 11 strictly raise sigma",
+    "all admissible moves on trees up to n_max",
+    "exhaustive-trees",
+    n_max=14,
+)
+def _check_sigma_increase(params, tally):
+    notes = _relocation_claim(
         params,
-        cap,
+        tally,
         lam_ok=lambda lam: lam >= 11,
         bad=lambda before, after, lam: not after.sigma > before.sigma,
         value_key="sigma",
@@ -890,20 +1017,33 @@ def _check_sigma_increase(params, cap):
         "needs order >= 23, so at this scale every move has the support vertex "
         "alone at the maximum degree"
     )
-    return verdict, checked, wit, notes
+    return notes
 
 
-def _check_cor3_part1(params, cap):
+@_claim(
+    "cor3-part1",
+    "log base d4-2 of 2(d4-2)/(d3-1) stays below 2 + floor((d4-2)/(d3-1))",
+    "4 <= d3 <= d4 <= d_max",
+    "arithmetic",
+    d_max=60,
+)
+def _check_cor3_part1(params, tally):
     d_max = params["d_max"]
     pairs = ((d3, d4) for d3 in range(4, d_max + 1) for d4 in range(d3, d_max + 1))
-    return _tally(pairs, cap, lambda p: None if log_bound_holds(*p) else {"d3": p[0], "d4": p[1]})
+    tally.run(pairs, lambda p: None if log_bound_holds(*p) else {"d3": p[0], "d4": p[1]})
+    return []
 
 
-def _check_sigma_ordered(params, cap):
-    wit = _Witnesses(cap)
-    checked = 0
-    agree = 0
-
+@_claim(
+    "sigma-ordered",
+    "the ordered closed form gives the sigma of the caterpillar whose "
+    "spine degrees follow the sequence",
+    "non-decreasing spines of length 2..n_max with degrees 2..deg_max",
+    "exhaustive-trees",
+    n_max=8,
+    deg_max=7,
+)
+def _check_sigma_ordered(params, tally):
     def spines(k: int, lo: int):
         if k == 0:
             yield ()
@@ -912,45 +1052,47 @@ def _check_sigma_ordered(params, cap):
             for rest in spines(k - 1, v):
                 yield (v,) + rest
 
-    for k in range(2, params["n_max"] + 1):
-        for spine in spines(k, 2):
-            checked += 1
-            t = caterpillar(spine)
-            true_sigma = compute_indices(t).sigma
-            value = sigma_ordered_value(spine)
-            if value == true_sigma:
-                agree += 1
-            else:
-                wit.add(
-                    {
-                        "spine": str(spine),
-                        "formula": value,
-                        "sigma": true_sigma,
-                        "order": t.n,
-                    }
-                )
-    direct_checked = direct_agree = 0
+    def check(spine):
+        t = caterpillar(spine)
+        true_sigma = compute_indices(t).sigma
+        value = sigma_ordered_value(spine)
+        if value != true_sigma:
+            return {
+                "spine": str(spine),
+                "formula": value,
+                "sigma": true_sigma,
+                "order": t.n,
+            }
+
+    tally.run((s for k in range(2, params["n_max"] + 1) for s in spines(k, 2)), check)
+    direct_total = direct_agree = 0
     for n in range(2, params["n_max"] + 1):
         for t in all_trees(n):
-            direct_checked += 1
+            direct_total += 1
             ascending = tuple(sorted(degrees(t)))
             if sigma_ordered_value(ascending) == compute_indices(t).sigma:
                 direct_agree += 1
-    notes = [
-        f"spine reading: formula equals the caterpillar's sigma in {agree}/{checked} cases",
+    agree = tally.checked - tally.violations
+    return [
+        f"spine reading: formula equals the caterpillar's sigma in {agree}/{tally.checked} cases",
         f"direct reading (formula on the tree's own sorted degree sequence): "
-        f"{direct_agree}/{direct_checked} trees agree",
+        f"{direct_agree}/{direct_total} trees agree",
     ]
-    return ("fails" if wit.total else "holds"), checked, wit, notes
 
 
-def _check_perm_example(params, cap):
-    wit = _Witnesses(cap)
+@_claim(
+    "perm-example",
+    "some ordering of (4,8,10,14,18,20) attains the documented sigma "
+    "extremes 14802 and 14196",
+    "all 720 orderings under both readings",
+    "permutation-search",
+    clean="holds-with-notes",
+)
+def _check_perm_example(params, tally):
     notes = []
-    checked = 0
     for interpretation in ("formula", "caterpillar"):
         result = perm_search(REFERENCE_PERM_TUPLE, interpretation)
-        checked += len(result.evaluations)
+        tally.checked += len(result.evaluations)
         notes.append(
             f"{interpretation}: {len(result.evaluations)} orderings, "
             f"max {result.max_value} ({len(result.argmax)} orderings), "
@@ -962,180 +1104,12 @@ def _check_perm_example(params, cap):
         "the documented objective is not recoverable from the example; both "
         "readings are published instead of guessing"
     )
-    return "holds-with-notes", checked, wit, notes
+    return notes
 
 
-_CHECKERS: dict[str, tuple[Callable, dict]] = {
-    "fig2-fixture": (_check_fig2, {}),
-    "star-albertson": (_check_star_albertson, {"n_max": 50}),
-    "star-iso-sum": (_check_star_iso_sum, {"n_max": 50}),
-    "sandwich": (_check_sandwich, {"n_max": 10}),
-    "irr-upper-tree": (_check_irr_upper, {"n_max": 10}),
-    "irrT-seq-formula": (_check_irrT_seq, {"n_max": 9}),
-    "m1-edge-identity": (_check_m1_identity, {"n_max": 10}),
-    "three-c": (_check_three_c, {"n_max": 8}),
-    "hyp-four": (_check_hyp_four, {}),
-    "table1": (_check_table1, {}),
-    "caterpillar-support": (_check_caterpillar_support, {"n_max": 14}),
-    "irr-decrease": (_check_irr_decrease, {"n_max": 12}),
-    "irr-decrease-bound": (_check_irr_decrease_bound, {"n_max": 12}),
-    "seq-monotonicity": (_check_seq_monotonicity, {"n_max": 8}),
-    "resn1": (_check_resn1, {"n_max": 7}),
-    "sigma-five": (_check_sigma_five, {}),
-    "sigma-decrease": (_check_sigma_decrease, {"n_max": 13}),
-    "sigma-increase": (_check_sigma_increase, {"n_max": 14}),
-    "cor3-part1": (_check_cor3_part1, {"d_max": 60}),
-    "sigma-ordered": (_check_sigma_ordered, {"n_max": 8, "deg_max": 7}),
-    "perm-example": (_check_perm_example, {}),
-}
-
-CATALOG: tuple[Claim, ...] = (
-    Claim(
-        "fig2-fixture",
-        "the bundled demonstration tree has irr 20 and sigma 54, and the "
-        "support-vertex closed form written for it evaluates to the same irr",
-        "one fixture tree",
-        "table-fixture",
-    ),
-    Claim(
-        "star-albertson",
-        "a star with k leaves has Albertson irregularity k(k-1)",
-        "leaf counts 3..n_max",
-        "arithmetic",
-    ),
-    Claim(
-        "star-iso-sum",
-        "two disjoint isomorphic k-stars have irregularities summing to 2k(k-1)",
-        "leaf counts 3..n_max",
-        "arithmetic",
-    ),
-    Claim(
-        "sandwich",
-        "sigma <= irr^2 and irr^2 <= m * sigma on every tree",
-        "all unlabeled trees up to n_max",
-        "exhaustive-trees",
-    ),
-    Claim(
-        "irr-upper-tree",
-        "irr <= (n-1)(n-2) on every tree of order >= 2",
-        "all unlabeled trees up to n_max",
-        "exhaustive-trees",
-    ),
-    Claim(
-        "irrT-seq-formula",
-        "2(n+1)m - 2*sum(i*d_i) equals the pairwise total irregularity",
-        "all unlabeled trees up to n_max",
-        "exhaustive-trees",
-    ),
-    Claim(
-        "m1-edge-identity",
-        "the first Zagreb index equals the sum of d(u)+d(v) over edges",
-        "all unlabeled trees up to n_max",
-        "exhaustive-trees",
-    ),
-    Claim(
-        "three-c",
-        "the paired three-value closed form gives the extremal irr over "
-        "realizations of sequences with three distinct degree values",
-        "tree sequences of length 3..n_max with three distinct values",
-        "exhaustive-trees",
-    ),
-    Claim(
-        "hyp-four",
-        "the order-4 closed form gives the irr of trees on four vertices",
-        "both tree-graphical 4-tuples",
-        "exhaustive-trees",
-    ),
-    Claim(
-        "table1",
-        "the 24 bundled reference rows: diff column, the documented gap and "
-        "floor bounds, and the systematic +4 offset of the closed-form bounds",
-        "bundled fixture",
-        "table-fixture",
-    ),
-    Claim(
-        "caterpillar-support",
-        "every caterpillar maximizing irr among caterpillars with fixed order "
-        "and pendant count has a strong support vertex",
-        "caterpillars up to n_max grouped by (order, pendants)",
-        "exhaustive-trees",
-    ),
-    Claim(
-        "irr-decrease",
-        "moving a pendant leaf off a support vertex of degree >= 3 onto a "
-        "sibling neighbor strictly lowers irr",
-        "all admissible moves on trees up to n_max, support not alone at the "
-        "maximum degree",
-        "exhaustive-trees",
-    ),
-    Claim(
-        "irr-decrease-bound",
-        "each such move lowers irr by less than 3*lambda - 6",
-        "all admissible moves on trees up to n_max, support not alone at the "
-        "maximum degree",
-        "exhaustive-trees",
-    ),
-    Claim(
-        "seq-monotonicity",
-        "between comparable equal-length tree sequences the one dominated "
-        "componentwise in prefix sums has the smaller extremal irr",
-        "tree sequence pairs of equal length up to n_max",
-        "exhaustive-trees",
-    ),
-    Claim(
-        "resn1",
-        "sum of the first sequence minus 2 stays at least the sum of the "
-        "second for sequence pairs of different lengths",
-        "tree sequences of lengths 2..n_max, ordered pairs of unequal length",
-        "arithmetic",
-    ),
-    Claim(
-        "sigma-five",
-        "the five-value closed form gives the sigma of trees on five vertices",
-        "all tree-graphical 5-tuples",
-        "exhaustive-trees",
-    ),
-    Claim(
-        "sigma-decrease",
-        "moves whose support vertex has degree strictly between 3 and 10 "
-        "strictly lower sigma",
-        "all admissible moves on trees up to n_max",
-        "exhaustive-trees",
-    ),
-    Claim(
-        "sigma-increase",
-        "moves whose support vertex has degree >= 11 strictly raise sigma",
-        "all admissible moves on trees up to n_max",
-        "exhaustive-trees",
-    ),
-    Claim(
-        "cor3-part1",
-        "log base d4-2 of 2(d4-2)/(d3-1) stays below 2 + floor((d4-2)/(d3-1))",
-        "4 <= d3 <= d4 <= d_max",
-        "arithmetic",
-    ),
-    Claim(
-        "sigma-ordered",
-        "the ordered closed form gives the sigma of the caterpillar whose "
-        "spine degrees follow the sequence",
-        "non-decreasing spines of length 2..n_max with degrees 2..deg_max",
-        "exhaustive-trees",
-    ),
-    Claim(
-        "perm-example",
-        "some ordering of (4,8,10,14,18,20) attains the documented sigma "
-        "extremes 14802 and 14196",
-        "all 720 orderings under both readings",
-        "permutation-search",
-    ),
-)
+CATALOG: tuple[Claim, ...] = tuple(claim for claim, _, _, _ in _REGISTRY.values())
 
 CLAIM_IDS: tuple[str, ...] = tuple(c.claim_id for c in CATALOG)
-
-if set(CLAIM_IDS) != set(_CHECKERS):
-    raise RuntimeError(
-        f"catalog and checker registry disagree: {sorted(set(CLAIM_IDS) ^ set(_CHECKERS))}"
-    )
 
 
 def get_claim(claim_id: str) -> Claim:
@@ -1155,32 +1129,33 @@ def verify(
     ``params`` overrides the claim's defaults (unknown keys are rejected);
     ``witness_cap=None`` keeps every witness instead of the first 25.
     """
-    if claim_id not in _CHECKERS:
+    if claim_id not in _REGISTRY:
         raise KeyError(f"unknown claim id {claim_id!r}; known: {', '.join(CLAIM_IDS)}")
-    checker, defaults = _CHECKERS[claim_id]
+    _, check, defaults, clean = _REGISTRY[claim_id]
     merged = dict(defaults)
     if params:
         unknown = set(params) - set(defaults)
         if unknown:
             raise ValueError(f"unknown parameters for {claim_id}: {sorted(unknown)}")
         merged.update({k: int(v) for k, v in params.items()})
+    tally = _Tally(witness_cap)
     start = time.perf_counter()
-    verdict, checked, wit, notes = checker(merged, witness_cap)
+    notes = check(merged, tally)
     elapsed = time.perf_counter() - start
     return ClaimResult(
         claim_id=claim_id,
         params=merged,
-        verdict=verdict,
-        checked=checked,
-        violations=wit.total,
-        witnesses=tuple(wit.kept),
+        verdict="fails" if tally.violations else clean,
+        checked=tally.checked,
+        violations=tally.violations,
+        witnesses=tuple(tally.witnesses),
         notes=tuple(notes),
         wall_time=elapsed,
     )
 
 
 def _scaled_params(claim_id: str, config: ReportConfig) -> dict:
-    _, defaults = _CHECKERS[claim_id]
+    _, _, defaults, _ = _REGISTRY[claim_id]
     params = dict(defaults)
     if config.n_max is not None and "n_max" in params:
         params["n_max"] = min(params["n_max"], config.n_max)
@@ -1204,8 +1179,8 @@ def run_report(config: ReportConfig | None = None) -> ClaimReport:
     """
     config = config or ReportConfig()
     wanted = config.claim_ids if config.claim_ids is not None else CLAIM_IDS
-    errors = [(cid, "unknown claim id") for cid in wanted if cid not in _CHECKERS]
-    runnable = [cid for cid in wanted if cid in _CHECKERS]
+    errors = [(cid, "unknown claim id") for cid in wanted if cid not in _REGISTRY]
+    runnable = [cid for cid in wanted if cid in _REGISTRY]
     tasks = [(cid, _scaled_params(cid, config), config.witness_cap) for cid in runnable]
     results: list[ClaimResult] = []
     jobs = 1 if config.deterministic else min(config.jobs, len(tasks), os.cpu_count() or 1)
@@ -1285,23 +1260,25 @@ def report_to_text(report: ClaimReport) -> str:
     return "\n".join(head) + "\n\n" + "\n\n".join(blocks) + "\n"
 
 
+def result_to_dict(result: ClaimResult, include_timings: bool = False) -> dict:
+    """The JSON record of one result, as ``verify --json`` and reports write it."""
+    return {
+        "claim": result.claim_id,
+        "params": result.params,
+        "verdict": result.verdict,
+        "checked": result.checked,
+        "violations": result.violations,
+        "witnesses": list(result.witnesses),
+        "notes": list(result.notes),
+        **({"wall_time_s": round(result.wall_time, 3)} if include_timings else {}),
+    }
+
+
 def report_to_json(report: ClaimReport) -> str:
     include_timings = report.config.include_timings and not report.config.deterministic
     payload = {
         "metadata": report.metadata,
-        "results": [
-            {
-                "claim": r.claim_id,
-                "params": r.params,
-                "verdict": r.verdict,
-                "checked": r.checked,
-                "violations": r.violations,
-                "witnesses": list(r.witnesses),
-                "notes": list(r.notes),
-                **({"wall_time_s": round(r.wall_time, 3)} if include_timings else {}),
-            }
-            for r in report.results
-        ],
+        "results": [result_to_dict(r, include_timings) for r in report.results],
         "errors": [{"claim": cid, "error": msg} for cid, msg in report.errors],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -9,12 +9,14 @@ import sys
 from .claims import (
     CLAIM_IDS,
     ReportConfig,
+    _edges_str,
     exit_status,
     extremal_over_class,
     load_table1,
     perm_search,
     report_to_json,
     report_to_text,
+    result_to_dict,
     result_to_text,
     run_report,
     TreeClass,
@@ -41,10 +43,6 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         return tuple(int(x) for x in text.replace(",", " ").split())
     except ValueError:
         raise ValueError(f"expected whitespace-separated integers, got {text!r}") from None
-
-
-def _edges_str(t: Tree) -> str:
-    return " ".join(f"{u}-{v}" for u, v in t.edges)
 
 
 def _bundle_pairs(t: Tree) -> list[tuple[str, int]]:
@@ -172,21 +170,7 @@ def _cmd_verify(args) -> int:
         params["n_max"] = args.n_max
     result = verify(args.claim, params or None, witness_cap=_witness_cap(args))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "claim": result.claim_id,
-                    "params": result.params,
-                    "verdict": result.verdict,
-                    "checked": result.checked,
-                    "violations": result.violations,
-                    "witnesses": list(result.witnesses),
-                    "notes": list(result.notes),
-                },
-                sort_keys=True,
-                indent=2,
-            )
-        )
+        print(json.dumps(result_to_dict(result, args.timings), sort_keys=True, indent=2))
     else:
         print(result_to_text(result, include_timings=args.timings))
     return 1 if result.verdict == "fails" else 0
@@ -198,7 +182,7 @@ def _cmd_report(args) -> int:
         claim_ids=claim_ids,
         n_max=args.n_max,
         witness_cap=_witness_cap(args),
-        deterministic=args.deterministic or args.jobs <= 1,
+        deterministic=args.deterministic,
         jobs=args.jobs,
         include_timings=args.timings,
     )

@@ -1,10 +1,12 @@
 """Exhaustive tree streams and the leaf-relocation move.
 
-Two independent enumerators of unlabeled trees live here. The primary one
-walks canonical level sequences (a recursive-generation scheme); the second
-realizes every tree-graphical degree multiset through Prüfer codes and
-deduplicates by canonical code. They must agree, and the test suite holds
-them to that.
+:func:`all_trees` is the one enumerator of unlabeled trees: it walks
+canonical level sequences (a recursive-generation scheme).
+:func:`trees_with_degree_sequence` realizes one tree-graphical degree
+multiset through Prüfer codes and deduplicates by canonical code; the
+``realize`` command runs on it. The test suite builds an independent twin
+of :func:`all_trees` from it, over every degree multiset of an order, and
+holds the two to agreement.
 """
 
 from __future__ import annotations
@@ -149,21 +151,6 @@ def trees_with_degree_sequence(
     for code in _multiset_perms(entries, n - 2):
         t = prufer_decode(code, n)
         found.setdefault(canonical_code(t), t)
-    for key in sorted(found):
-        yield found[key]
-
-
-def all_trees_by_realization(
-    n: int,
-    max_order: int = DEFAULT_MAX_ORDER,
-    code_cap: int = DEFAULT_CODE_CAP,
-) -> Iterator[Tree]:
-    """Independent twin of :func:`all_trees` built from degree realizations."""
-    _check_order(n, max_order)
-    found: dict[bytes, Tree] = {}
-    for seq in tree_degree_sequences(n):
-        for t in trees_with_degree_sequence(seq, max_order=max_order, code_cap=code_cap):
-            found.setdefault(canonical_code(t), t)
     for key in sorted(found):
         yield found[key]
 

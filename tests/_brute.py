@@ -1,8 +1,8 @@
 """Independent brute-force oracles for the test suite.
 
-Nothing here imports the library: every function works on a plain order
-``n`` plus an edge list, so the values these produce are computed along a
-second, unrelated path.
+Apart from :func:`all_trees_by_realization`, nothing here imports the
+library: every function works on a plain order ``n`` plus an edge list, so
+the values these produce are computed along a second, unrelated path.
 """
 
 from functools import lru_cache
@@ -114,3 +114,19 @@ def unlabeled_tree_count(n):
     if n % 2 == 0:
         paired -= rooted_tree_count(n // 2)
     return rooted_tree_count(n) - paired // 2
+
+
+def all_trees_by_realization(n):
+    """Independent twin of ``all_trees``, built from degree realizations.
+
+    Every tree-graphical degree multiset of order ``n`` is realized through
+    Prüfer codes, and the classes are deduplicated and ordered by canonical
+    code. ``all_trees`` runs neither the realization nor ``canonical_code``.
+    """
+    from treeirr import canonical_code, tree_degree_sequences, trees_with_degree_sequence
+
+    found = {}
+    for seq in tree_degree_sequences(n):
+        for t in trees_with_degree_sequence(seq):
+            found.setdefault(canonical_code(t), t)
+    return [found[key] for key in sorted(found)]

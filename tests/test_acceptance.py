@@ -9,7 +9,6 @@ from itertools import product
 
 from treeirr import (
     all_trees,
-    all_trees_by_realization,
     canonical_code,
     caterpillar,
     compute_indices,
@@ -30,6 +29,8 @@ from treeirr.claims import (
     verify,
 )
 from treeirr.formulas import hyp_four_bounds_values
+
+from _brute import all_trees_by_realization
 
 
 class _Criterion:

@@ -48,6 +48,8 @@ from _brute import brute_indices, spanning_trees
 TABLE1_SHA256 = "acaa463bf17fd9ca3b3c19c6c425e8d0dbba0bc1cc9eb08e7676b4c4e4395185"
 FIG2_SHA256 = "5ec994fc7dd151bb8105ebcdfc48befd0b6e8b2ed42801f5c6494294649c0204"
 
+UNCAPPED_REPORT_SHA256 = "103f50cc92e7432a117df5f57f5eb1436bd02dc891abd8757b9655db254513ea"
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -623,6 +625,32 @@ class TestReport:
         payload["metadata"].update(kernel_backend="<masked>", python="<masked>")
         masked = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         assert masked == (DATA / "report_default.json").read_text(encoding="utf-8")
+
+    def test_uncapped_report_digest(self):
+        # Every one of the 8,999 witnesses of the default report, in order,
+        # with the metadata masked as in the golden files.
+        payload = json.loads(report_to_json(run_report(ReportConfig(witness_cap=None))))
+        assert sum(len(r["witnesses"]) for r in payload["results"]) == 8999
+        payload["metadata"].update(kernel_backend="<masked>", python="<masked>")
+        masked = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert hashlib.sha256(masked.encode()).hexdigest() == UNCAPPED_REPORT_SHA256
+
+    def test_report_reaches_each_claim_through_verify_once(self, monkeypatch):
+        # The benchmark tracer opens its per-claim spans on the module
+        # attribute `claims.verify`, so run_report must call it once per id.
+        import treeirr.claims as claims_module
+
+        calls = []
+        real = claims_module.verify
+
+        def counting(claim_id, *args, **kwargs):
+            calls.append(claim_id)
+            return real(claim_id, *args, **kwargs)
+
+        monkeypatch.setattr(claims_module, "verify", counting)
+        report = run_report(ReportConfig(n_max=5))
+        assert sorted(calls) == sorted(CLAIM_IDS)
+        assert [r.claim_id for r in report.results] == sorted(CLAIM_IDS)
 
     def test_golden_record_format(self):
         # Frozen stable text for two hand-countable claims: star sizes

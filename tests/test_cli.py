@@ -233,6 +233,25 @@ class TestVerifyAndReport:
         payload = json.loads(capsys.readouterr().out)
         assert payload["errors"] == []
 
+    def test_verify_json_matches_report_record(self, capsys):
+        assert main(["verify", "--claim", "star-albertson", "--n-max", "6", "--json"]) == 0
+        alone = capsys.readouterr().out
+        assert main(["report", "--claims", "star-albertson", "--n-max", "6", "--json"]) == 0
+        (record,) = json.loads(capsys.readouterr().out)["results"]
+        assert alone == json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+    def test_timings_at_one_job(self, capsys):
+        # --timings needs no --jobs and reaches --json too; --deterministic
+        # keeps timings out.
+        assert main(["report", "--claims", "table1", "--timings"]) == 0
+        assert "wall_time_s: " in capsys.readouterr().out
+        assert main(["report", "--claims", "table1", "--timings", "--json"]) == 0
+        assert "wall_time_s" in json.loads(capsys.readouterr().out)["results"][0]
+        assert main(["report", "--claims", "table1", "--deterministic", "--timings"]) == 0
+        assert "wall_time" not in capsys.readouterr().out
+        assert main(["verify", "--claim", "table1", "--timings", "--json"]) == 0
+        assert "wall_time_s" in json.loads(capsys.readouterr().out)
+
 
 class TestPermsearchCommand:
     def test_counts_and_flags(self, capsys):
