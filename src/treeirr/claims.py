@@ -24,7 +24,7 @@ import sys
 import time
 from dataclasses import dataclass
 from importlib import resources
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import __version__
@@ -45,7 +45,7 @@ from .formulas import (
     sigma_ordered_value,
     three_c_values,
 )
-from .indices import IndexBundle, compute_indices, total_irregularity_by_sequence
+from .indices import compute_indices, total_irregularity_by_sequence
 from .tree import Tree, canonical_code, degrees, is_caterpillar, strong_support_vertices
 
 DEFAULT_WITNESS_CAP = 25
@@ -311,6 +311,19 @@ class _Tally:
         if self.cap is None or len(self.witnesses) < self.cap:
             self.witnesses.append(witness)
 
+    def add_class(self, checked: int, violations: int, witnesses: Iterator[dict]) -> None:
+        """Count a class of cases at once.
+
+        ``witnesses`` yields the class's ``violations`` in order; only as
+        many as the cap still keeps are drawn, so a lazy stream builds no
+        more than that.
+        """
+        self.checked += checked
+        self.violations += violations
+        room = violations if self.cap is None else min(violations, self.cap - len(self.witnesses))
+        if room > 0:
+            self.witnesses.extend(islice(witnesses, room))
+
     def run(self, cases, check: Callable[..., dict | None]) -> None:
         """Each case through ``check``, which returns a witness dict or ``None``."""
         for case in cases:
@@ -331,161 +344,158 @@ def _seq_extremes(seq: DegreeSequence, attr: str) -> tuple[int, int]:
     return min(values), max(values)
 
 
-def _edge_sums(pairs) -> tuple[int, int, int]:
-    # irr, sigma and M2 terms of edges given by their end degrees.
-    irr = sigma = m2 = 0
-    for a, b in pairs:
-        d = a - b
-        irr += abs(d)
-        sigma += d * d
-        m2 += a * b
-    return irr, sigma, m2
-
-
-def _moved_bundle(
-    before: IndexBundle,
-    deg: Sequence[int],
-    adjacency: Sequence[Sequence[int]],
-    at_least: Sequence[int],
-    y: int,
-    recipient: int,
-) -> IndexBundle:
-    """The bundle after a leaf of ``y`` moves to its neighbor ``recipient``.
-
-    Only ``deg[y]`` (down by one) and ``deg[recipient]`` (up by one)
-    change, so ``before`` is updated on the edges at either vertex and on
-    the vertex pairs that contain either. ``at_least[a]`` counts the
-    vertices of degree ``>= a``. The donor is a leaf, so the result does
-    not depend on which one moves.
-    """
-    lam, dr = deg[y], deg[recipient]
-    # Edges at y or at the recipient, y-recipient once. The moved edge
-    # leaves y as a leaf edge and comes back at the recipient.
-    old = [(lam, deg[w]) for w in adjacency[y] if w != recipient]
-    old += [(dr, deg[w]) for w in adjacency[recipient]]
-    new = [(lam - 1, deg[w]) for w in adjacency[y] if w != recipient]
-    new.remove((lam - 1, 1))
-    new += [(dr + 1, deg[w]) for w in adjacency[recipient] if w != y]
-    new += [(dr + 1, lam - 1), (dr + 1, 1)]
-    irr_old, sigma_old, m2_old = _edge_sums(old)
-    irr_new, sigma_new, m2_new = _edge_sums(new)
-    # A third vertex of degree d gains 1 against y if d >= lam and loses 1
-    # otherwise; against the recipient it gains 1 if d <= dr and loses 1
-    # otherwise. Over the n - 2 others that nets 2 * (#{d >= lam} - #{d > dr}).
-    ge_lam = at_least[lam] - 1 - (dr >= lam)
-    gt_dr = at_least[dr + 1] - (lam > dr)
-    irr_t = before.irr_t + 2 * (ge_lam - gt_dr) + abs(lam - dr - 2) - abs(lam - dr)
-    return IndexBundle(
-        irr=before.irr + irr_new - irr_old,
-        irr_t=irr_t,
-        sigma=before.sigma + sigma_new - sigma_old,
-        m1=before.m1 - 2 * lam + 1 + 2 * dr + 1,
-        m2=before.m2 + m2_new - m2_old,
-    )
-
-
 def _tree_relocations(t: Tree, lam_ok: Callable[[int], bool], support_filter: bool = False):
-    """Every leaf relocation on ``t`` with admissible support degree, annotated.
+    """Every leaf relocation on ``t`` with admissible support degree, by class.
 
-    Yields the move, the support degree, whether the support sits strictly
-    below the maximum degree or merely ties it, and the index bundles
-    before and after. With ``support_filter`` a support that holds the
-    maximum degree alone is skipped before any bundle is computed. No moved
-    tree is built: each after-bundle is a delta on the degree list
-    (:func:`_moved_bundle`), computed once per (support, recipient) pair
-    and shared by its donors. ``before`` is computed only when the tree has
-    a move.
+    Yields one record ``(y, lam, strict, tied, donors, deltas)`` per support
+    vertex ``y``: degree ``lam >= 3`` with ``lam_ok(lam)`` and at least one
+    leaf neighbor. ``strict`` says ``y`` sits below the maximum degree and
+    ``tied`` that it holds it with another vertex; with ``support_filter``
+    a support holding the maximum degree alone is skipped. ``donors`` are
+    the leaf neighbors of ``y``. Each may move to every other neighbor of
+    ``y``, so the class holds ``len(donors) * (lam - 1)`` moves, donor
+    first, then recipient, both ascending.
+
+    ``deltas`` maps each recipient ``r``, in adjacency order, to the change
+    ``(irr, sigma)`` of a move onto it. The donor is a leaf, so the change
+    does not depend on which one moves; a lone donor is not a recipient.
+    Only the edges at ``y`` and ``r`` change. Let ``W`` be the ``lam - 2``
+    neighbors of ``y`` other than the donor and ``r``, and ``R`` the
+    neighbors of ``r`` other than ``y``. The end degrees of edge ``yr`` go
+    from ``(lam, d_r)`` to ``(lam - 1, d_r + 1)``, those of the donor edge
+    from ``(lam, 1)`` to ``(d_r + 1, 1)``, so:
+
+    - sigma: ``sum_W (2 d_w - 2 lam + 1) + (lam - 2 - d_r)^2 - (lam - d_r)^2
+      + d_r^2 - (lam - 1)^2 + sum_R (2 d_r - 2 d_w + 1)``;
+    - irr: ``#{W: d_w >= lam} - #{W: d_w < lam} + |lam - 2 - d_r|
+      - |lam - d_r| + d_r - lam + 1 + #{R: d_w <= d_r} - #{R: d_w > d_r}``.
+
+    No moved tree and no index bundle is built. The tests check both
+    changes against ``relocate_leaf`` plus a full recompute on every move
+    up to order 9 and on random Prüfer trees up to order 60.
     """
-    n = t.n
     adjacency = t.adjacency
-    deg = degrees(t)
+    deg = [len(a) for a in adjacency]
     supports = [
         y
-        for y in range(n)
+        for y in range(t.n)
         if deg[y] >= 3 and lam_ok(deg[y]) and any(deg[w] == 1 for w in adjacency[y])
     ]
     if not supports:
         return
     delta = max(deg)
     ties = deg.count(delta)
-    if support_filter:
-        supports = [y for y in supports if deg[y] < delta or ties >= 2]
-        if not supports:
-            return
-    at_least = [0] * (delta + 2)
-    for d in deg:
-        at_least[d] += 1
-    for a in range(delta - 1, -1, -1):
-        at_least[a] += at_least[a + 1]
-    before = compute_indices(t)
     for y in supports:
         lam = deg[y]
         strict = lam < delta
         tied = lam == delta and ties >= 2
-        after: dict[int, IndexBundle] = {}
-        for donor in adjacency[y]:
-            if deg[donor] != 1:
+        if support_filter and not (strict or tied):
+            continue
+        nbrs = adjacency[y]
+        # Degree sum and count at >= lam over N(y) less one donor leaf.
+        donors = []
+        sum_y = -1
+        ge_y = 0
+        for w in nbrs:
+            dw = deg[w]
+            sum_y += dw
+            if dw == 1:
+                donors.append(w)
+            elif dw >= lam:
+                ge_y += 1
+        lone = donors[0] if len(donors) == 1 else -1
+        deltas = {}
+        for r in nbrs:
+            if r == lone:
                 continue
-            for recipient in adjacency[y]:
-                if recipient == donor:
-                    continue
-                if recipient not in after:
-                    after[recipient] = _moved_bundle(
-                        before, deg, adjacency, at_least, y, recipient
-                    )
-                yield y, donor, recipient, lam, strict, tied, before, after[recipient]
+            dr = deg[r]
+            sum_w = sum_y - dr
+            ge_w = ge_y - (dr >= lam)
+            sum_r = -lam  # over R = N(r) less y
+            le_r = -(lam <= dr)
+            for w in adjacency[r]:
+                sum_r += deg[w]
+                le_r += deg[w] <= dr
+            sigma = (
+                2 * sum_w + (lam - 2) * (1 - 2 * lam)
+                + (lam - 2 - dr) ** 2 - (lam - dr) ** 2
+                + dr * dr - (lam - 1) ** 2
+                + (dr - 1) * (2 * dr + 1) - 2 * sum_r
+            )
+            irr = (
+                2 * ge_w - (lam - 2)
+                + abs(lam - 2 - dr) - abs(lam - dr)
+                + dr - lam + 1
+                + 2 * le_r - (dr - 1)
+            )
+            deltas[r] = (irr, sigma)
+        yield y, lam, strict, tied, donors, deltas
 
 
-def _relocation_instances(
-    n_lo, n_hi, lam_ok: Callable[[int], bool], support_filter: bool = False
-):
-    """:func:`_tree_relocations` over all unlabeled trees of orders n_lo..n_hi.
-
-    Yields the tree followed by the move's fields. The after-bundles are
-    deltas, not recomputations; the tests check them against
-    ``relocate_leaf`` plus a full recompute on every move up to order 9
-    and on random Prüfer trees up to order 16.
-    """
-    for n in range(n_lo, n_hi + 1):
-        for t in all_trees(n):
-            for move in _tree_relocations(t, lam_ok, support_filter):
-                yield (t, *move)
+_DELTA_POS = {"irr": 0, "sigma": 1}  # index of each value in a ``deltas`` pair
 
 
-def _relocation_claim(params, tally, lam_ok, bad, value_key, apply_support_filter):
-    """Shared engine for the relocation sweeps.
-
-    ``bad(before, after, lam)`` decides a violation. With
-    ``apply_support_filter`` the sweep keeps only moves whose support vertex
-    does not hold the maximum degree alone (both readings of that side
-    condition are tallied separately); without it every admissible move
-    counts and the filter split is reported in the notes.
-    """
-    per_filter = {"strict": [0, 0], "tied": [0, 0], "unfiltered": [0, 0]}
-    for t, y, donor, recipient, lam, strict, tied, before, after in _relocation_instances(
-        2, params["n_max"], lam_ok, apply_support_filter
-    ):
-        tally.checked += 1
-        is_bad = bad(before, after, lam)
-        for name, flag in (("strict", strict), ("tied", tied), ("unfiltered", True)):
-            if flag:
-                per_filter[name][0] += 1
-                if is_bad:
-                    per_filter[name][1] += 1
-        if is_bad:
-            tally.add(
-                {
-                    "tree": _edges_str(t),
+def _relocation_witnesses(t, y, lam, filter_name, donors, deltas, hit, value_key):
+    # The class's violating moves in sweep order, each built only when drawn.
+    tree = _edges_str(t)
+    before = getattr(compute_indices(t), value_key)
+    pos = _DELTA_POS[value_key]
+    for donor in donors:
+        for recipient, change in deltas.items():
+            if recipient != donor and hit[recipient]:
+                yield {
+                    "tree": tree,
                     "n": t.n,
                     "y": y,
                     "donor": donor,
                     "recipient": recipient,
                     "lambda": lam,
-                    "filter": "strict" if strict else ("tied" if tied else "unfiltered"),
-                    "before": getattr(before, value_key),
-                    "after": getattr(after, value_key),
+                    "filter": filter_name,
+                    "before": before,
+                    "after": before + change[pos],
                 }
-            )
+
+
+def _relocation_claim(params, tally, lam_ok, bad, value_key, apply_support_filter):
+    """Shared engine for the relocation sweeps, over all trees up to ``n_max``.
+
+    ``bad(change, lam)`` decides whether a move that changes the index
+    ``value_key`` by ``change`` violates the claim. It is decided once per
+    recipient of each support class of :func:`_tree_relocations`, and the
+    class is counted arithmetically: with ``D`` donors and ``B`` bad
+    recipients it holds ``D * (lam - 1)`` moves and ``D * B`` violations,
+    less the bad recipients that are donors themselves (no leaf moves onto
+    itself). Witnesses are built only while the tally keeps them.
+
+    With ``apply_support_filter`` the sweep keeps only supports that do not
+    hold the maximum degree alone (both readings of that side condition
+    are tallied separately); without it every admissible move counts and
+    the filter split is reported in the notes.
+    """
+    pos = _DELTA_POS[value_key]
+    per_filter = {"strict": [0, 0], "tied": [0, 0], "unfiltered": [0, 0]}
+    for n in range(2, params["n_max"] + 1):
+        for t in all_trees(n):
+            for y, lam, strict, tied, donors, deltas in _tree_relocations(
+                t, lam_ok, apply_support_filter
+            ):
+                hit = {r: bad(change[pos], lam) for r, change in deltas.items()}
+                moves = len(donors) * (lam - 1)
+                violations = len(donors) * sum(hit.values()) - sum(
+                    hit.get(d, False) for d in donors
+                )
+                for name, flag in (("strict", strict), ("tied", tied), ("unfiltered", True)):
+                    if flag:
+                        per_filter[name][0] += moves
+                        per_filter[name][1] += violations
+                filter_name = "strict" if strict else ("tied" if tied else "unfiltered")
+                tally.add_class(
+                    moves,
+                    violations,
+                    _relocation_witnesses(
+                        t, y, lam, filter_name, donors, deltas, hit, value_key
+                    ),
+                )
     notes = [
         f"support below max degree: {per_filter['strict'][0]} moves, "
         f"{per_filter['strict'][1]} violations",
@@ -835,7 +845,7 @@ def _check_irr_decrease(params, tally):
         params,
         tally,
         lam_ok=lambda lam: lam >= 3,
-        bad=lambda before, after, lam: not after.irr < before.irr,
+        bad=lambda change, lam: not change < 0,
         value_key="irr",
         apply_support_filter=True,
     )
@@ -854,7 +864,7 @@ def _check_irr_decrease_bound(params, tally):
         params,
         tally,
         lam_ok=lambda lam: lam >= 3,
-        bad=lambda before, after, lam: not before.irr - after.irr < 3 * lam - 6,
+        bad=lambda change, lam: not -change < 3 * lam - 6,
         value_key="irr",
         apply_support_filter=True,
     )
@@ -990,7 +1000,7 @@ def _check_sigma_decrease(params, tally):
         params,
         tally,
         lam_ok=lambda lam: 3 < lam < 10,
-        bad=lambda before, after, lam: not after.sigma < before.sigma,
+        bad=lambda change, lam: not change < 0,
         value_key="sigma",
         apply_support_filter=False,
     )
@@ -1008,7 +1018,7 @@ def _check_sigma_increase(params, tally):
         params,
         tally,
         lam_ok=lambda lam: lam >= 11,
-        bad=lambda before, after, lam: not after.sigma > before.sigma,
+        bad=lambda change, lam: not change > 0,
         value_key="sigma",
         apply_support_filter=False,
     )

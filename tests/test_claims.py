@@ -36,7 +36,7 @@ from treeirr.claims import (
     table1_text,
     verify,
 )
-from treeirr.claims import _relocation_instances, _seq_extremes, _tree_relocations
+from treeirr.claims import _seq_extremes, _tree_relocations
 from treeirr.enumeration import (
     EnumerationGuard,
     tree_degree_sequences,
@@ -216,11 +216,21 @@ def _labeled_tree_classes(n):
     return list(reps.values())
 
 
-def _brute_relocation_sweep(n_max, lam_ok, bad, support_filter):
-    """Test-local recount of a relocation claim, on brute-force indices."""
-    checked = violations = 0
+def _brute_relocation_sweep(
+    n_max, lam_ok, bad, value_key, support_filter, classes=_labeled_tree_classes
+):
+    """Test-local rerun of a relocation claim, on brute-force indices.
+
+    Walks one edge list per tree class (``classes(n)``; by default the
+    labeled spanning-tree representatives) and moves each leaf by editing
+    the edge list. Returns the number of moves checked and the violating
+    moves as the claim's witness dicts, in sweep order: support, donor,
+    recipient.
+    """
+    checked = 0
+    violating = []
     for n in range(2, n_max + 1):
-        for edges in _labeled_tree_classes(n):
+        for edges in classes(n):
             deg = [0] * n
             adj = {v: [] for v in range(n)}
             for u, v in edges:
@@ -235,20 +245,52 @@ def _brute_relocation_sweep(n_max, lam_ok, bad, support_filter):
                 lam = deg[y]
                 if lam < 3 or not lam_ok(lam):
                     continue
-                if support_filter and not (lam < delta or ties >= 2):
+                strict, tied = lam < delta, lam == delta and ties >= 2
+                if support_filter and not (strict or tied):
                     continue
-                donors = [w for w in adj[y] if deg[w] == 1]
-                for donor in donors:
-                    for recipient in adj[y]:
+                neighbors = sorted(adj[y])
+                for donor in [w for w in neighbors if deg[w] == 1]:
+                    for recipient in neighbors:
                         if recipient == donor:
                             continue
                         moved = [
                             e for e in edges if set(e) != {y, donor}
                         ] + [(donor, recipient)]
+                        after = brute_indices(n, moved)
                         checked += 1
-                        if bad(before, brute_indices(n, moved), lam):
-                            violations += 1
-    return checked, violations
+                        if bad(before, after, lam):
+                            violating.append(
+                                {
+                                    "tree": " ".join(f"{u}-{v}" for u, v in edges),
+                                    "n": n,
+                                    "y": y,
+                                    "donor": donor,
+                                    "recipient": recipient,
+                                    "lambda": lam,
+                                    "filter": "strict" if strict else ("tied" if tied else "unfiltered"),
+                                    "before": before[value_key],
+                                    "after": after[value_key],
+                                }
+                            )
+    return checked, violating
+
+
+def _canonical_classes(n):
+    return [list(t.edges) for t in all_trees(n)]
+
+
+def _assert_witnesses_are_brute_moves(claim_id, n_max, lam_ok, bad, value_key, support_filter):
+    # On the claim's own trees the brute moves must be its witnesses, move
+    # for move: all of them uncapped, the first cap of them capped.
+    _, moves = _brute_relocation_sweep(
+        n_max, lam_ok, bad, value_key, support_filter, classes=_canonical_classes
+    )
+    assert len(moves) > DEFAULT_WITNESS_CAP
+    uncapped = verify(claim_id, {"n_max": n_max}, witness_cap=None)
+    assert list(uncapped.witnesses) == moves
+    capped = verify(claim_id, {"n_max": n_max})
+    assert (capped.checked, capped.violations) == (uncapped.checked, len(moves))
+    assert list(capped.witnesses) == moves[:DEFAULT_WITNESS_CAP]
 
 
 def _admissible_moves(t):
@@ -264,12 +306,29 @@ def _admissible_moves(t):
     ]
 
 
-def _assert_matches_recompute(instances):
-    # The oracle is the validated move plus a full recompute of the bundle.
-    for t, y, donor, recipient, lam, _strict, _tied, before, after in instances:
+def _class_moves(t, **kwargs):
+    """The moves of the per-support records of ``t``, expanded in sweep order."""
+    moves = []
+    for y, lam, strict, tied, donors, deltas in _tree_relocations(t, lambda lam: True, **kwargs):
         assert lam == t.degree(y)
-        assert before == compute_indices(t)
-        assert after == compute_indices(relocate_leaf(t, y, donor, recipient)[0])
+        assert donors == [w for w in t.adjacency[y] if t.degree(w) == 1]
+        class_moves = [
+            (y, donor, recipient, strict, tied, change)
+            for donor in donors
+            for recipient, change in deltas.items()
+            if recipient != donor
+        ]
+        assert len(class_moves) == len(donors) * (lam - 1)
+        moves += class_moves
+    return moves
+
+
+def _assert_matches_recompute(t, moves):
+    # The oracle is the validated move plus a full recompute of the bundle.
+    before = compute_indices(t)
+    for y, donor, recipient, _strict, _tied, (d_irr, d_sigma) in moves:
+        after = compute_indices(relocate_leaf(t, y, donor, recipient)[0])
+        assert (after.irr - before.irr, after.sigma - before.sigma) == (d_irr, d_sigma)
 
 
 class TestEnumerationOnce:
@@ -349,56 +408,77 @@ class TestRelocationDeltas:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_random_prufer_trees(self, data):
-        n = data.draw(st.integers(4, 16))
+        n = data.draw(st.integers(4, 60))
         code = data.draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
         t = prufer_decode(code, n)
-        swept = [(t, *move) for move in _tree_relocations(t, lambda lam: True)]
-        assert [inst[1:4] for inst in swept] == _admissible_moves(t)
-        _assert_matches_recompute(swept)
+        moves = _class_moves(t)
+        assert [m[:3] for m in moves] == _admissible_moves(t)
+        _assert_matches_recompute(t, moves)
 
     def test_every_move_up_to_order_nine(self):
-        swept = list(_relocation_instances(2, 9, lambda lam: True))
-        expected = [
-            (t, *move) for n in range(2, 10) for t in all_trees(n) for move in _admissible_moves(t)
-        ]
-        assert [inst[:4] for inst in swept] == expected
-        _assert_matches_recompute(swept)
-        # The support filter drops exactly the moves that are neither strict nor tied.
-        filtered = list(_relocation_instances(2, 9, lambda lam: True, support_filter=True))
-        assert filtered == [inst for inst in swept if inst[5] or inst[6]]
+        for n in range(2, 10):
+            for t in all_trees(n):
+                moves = _class_moves(t)
+                assert [m[:3] for m in moves] == _admissible_moves(t)
+                _assert_matches_recompute(t, moves)
+                # The support filter drops exactly the moves that are neither strict nor tied.
+                assert _class_moves(t, support_filter=True) == [m for m in moves if m[3] or m[4]]
+
+    def test_lone_donor_is_not_a_recipient(self):
+        # Support 0 has one leaf neighbor (1); its other neighbors 2 and 3
+        # are inner vertices, so the leaf can only move to 2 or 3.
+        t = Tree(6, [(0, 1), (0, 2), (0, 3), (2, 4), (3, 5)])
+        [(y, lam, strict, tied, donors, deltas)] = _tree_relocations(t, lambda lam: True)
+        assert (y, lam, strict, tied, donors) == (0, 3, False, False, [1])
+        assert list(deltas) == [2, 3]
+        moves = _class_moves(t)
+        assert [m[:3] for m in moves] == [(0, 1, 2), (0, 1, 3)]
+        _assert_matches_recompute(t, moves)
+
+    def test_witnesses_built_only_while_kept(self, monkeypatch):
+        from treeirr import claims
+
+        calls = []
+        bundle = claims.compute_indices
+
+        def counted(t):
+            calls.append(t.n)
+            return bundle(t)
+
+        monkeypatch.setattr(claims, "compute_indices", counted)
+        r = verify("irr-decrease", {"n_max": 10})
+        assert r.violations > 2 * DEFAULT_WITNESS_CAP
+        assert len(r.witnesses) == DEFAULT_WITNESS_CAP
+        assert 0 < len(calls) <= DEFAULT_WITNESS_CAP
 
 
 class TestRelocationClaims:
     def test_irr_decrease_matches_brute_force(self):
-        want = _brute_relocation_sweep(
-            6,
-            lambda lam: lam >= 3,
-            lambda b, a, lam: not a["irr"] < b["irr"],
-            support_filter=True,
-        )
+        args = (lambda lam: lam >= 3, lambda b, a, lam: not a["irr"] < b["irr"], "irr", True)
+        checked, moves = _brute_relocation_sweep(6, *args)
         r = verify("irr-decrease", {"n_max": 6}, witness_cap=None)
-        assert (r.checked, r.violations) == want
+        assert (r.checked, r.violations) == (checked, len(moves))
         assert len(r.witnesses) == r.violations
+        _assert_witnesses_are_brute_moves("irr-decrease", 9, *args)
 
     def test_irr_decrease_bound_matches_brute_force(self):
-        want = _brute_relocation_sweep(
-            6,
+        args = (
             lambda lam: lam >= 3,
             lambda b, a, lam: not b["irr"] - a["irr"] < 3 * lam - 6,
-            support_filter=True,
+            "irr",
+            True,
         )
+        checked, moves = _brute_relocation_sweep(6, *args)
         r = verify("irr-decrease-bound", {"n_max": 6}, witness_cap=None)
-        assert (r.checked, r.violations) == want
+        assert (r.checked, r.violations) == (checked, len(moves))
+        _assert_witnesses_are_brute_moves("irr-decrease-bound", 9, *args)
 
     def test_sigma_decrease_matches_brute_force(self):
-        want = _brute_relocation_sweep(
-            7,
-            lambda lam: 3 < lam < 10,
-            lambda b, a, lam: not a["sigma"] < b["sigma"],
-            support_filter=False,
-        )
+        args = (lambda lam: 3 < lam < 10, lambda b, a, lam: not a["sigma"] < b["sigma"], "sigma", False)
+        checked, moves = _brute_relocation_sweep(7, *args)
         r = verify("sigma-decrease", {"n_max": 7}, witness_cap=None)
-        assert (r.checked, r.violations) == want
+        assert (r.checked, r.violations) == (checked, len(moves))
+        _assert_witnesses_are_brute_moves("sigma-decrease", 9, *args)
 
     def test_irr_decrease_default_fails_with_witnesses(self):
         r = verify("irr-decrease", {"n_max": 7})
