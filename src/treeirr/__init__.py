@@ -13,19 +13,16 @@ from .tree import (
     canonical_code,
     degrees,
     is_caterpillar,
-    is_isomorphic,
     strong_support_vertices,
 )
 from .indices import (
     IndexBundle,
     compute_indices,
-    path_imbalance,
     total_irregularity_by_sequence,
 )
 from .degseq import (
     DegreeSequence,
     NotTreeGraphical,
-    build_special,
     caterpillar,
     path,
     prufer_decode,
@@ -35,9 +32,7 @@ from .degseq import (
 )
 from .enumeration import (
     EnumerationGuard,
-    RelocationStep,
     all_trees,
-    relocate_leaf,
     tree_degree_sequences,
     trees_with_degree_sequence,
 )
@@ -52,15 +47,12 @@ __all__ = [
     "canonical_code",
     "degrees",
     "is_caterpillar",
-    "is_isomorphic",
     "strong_support_vertices",
     "IndexBundle",
     "compute_indices",
-    "path_imbalance",
     "total_irregularity_by_sequence",
     "DegreeSequence",
     "NotTreeGraphical",
-    "build_special",
     "caterpillar",
     "path",
     "prufer_decode",
@@ -68,9 +60,7 @@ __all__ = [
     "star",
     "validate_tree_sequence",
     "EnumerationGuard",
-    "RelocationStep",
     "all_trees",
-    "relocate_leaf",
     "tree_degree_sequences",
     "trees_with_degree_sequence",
     "FormulaDomainError",

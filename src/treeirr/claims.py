@@ -38,6 +38,7 @@ from .enumeration import (
     trees_with_degree_sequence,
 )
 from .formulas import (
+    floor_bound_value,
     hyp_four_bounds_values,
     hyp_four_value,
     log_bound_holds,
@@ -371,8 +372,8 @@ def _tree_relocations(t: Tree, lam_ok: Callable[[int], bool], support_filter: bo
       - |lam - d_r| + d_r - lam + 1 + #{R: d_w <= d_r} - #{R: d_w > d_r}``.
 
     No moved tree and no index bundle is built. The tests check both
-    changes against ``relocate_leaf`` plus a full recompute on every move
-    up to order 9 and on random Prüfer trees up to order 60.
+    changes against ``_brute.relocate_leaf`` plus a full recompute on
+    every move up to order 9 and on random Prüfer trees up to order 60.
     """
     adjacency = t.adjacency
     deg = [len(a) for a in adjacency]
@@ -766,7 +767,7 @@ def _check_table1(params, tally):
             bad["diff"] = f"{row.diff} vs 2(d2-d4)={2 * (d2 - d4)}"
         if not row.diff < 2 * d1:
             bad["diff_bound"] = f"{row.diff} !< {2 * d1}"
-        floor_bound = (d1 ** 2 + d4 ** 2) // 2
+        floor_bound = floor_bound_value(row.seq)
         if not row.irr_min >= floor_bound:
             bad["floor_bound"] = f"{row.irr_min} < {floor_bound}"
         offsets.add((fmx - row.irr_max, fmn - row.irr_min))
@@ -1120,13 +1121,6 @@ def _check_perm_example(params, tally):
 CATALOG: tuple[Claim, ...] = tuple(claim for claim, _, _, _ in _REGISTRY.values())
 
 CLAIM_IDS: tuple[str, ...] = tuple(c.claim_id for c in CATALOG)
-
-
-def get_claim(claim_id: str) -> Claim:
-    for c in CATALOG:
-        if c.claim_id == claim_id:
-            return c
-    raise KeyError(f"unknown claim id {claim_id!r}")
 
 
 def verify(

@@ -26,7 +26,7 @@ from .degseq import NotTreeGraphical, parse_degree_sequence
 from .edgelist import ParseError, parse_edge_list
 from .enumeration import EnumerationGuard, all_trees, trees_with_degree_sequence
 from .formulas import FORMULA_IDS, FormulaError, evaluate_formula
-from .formulas import hyp_four_bounds_values
+from .formulas import floor_bound_value, hyp_four_bounds_values
 from .indices import compute_indices
 from .tree import Tree, canonical_code, degrees
 
@@ -43,6 +43,16 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         return tuple(int(x) for x in text.replace(",", " ").split())
     except ValueError:
         raise ValueError(f"expected whitespace-separated integers, got {text!r}") from None
+
+
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _bundle_pairs(t: Tree) -> list[tuple[str, int]]:
@@ -97,7 +107,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    text = _read_text(args.file) if args.file else args.seq
+    text = args.seq if args.file is None else _read_text(args.file)
     seq = parse_degree_sequence(text)
     records = _tree_records(trees_with_degree_sequence(seq, max_order=args.max_order))
     _print_tree_records(records, args.json)
@@ -106,7 +116,7 @@ def _cmd_realize(args) -> int:
 
 def _cmd_extremal(args) -> int:
     seq = parse_degree_sequence(args.seq) if args.seq else None
-    n = seq.n if seq is not None else args.n
+    n = seq.n if args.n is None and seq is not None else args.n
     if n is None:
         raise ValueError("need --n or --seq")
     tree_class = TreeClass(
@@ -240,7 +250,6 @@ def _cmd_table1(args) -> int:
     rows = []
     for row in load_table1():
         fmx, fmn = hyp_four_bounds_values(row.seq)
-        d1, _, _, d4 = row.seq
         rows.append(
             {
                 "seq": ",".join(str(x) for x in row.seq),
@@ -251,7 +260,7 @@ def _cmd_table1(args) -> int:
                 "formula_min": fmn,
                 "offset_max": fmx - row.irr_max,
                 "offset_min": fmn - row.irr_min,
-                "floor_bound": (d1 ** 2 + d4 ** 2) // 2,
+                "floor_bound": floor_bound_value(row.seq),
             }
         )
     header = list(rows[0])
@@ -288,8 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("realize", help="all trees with a degree sequence")
-    p.add_argument("--seq", help="whitespace-separated degrees")
-    p.add_argument("--file", help="file holding one line of degrees")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--seq", help="whitespace-separated degrees")
+    source.add_argument("--file", help="file holding one line of degrees")
     p.add_argument("--max-order", type=int, default=16)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_realize)
@@ -314,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run one cataloged claim")
     p.add_argument("--claim", choices=list(CLAIM_IDS), required=True)
     p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--witness-cap", type=int, default=25)
+    p.add_argument("--witness-cap", type=_non_negative, default=25)
     p.add_argument("--all-witnesses", action="store_true")
     p.add_argument("--timings", action="store_true")
     p.add_argument("--json", action="store_true")
@@ -323,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="run many claims into one report")
     p.add_argument("--claims", help="comma-separated claim ids (default: all)")
     p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--witness-cap", type=int, default=25)
+    p.add_argument("--witness-cap", type=_non_negative, default=25)
     p.add_argument("--all-witnesses", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--deterministic", action="store_true", help="single worker, no timings")

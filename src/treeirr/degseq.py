@@ -38,20 +38,6 @@ class DegreeSequence:
     def n(self) -> int:
         return len(self.values)
 
-    @property
-    def tree_graphical(self) -> bool:
-        v = self.values
-        if len(v) == 1:
-            return v == (0,)
-        return all(x >= 1 for x in v) and sum(v) == 2 * (len(v) - 1)
-
-    def multiset(self) -> dict[int, int]:
-        """Value -> multiplicity, largest value first."""
-        out: dict[int, int] = {}
-        for x in self.values:
-            out[x] = out.get(x, 0) + 1
-        return out
-
     def __str__(self) -> str:
         return "(" + ",".join(str(x) for x in self.values) + ")"
 
@@ -168,24 +154,6 @@ def caterpillar(spine_degrees: Sequence[int]) -> Tree:
     # Spine edges (i, i+1) and pendant edges (i, nxt) with nxt >= k > i:
     # a tree on 0..nxt-1 with u < v by construction, so skip validation.
     return Tree._unchecked(nxt, edges)
-
-
-def build_special(kind: str, params: dict) -> Tree:
-    """Dispatch on ``kind``: star (leaves=), path (order=), caterpillar (spine=)."""
-    if kind == "star":
-        return star(params["leaves"])
-    if kind == "path":
-        return path(params["order"])
-    if kind == "caterpillar":
-        return caterpillar(params["spine"])
-    raise ValueError(f"unknown kind {kind!r} (expected star, path or caterpillar)")
-
-
-def degree_sequence_of(t: Tree) -> DegreeSequence:
-    """The validated degree sequence of a tree."""
-    if t.n == 1:
-        return DegreeSequence((0,))
-    return DegreeSequence(tuple(sorted((len(a) for a in t.adjacency), reverse=True)))
 
 
 def parse_degree_sequence(text: str) -> DegreeSequence:

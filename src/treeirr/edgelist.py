@@ -87,20 +87,3 @@ def _raise_closed(
     if any((x, y) == key or (y, x) == key for _, x, y in earlier):
         raise ParseError(lineno, f"duplicate edge {key}")
     raise ParseError(lineno, "edge closes a cycle")
-
-
-def parse_tree(text: str) -> Tree:
-    """The tree of a document, labels dropped."""
-    return parse_edge_list(text).tree
-
-
-def format_edge_list(tree: Tree, labels: tuple[int, ...] | None = None) -> str:
-    """Emit a document that reparses to the same tree.
-
-    With ``labels`` (as produced by :func:`parse_edge_list`) the original
-    vertex names are restored.
-    """
-    if labels is None:
-        labels = tuple(range(tree.n))
-    lines = [f"{labels[u]} {labels[v]}" for u, v in tree.edges]
-    return "\n".join(lines) + "\n"

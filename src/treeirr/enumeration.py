@@ -1,4 +1,4 @@
-"""Exhaustive tree streams and the leaf-relocation move.
+"""Exhaustive tree streams.
 
 :func:`all_trees` is the one enumerator of unlabeled trees: it walks
 canonical level sequences (a recursive-generation scheme).
@@ -11,7 +11,6 @@ holds the two to agreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -153,49 +152,3 @@ def trees_with_degree_sequence(
         found.setdefault(canonical_code(t), t)
     for key in sorted(found):
         yield found[key]
-
-
-@dataclass(frozen=True)
-class RelocationStep:
-    """Record of one leaf relocation: who moved where and the degree effect."""
-
-    support: int
-    donor: int
-    recipient: int
-    degrees_before: tuple[int, int, int]
-    degrees_after: tuple[int, int, int]
-
-
-def relocate_leaf(t: Tree, y: int, donor: int, recipient: int) -> tuple[Tree, RelocationStep]:
-    """Detach leaf ``donor`` from ``y`` and hang it on ``recipient``.
-
-    ``recipient`` must be another neighbor of ``y``; the move needs
-    ``degree(y) >= 3``. The result is again a tree of the same order with
-    exactly the degrees of ``y`` and ``recipient`` shifted by one.
-    """
-    n = t.n
-    for v in (y, donor, recipient):
-        if not 0 <= v < n:
-            raise ValueError(f"vertex id out of range 0..{n - 1}: {v}")
-    lam = t.degree(y)
-    if lam < 3:
-        raise ValueError(f"lambda below 3: degree({y}) = {lam}")
-    if donor not in t.adjacency[y] or t.degree(donor) != 1:
-        raise ValueError(f"donor {donor} is not a leaf attached to {y}")
-    if recipient == donor or recipient not in t.adjacency[y]:
-        raise ValueError(f"recipient {recipient} is not another neighbor of {y}")
-    dropped = (y, donor) if y < donor else (donor, y)
-    added = (recipient, donor) if recipient < donor else (donor, recipient)
-    edges = [e for e in t.edges if e != dropped]
-    edges.append(added)
-    out = Tree(n, edges)
-    step = RelocationStep(
-        support=y,
-        donor=donor,
-        recipient=recipient,
-        degrees_before=(lam, 1, t.degree(recipient)),
-        degrees_after=(out.degree(y), out.degree(donor), out.degree(recipient)),
-    )
-    if step.degrees_after != (lam - 1, 1, t.degree(recipient) + 1):
-        raise RuntimeError(f"relocation broke its degree post-condition: {step}")
-    return out, step

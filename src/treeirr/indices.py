@@ -43,30 +43,3 @@ def total_irregularity_by_sequence(t: Tree) -> int:
     ordered = sorted((len(a) for a in t.adjacency), reverse=True)
     weighted = sum(i * d for i, d in enumerate(ordered, start=1))
     return 2 * (n + 1) * m - 2 * weighted
-
-
-def path_imbalance(t: Tree, u: int, v: int) -> int:
-    """Accumulated |degree difference| along the unique u-v path."""
-    n = t.n
-    if not (0 <= u < n) or not (0 <= v < n):
-        raise ValueError(f"vertex id out of range 0..{n - 1}: {u}, {v}")
-    if u == v:
-        return 0
-    parent = [-1] * n
-    parent[u] = u
-    queue = [u]
-    for x in queue:
-        if x == v:
-            break
-        for y in t.adjacency[x]:
-            if parent[y] < 0:
-                parent[y] = x
-                queue.append(y)
-    deg = [len(a) for a in t.adjacency]
-    total = 0
-    x = v
-    while x != u:
-        p = parent[x]
-        total += abs(deg[x] - deg[p])
-        x = p
-    return total

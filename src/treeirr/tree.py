@@ -1,4 +1,4 @@
-"""Immutable trees on dense vertex ids, canonical codes, isomorphism."""
+"""Immutable trees on dense vertex ids and their canonical codes."""
 
 from __future__ import annotations
 
@@ -18,11 +18,11 @@ class Tree:
 
     The constructor validates everything: exactly ``n-1`` edges, no loops
     or duplicates, ids in range, connected. Degree sums to ``2(n-1)`` by
-    consequence. It and :meth:`from_edges` are the entry points for
-    untrusted pairs. Two private builders skip the checks for input that
-    is already known to be a tree: :meth:`_unchecked` (normalized edge
-    pairs) and :meth:`_from_levels` (a level sequence). Their callers, and
-    the tests that rebuild each caller's output through the constructor:
+    consequence. It is the entry point for untrusted pairs. Two private
+    builders skip the checks for input that is already known to be a
+    tree: :meth:`_unchecked` (normalized edge pairs) and
+    :meth:`_from_levels` (a level sequence). Their callers, and the tests
+    that rebuild each caller's output through the constructor:
 
     - ``all_trees`` via :meth:`_from_levels`: ``TestFromLevels`` in
       ``tests/test_tree.py``;
@@ -131,22 +131,6 @@ class Tree:
         t._code = None
         return t
 
-    @classmethod
-    def from_edges(cls, edges: Iterable[tuple[int, int]], n: int | None = None) -> "Tree":
-        """Build a tree, inferring the order from the largest id if omitted."""
-        edges = [tuple(e) for e in edges]
-        if n is None:
-            if not edges:
-                raise TreeError("cannot infer order from an empty edge list")
-            n = max(max(u, v) for u, v in edges) + 1
-        return cls(n, edges)
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def leaves(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if len(self.adjacency[v]) == 1)
 
@@ -189,13 +173,6 @@ def canonical_code(t: Tree) -> CanonicalCode:
     if t._code is None:
         t._code = _kernels.canon_code(t.n, t.edges)
     return t._code
-
-
-def is_isomorphic(a: Tree, b: Tree) -> bool:
-    """True iff an adjacency-preserving bijection between the trees exists."""
-    if a.n != b.n:
-        return False
-    return canonical_code(a) == canonical_code(b)
 
 
 def is_caterpillar(t: Tree) -> bool:

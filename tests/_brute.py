@@ -1,10 +1,13 @@
 """Independent brute-force oracles for the test suite.
 
-Apart from :func:`all_trees_by_realization`, nothing here imports the
-library: every function works on a plain order ``n`` plus an edge list, so
-the values these produce are computed along a second, unrelated path.
+Apart from :func:`all_trees_by_realization` and :func:`relocate_leaf`
+(which builds a validated ``Tree``), nothing here imports the library:
+every other function works on a plain order ``n`` plus an edge list, or
+on a tuple of degrees, so the values these produce are computed along a
+second, unrelated path.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -24,6 +27,30 @@ def brute_indices(n, edges):
         "m1": sum(d * d for d in deg),
         "m2": sum(deg[u] * deg[v] for u, v in edges),
     }
+
+
+def degree_sequence_of(n, edges):
+    """Degrees counted from the edge list, sorted non-increasing."""
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    return tuple(sorted(deg, reverse=True))
+
+
+def tree_graphical(values):
+    """Whether some tree has exactly these degrees.
+
+    That is ``(0,)``, or ``n >= 2`` positive entries summing to ``2(n-1)``.
+    """
+    if len(values) == 1:
+        return tuple(values) == (0,)
+    return all(x >= 1 for x in values) and sum(values) == 2 * (len(values) - 1)
+
+
+def edge_list_text(edges, labels):
+    """An edge-list document naming each dense id ``i`` by ``labels[i]``."""
+    return "".join(f"{labels[u]} {labels[v]}\n" for u, v in edges)
 
 
 def is_connected(n, edges):
@@ -130,3 +157,52 @@ def all_trees_by_realization(n):
         for t in trees_with_degree_sequence(seq):
             found.setdefault(canonical_code(t), t)
     return [found[key] for key in sorted(found)]
+
+
+@dataclass(frozen=True)
+class RelocationStep:
+    """Record of one leaf relocation: who moved where and the degree effect."""
+
+    support: int
+    donor: int
+    recipient: int
+    degrees_before: tuple[int, int, int]
+    degrees_after: tuple[int, int, int]
+
+
+def relocate_leaf(t, y, donor, recipient):
+    """Detach leaf ``donor`` from ``y`` and hang it on ``recipient``.
+
+    ``recipient`` must be another neighbor of ``y``; the move needs
+    ``degree(y) >= 3``. The result is again a tree of the same order with
+    exactly the degrees of ``y`` and ``recipient`` shifted by one.
+    """
+    from treeirr import Tree
+
+    n = t.n
+    for v in (y, donor, recipient):
+        if not 0 <= v < n:
+            raise ValueError(f"vertex id out of range 0..{n - 1}: {v}")
+    lam = len(t.adjacency[y])
+    if lam < 3:
+        raise ValueError(f"lambda below 3: degree({y}) = {lam}")
+    if donor not in t.adjacency[y] or len(t.adjacency[donor]) != 1:
+        raise ValueError(f"donor {donor} is not a leaf attached to {y}")
+    if recipient == donor or recipient not in t.adjacency[y]:
+        raise ValueError(f"recipient {recipient} is not another neighbor of {y}")
+    dropped = (y, donor) if y < donor else (donor, y)
+    added = (recipient, donor) if recipient < donor else (donor, recipient)
+    edges = [e for e in t.edges if e != dropped]
+    edges.append(added)
+    out = Tree(n, edges)
+    adj, adj_out = t.adjacency, out.adjacency
+    step = RelocationStep(
+        support=y,
+        donor=donor,
+        recipient=recipient,
+        degrees_before=(lam, 1, len(adj[recipient])),
+        degrees_after=(len(adj_out[y]), len(adj_out[donor]), len(adj_out[recipient])),
+    )
+    if step.degrees_after != (lam - 1, 1, len(adj[recipient]) + 1):
+        raise RuntimeError(f"relocation broke its degree post-condition: {step}")
+    return out, step

@@ -4,12 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeirr import Tree, is_isomorphic, prufer_decode
+from treeirr import Tree, canonical_code, prufer_decode
 from treeirr.cli import main
 from treeirr.claims import fig2_text
-from treeirr.edgelist import ParseError, format_edge_list, parse_edge_list, parse_tree
+from treeirr.edgelist import ParseError, parse_edge_list
 
-from _brute import brute_indices
+from _brute import brute_indices, edge_list_text
 
 
 @pytest.fixture()
@@ -21,10 +21,10 @@ def fig2_file(tmp_path):
 
 class TestParsing:
     def test_path(self):
-        assert parse_tree("0 1\n1 2\n").edges == ((0, 1), (1, 2))
+        assert parse_edge_list("0 1\n1 2\n").tree.edges == ((0, 1), (1, 2))
 
     def test_comments_and_blanks(self):
-        assert parse_tree("# demo\n\n0 1\n").n == 2
+        assert parse_edge_list("# demo\n\n0 1\n").tree.n == 2
 
     def test_relabels_gaps(self):
         parsed = parse_edge_list("10 40\n40 70\n")
@@ -33,35 +33,35 @@ class TestParsing:
 
     def test_cycle_line_number(self):
         with pytest.raises(ParseError, match="line 3: edge closes a cycle"):
-            parse_tree("0 1\n1 2\n2 0\n")
+            parse_edge_list("0 1\n1 2\n2 0\n")
 
     def test_disconnected(self):
         with pytest.raises(ParseError, match="disconnected"):
-            parse_tree("0 1\n2 3\n")
+            parse_edge_list("0 1\n2 3\n")
 
     def test_self_loop(self):
         with pytest.raises(ParseError, match="line 1: self-loop"):
-            parse_tree("5 5\n")
+            parse_edge_list("5 5\n")
 
     def test_duplicate(self):
         with pytest.raises(ParseError, match="line 2: duplicate"):
-            parse_tree("0 1\n1 0\n0 2\n")
+            parse_edge_list("0 1\n1 0\n0 2\n")
 
     def test_malformed(self):
         with pytest.raises(ParseError, match="line 2"):
-            parse_tree("0 1\n1 2 3\n")
+            parse_edge_list("0 1\n1 2 3\n")
         with pytest.raises(ParseError, match="non-integer"):
-            parse_tree("a b\n")
+            parse_edge_list("a b\n")
 
     def test_empty(self):
         with pytest.raises(ParseError, match="no edges"):
-            parse_tree("# nothing\n")
+            parse_edge_list("# nothing\n")
 
     def test_round_trip_isomorphic(self):
         parsed = parse_edge_list(fig2_text())
-        again = parse_edge_list(format_edge_list(parsed.tree, parsed.labels))
+        again = parse_edge_list(edge_list_text(parsed.tree.edges, parsed.labels))
         assert again.tree == parsed.tree
-        assert is_isomorphic(again.tree, parsed.tree)
+        assert canonical_code(again.tree) == canonical_code(parsed.tree)
 
     @pytest.mark.parametrize(
         "text, line, message",
@@ -181,6 +181,29 @@ class TestStreams:
         out = capsys.readouterr().out
         assert "12" in out and out.count("witness") == 1
 
+    def test_realize_needs_a_source(self, capsys):
+        assert main(["realize"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: treeirr realize")
+        assert "one of the arguments --seq --file is required" in err
+
+    def test_realize_takes_one_source(self, tmp_path, capsys):
+        seq_file = tmp_path / "seq.txt"
+        seq_file.write_text("3 2 2 1 1 1\n")
+        assert main(["realize", "--file", str(seq_file)]) == 0
+        assert "count: 2" in capsys.readouterr().out
+        assert main(["realize", "--seq", "1 1", "--file", str(seq_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --file: not allowed with argument --seq" in captured.err
+
+    def test_extremal_n_must_match_sequence(self, capsys):
+        rest = ["--seq", "3 1 1 1", "--index", "irr", "--objective", "max"]
+        assert main(["extremal", "--n", "9", *rest]) == 2
+        assert "degree sequence length disagrees with class order" in capsys.readouterr().err
+        assert main(["extremal", "--n", "4", *rest]) == 0
+        assert "over n=4 seq=(3,1,1,1): 6" in capsys.readouterr().out
+
 
 class TestFormulaCommand:
     def test_value(self, capsys):
@@ -232,6 +255,13 @@ class TestVerifyAndReport:
         assert main(["report", "--claims", "table1", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["errors"] == []
+
+    @pytest.mark.parametrize("verb", [["verify", "--claim", "irr-decrease"], ["report"]])
+    def test_negative_witness_cap_rejected(self, verb, capsys):
+        assert main(verb + ["--witness-cap", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --witness-cap: must be >= 0, got -3" in captured.err
 
     def test_verify_json_matches_report_record(self, capsys):
         assert main(["verify", "--claim", "star-albertson", "--n-max", "6", "--json"]) == 0

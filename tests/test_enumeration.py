@@ -11,7 +11,6 @@ from treeirr import (
     degrees,
     path,
     prufer_decode,
-    relocate_leaf,
     star,
     tree_degree_sequences,
     trees_with_degree_sequence,
@@ -20,7 +19,13 @@ from treeirr import (
 from treeirr import _kernels, enumeration
 from treeirr.enumeration import realization_count
 
-from _brute import brute_canonical, spanning_trees, unlabeled_tree_count
+from _brute import (
+    brute_canonical,
+    relocate_leaf,
+    spanning_trees,
+    tree_graphical,
+    unlabeled_tree_count,
+)
 
 
 @pytest.fixture
@@ -121,7 +126,7 @@ class TestDegreeSequences:
     def test_all_tree_graphical(self):
         for n in range(1, 10):
             for seq in tree_degree_sequences(n):
-                assert seq.tree_graphical
+                assert tree_graphical(seq.values)
 
     def test_covers_every_tree(self):
         for n in range(2, 9):

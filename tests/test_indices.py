@@ -6,7 +6,6 @@ from treeirr import (
     all_trees,
     compute_indices,
     path,
-    path_imbalance,
     prufer_decode,
     star,
     total_irregularity_by_sequence,
@@ -119,27 +118,3 @@ class TestTotalIrregularityBySequence:
             for t in all_trees(n):
                 assert total_irregularity_by_sequence(t) == compute_indices(t).irr_t
 
-
-class TestPathImbalance:
-    def test_path4_endpoints(self):
-        assert path_imbalance(path(4), 0, 3) == 2
-
-    def test_star_center_to_leaf(self):
-        assert path_imbalance(star(4), 0, 1) == 3
-
-    def test_fixture_leaf_to_leaf(self):
-        # Leaf 1 up to the hub, across, and down to a pendant below vertex 4.
-        assert path_imbalance(load_fig2_tree(), 1, 7) == 6
-
-    def test_same_vertex(self):
-        assert path_imbalance(path(5), 2, 2) == 0
-
-    def test_symmetry(self):
-        t = load_fig2_tree()
-        for u in range(t.n):
-            for v in range(t.n):
-                assert path_imbalance(t, u, v) == path_imbalance(t, v, u)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            path_imbalance(path(4), 0, 4)
