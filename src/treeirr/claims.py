@@ -31,12 +31,7 @@ from . import __version__
 from ._kernels import BACKEND
 from .degseq import DegreeSequence, caterpillar, star
 from .edgelist import parse_edge_list
-from .enumeration import (
-    EnumerationGuard,
-    all_trees,
-    tree_degree_sequences,
-    trees_with_degree_sequence,
-)
+from .enumeration import EnumerationGuard, all_trees, tree_degree_sequences
 from .formulas import (
     floor_bound_value,
     hyp_four_bounds_values,
@@ -100,6 +95,28 @@ class TreeClass:
             parts.append("caterpillar")
         return " ".join(parts)
 
+    def trees(self) -> Iterator[Tree]:
+        """The trees of the class, in ``all_trees`` order (ascending canonical code).
+
+        The one filter over ``all_trees(n)`` for every class query. A tree's
+        degrees are read once, and only when ``delta`` or ``degree_sequence``
+        is set; its sorted degrees must equal the sequence.
+        """
+        delta = self.delta
+        seq = None if self.degree_sequence is None else self.degree_sequence.values
+        caterpillar_only = self.caterpillar_only
+        read_degrees = delta is not None or seq is not None
+        for t in all_trees(self.n):
+            if read_degrees:
+                deg = degrees(t)
+                if delta is not None and max(deg) != delta:
+                    continue
+                if seq is not None and tuple(sorted(deg, reverse=True)) != seq:
+                    continue
+            if caterpillar_only and not is_caterpillar(t):
+                continue
+            yield t
+
 
 @dataclass(frozen=True)
 class ExtremalResult:
@@ -115,7 +132,6 @@ class PermSearchResult:
     base: tuple[int, ...]
     interpretation: str
     evaluations: tuple[tuple[tuple[int, ...], int], ...]
-    skipped: int
     max_value: int
     min_value: int
     argmax: tuple[tuple[int, ...], ...]
@@ -200,8 +216,10 @@ def extremal_over_class(
 ) -> ExtremalResult:
     """Exact optimum of one index over the class, with every witness.
 
-    The class is enumerated outright (guarded by ``max_order``), so the
-    result is certified rather than heuristic.
+    The class is enumerated outright by :meth:`TreeClass.trees` (guarded
+    by ``max_order``), so the result is certified rather than heuristic.
+    Witnesses come in ascending canonical code, each with the edge list of
+    its ``all_trees`` representative (level-sequence labels).
     """
     if index not in _INDEX_KEYS:
         raise ValueError(f"unknown index {index!r} (expected irr, sigma or irr_T)")
@@ -209,20 +227,13 @@ def extremal_over_class(
         raise ValueError(f"objective must be min or max, got {objective!r}")
     if tree_class.n > max_order:
         raise EnumerationGuard(f"class order {tree_class.n} above guard {max_order}")
-    if tree_class.degree_sequence is not None:
-        if tree_class.degree_sequence.n != tree_class.n:
-            raise ValueError("degree sequence length disagrees with class order")
-        stream: Iterator[Tree] = trees_with_degree_sequence(tree_class.degree_sequence)
-    else:
-        stream = all_trees(tree_class.n)
+    seq = tree_class.degree_sequence
+    if seq is not None and seq.n != tree_class.n:
+        raise ValueError("degree sequence length disagrees with class order")
     attr = _INDEX_KEYS[index]
     best: int | None = None
     witnesses: list[tuple[str, str]] = []
-    for t in stream:
-        if tree_class.delta is not None and max(degrees(t)) != tree_class.delta:
-            continue
-        if tree_class.caterpillar_only and not is_caterpillar(t):
-            continue
+    for t in tree_class.trees():
         value = getattr(compute_indices(t), attr)
         if best is None or (value > best if objective == "max" else value < best):
             best = value
@@ -231,7 +242,6 @@ def extremal_over_class(
             witnesses.append((canonical_code(t).decode("ascii"), _edges_str(t)))
     if best is None:
         raise ValueError(f"empty tree class: {tree_class.describe()}")
-    witnesses.sort()
     return ExtremalResult(
         class_description=tree_class.describe(),
         index=index,
@@ -261,17 +271,11 @@ def perm_search(degree_tuple: Sequence[int], interpretation: str) -> PermSearchR
         raise ValueError("caterpillar interpretation needs all values >= 2")
     orderings = sorted(set(permutations(base)))
     evaluations: list[tuple[tuple[int, ...], int]] = []
-    skipped = 0
     for p in orderings:
         if interpretation == "formula":
             value = sigma_ordered_value(p)
         else:
-            try:
-                t = caterpillar(p)
-            except ValueError:
-                skipped += 1
-                continue
-            value = compute_indices(t).sigma
+            value = compute_indices(caterpillar(p)).sigma
         evaluations.append((p, value))
     values = [v for _, v in evaluations]
     mx, mn = max(values), min(values)
@@ -287,7 +291,6 @@ def perm_search(degree_tuple: Sequence[int], interpretation: str) -> PermSearchR
         base=base,
         interpretation=interpretation,
         evaluations=tuple(evaluations),
-        skipped=skipped,
         max_value=mx,
         min_value=mn,
         argmax=argmax,
@@ -335,12 +338,11 @@ class _Tally:
 
 
 def _seq_extremes(seq: DegreeSequence, attr: str) -> tuple[int, int]:
-    # Min and max over the trees of all_trees(n) that realize the sequence;
-    # trees_with_degree_sequence stays out of this path as its oracle.
+    # Min and max over the trees that realize the sequence; the Prüfer
+    # realizer stays out of this path as its test oracle.
     values = [
         getattr(compute_indices(t), attr)
-        for t in all_trees(seq.n)
-        if tuple(sorted(degrees(t), reverse=True)) == seq.values
+        for t in TreeClass(seq.n, degree_sequence=seq).trees()
     ]
     return min(values), max(values)
 
@@ -800,9 +802,7 @@ def _check_table1(params, tally):
 def _check_caterpillar_support(params, tally):
     groups: dict[tuple[int, int], list[tuple[int, Tree]]] = {}
     for n in range(2, params["n_max"] + 1):
-        for t in all_trees(n):
-            if not is_caterpillar(t):
-                continue
+        for t in TreeClass(n, caterpillar_only=True).trees():
             pendants = len(t.leaves())
             groups.setdefault((n, pendants), []).append((compute_indices(t).irr, t))
     weak_violations = 0
@@ -1142,6 +1142,9 @@ def verify(
         if unknown:
             raise ValueError(f"unknown parameters for {claim_id}: {sorted(unknown)}")
         merged.update({k: int(v) for k, v in params.items()})
+    low = [f"{k}={v}" for k, v in sorted(merged.items()) if v < 1]
+    if low:
+        raise ValueError(f"parameters of {claim_id} must be >= 1, got {', '.join(low)}")
     tally = _Tally(witness_cap)
     start = time.perf_counter()
     notes = check(merged, tally)

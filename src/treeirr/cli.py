@@ -45,14 +45,21 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected whitespace-separated integers, got {text!r}") from None
 
 
-def _non_negative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_non_negative = _int_at_least(0)
+_positive = _int_at_least(1)
 
 
 def _bundle_pairs(t: Tree) -> list[tuple[str, int]]:
@@ -212,7 +219,6 @@ def _cmd_permsearch(args) -> int:
         "base": list(result.base),
         "interpretation": result.interpretation,
         "orderings": len(result.evaluations),
-        "skipped": result.skipped,
         "max": result.max_value,
         "min": result.min_value,
         "argmax": [list(p) for p in result.argmax],
@@ -228,10 +234,7 @@ def _cmd_permsearch(args) -> int:
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        print(
-            f"{result.interpretation}: {len(result.evaluations)} orderings"
-            + (f" ({result.skipped} skipped)" if result.skipped else "")
-        )
+        print(f"{result.interpretation}: {len(result.evaluations)} orderings")
         print(f"max: {result.max_value} at {len(result.argmax)} orderings")
         print(f"min: {result.min_value} at {len(result.argmin)} orderings")
         if result.reference is not None:
@@ -323,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one cataloged claim")
     p.add_argument("--claim", choices=list(CLAIM_IDS), required=True)
-    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--n-max", type=_positive, default=None)
     p.add_argument("--witness-cap", type=_non_negative, default=25)
     p.add_argument("--all-witnesses", action="store_true")
     p.add_argument("--timings", action="store_true")
@@ -332,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="run many claims into one report")
     p.add_argument("--claims", help="comma-separated claim ids (default: all)")
-    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--n-max", type=_positive, default=None)
     p.add_argument("--witness-cap", type=_non_negative, default=25)
     p.add_argument("--all-witnesses", action="store_true")
     p.add_argument("--jobs", type=int, default=1)

@@ -3,10 +3,11 @@
 :func:`all_trees` is the one enumerator of unlabeled trees: it walks
 canonical level sequences (a recursive-generation scheme).
 :func:`trees_with_degree_sequence` realizes one tree-graphical degree
-multiset through Prüfer codes and deduplicates by canonical code; the
-``realize`` command runs on it. The test suite builds an independent twin
-of :func:`all_trees` from it, over every degree multiset of an order, and
-holds the two to agreement.
+multiset through Prüfer codes and deduplicates by canonical code. The
+``realize`` command is its only CLI user: ``extremal --seq`` and the claims
+filter :func:`all_trees` instead (``claims.TreeClass.trees``). The test
+suite builds an independent twin of :func:`all_trees` from it, over every
+degree multiset of an order, and holds the two to agreement.
 """
 
 from __future__ import annotations

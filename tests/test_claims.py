@@ -72,6 +72,27 @@ class TestCatalog:
         with pytest.raises(ValueError, match="unknown parameters"):
             verify("sandwich", {"depth": 3})
 
+    @pytest.mark.parametrize(
+        "claim_id, params",
+        [
+            ("star-albertson", {"n_max": -1}),
+            ("sandwich", {"n_max": 0}),
+            ("irr-decrease", {"n_max": 0}),
+            ("cor3-part1", {"d_max": 0}),
+            ("sigma-ordered", {"deg_max": -2}),
+        ],
+    )
+    def test_parameter_below_one_rejected(self, claim_id, params):
+        ((key, value),) = params.items()
+        with pytest.raises(ValueError, match=f"must be >= 1, got {key}={value}"):
+            verify(claim_id, params)
+
+    def test_small_parameter_checks_nothing(self):
+        # Legal but below the claim's smallest instance: no support of
+        # degree >= 11 fits in order 11.
+        r = verify("sigma-increase", {"n_max": 11})
+        assert (r.verdict, r.checked, r.violations) == ("holds", 0, 0)
+
 
 class TestFixtures:
     def test_table1_transcription_checksum(self):
@@ -333,14 +354,33 @@ def _assert_matches_recompute(t, moves):
 
 class TestEnumerationOnce:
     def test_sequence_extremes_match_realization(self):
-        # The claims take per-sequence extremes from all_trees; the Prüfer
-        # realization enumerator stays their independent oracle.
-        for n in range(3, 10):
+        # The claims and extremal take per-sequence classes from all_trees;
+        # the Prüfer realization enumerator stays their independent oracle.
+        # extremal_over_class must give the same optimum and the same
+        # witness codes in ascending order, each witness edge list a tree
+        # of its code.
+        for n in range(1, 10):
             for seq in tree_degree_sequences(n):
-                bundles = [compute_indices(t) for t in trees_with_degree_sequence(seq)]
+                oracle = [
+                    (canonical_code(t).decode("ascii"), compute_indices(t))
+                    for t in trees_with_degree_sequence(seq)
+                ]
                 for attr in ("irr", "sigma"):
-                    values = [getattr(b, attr) for b in bundles]
+                    values = [getattr(b, attr) for _, b in oracle]
                     assert _seq_extremes(seq, attr) == (min(values), max(values)), (seq, attr)
+                klass = TreeClass(n, degree_sequence=seq)
+                for index, attr in (("irr", "irr"), ("sigma", "sigma"), ("irr_T", "irr_t")):
+                    for objective, pick in (("min", min), ("max", max)):
+                        best = pick(getattr(b, attr) for _, b in oracle)
+                        r = extremal_over_class(klass, index, objective)
+                        codes = sorted(c for c, b in oracle if getattr(b, attr) == best)
+                        assert r.value == best, (seq, index, objective)
+                        assert [c for c, _ in r.witnesses] == codes, (seq, index, objective)
+                        for code, edge_text in r.witnesses:
+                            edges = [tuple(map(int, e.split("-"))) for e in edge_text.split()]
+                            t = Tree(n, edges)
+                            assert canonical_code(t).decode("ascii") == code
+                            assert tuple(sorted(degrees(t), reverse=True)) == seq.values
 
     def test_report_generates_each_order_once(self, monkeypatch):
         from treeirr import _kernels, degseq, enumeration
@@ -365,6 +405,28 @@ class TestEnumerationOnce:
         assert sorted(orders) == list(range(1, 11))
         assert decodes == []
         # The counters do see the realization path when it runs.
+        list(trees_with_degree_sequence((2, 2, 1, 1)))
+        assert decodes
+
+    def test_extremal_seq_decodes_nothing(self, monkeypatch, capsys):
+        # extremal --seq filters all_trees; it never runs the Prüfer realizer.
+        from treeirr import degseq, enumeration
+        from treeirr.cli import main
+
+        decodes = []
+        prufer = degseq.prufer_decode
+
+        def counted_decode(code, n):
+            decodes.append(n)
+            return prufer(code, n)
+
+        for module in (degseq, enumeration):
+            monkeypatch.setattr(module, "prufer_decode", counted_decode)
+        argv = ["extremal", "--seq", "3 3 2 2 1 1 1 1", "--index", "irr", "--objective", "max"]
+        assert main(argv) == 0
+        assert "max irr over n=8 seq=(3,3,2,2,1,1,1,1): " in capsys.readouterr().out
+        assert decodes == []
+        # The counter does see the realization path when it runs.
         list(trees_with_degree_sequence((2, 2, 1, 1)))
         assert decodes
 
@@ -537,6 +599,17 @@ class TestExtremal:
         r = extremal_over_class(TreeClass(n=7, caterpillar_only=True), "irr", "min")
         assert r.value == 2
 
+    def test_degree_sequence_above_code_cap(self, capsys):
+        # 14,968,800 Prüfer arrangements, above the realizer's 10^7 cap;
+        # the class filter answers from all_trees(14).
+        from treeirr.cli import main
+
+        values = "3 3 3 3 3 2 2 1 1 1 1 1 1 1"
+        assert main(["extremal", "--seq", values, "--index", "irr", "--objective", "max"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("max irr over n=14 seq=(3,3,3,3,3,2,2,1,1,1,1,1,1,1): 18\n")
+        assert out.count("witness: ") == 8
+
     def test_empty_class(self):
         with pytest.raises(ValueError, match="empty tree class"):
             extremal_over_class(TreeClass(n=5, delta=5), "irr", "max")
@@ -555,7 +628,7 @@ class TestExtremal:
 class TestPermSearch:
     def test_formula_interpretation_frozen(self):
         r = perm_search((4, 8, 10, 14, 18, 20), "formula")
-        assert len(r.evaluations) == 720 and r.skipped == 0
+        assert len(r.evaluations) == 720
         assert (r.max_value, r.min_value) == (18434, 17354)
         assert r.argmax == ((10, 14, 18, 4, 20, 8),)
         assert r.argmin == ((20, 4, 8, 10, 14, 18),)
@@ -565,7 +638,7 @@ class TestPermSearch:
 
     def test_caterpillar_interpretation_frozen(self):
         r = perm_search((4, 8, 10, 14, 18, 20), "caterpillar")
-        assert len(r.evaluations) == 720 and r.skipped == 0
+        assert len(r.evaluations) == 720
         assert (r.max_value, r.min_value) == (15236, 14344)
         assert len(r.argmax) == 2 and len(r.argmin) == 2
         assert r.matches_reference_max is False and r.matches_reference_min is False
@@ -584,7 +657,7 @@ class TestPermSearch:
 
     def test_multiset_ordering_count(self):
         r = perm_search((2, 2, 3, 3), "formula")
-        assert len(r.evaluations) + r.skipped == 6
+        assert len(r.evaluations) == 6
 
     def test_caterpillar_rejects_pendant_degrees(self):
         with pytest.raises(ValueError, match=">= 2"):

@@ -263,6 +263,21 @@ class TestVerifyAndReport:
         assert captured.out == ""
         assert "argument --witness-cap: must be >= 0, got -3" in captured.err
 
+    @pytest.mark.parametrize(
+        "verb, value",
+        [
+            (["verify", "--claim", "star-albertson"], "-1"),
+            (["verify", "--claim", "sandwich"], "0"),
+            (["report"], "0"),
+        ],
+    )
+    def test_n_max_below_one_rejected(self, verb, value, capsys):
+        assert main(verb + ["--n-max", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: treeirr {verb[0]}")
+        assert f"argument --n-max: must be >= 1, got {value}" in captured.err
+
     def test_verify_json_matches_report_record(self, capsys):
         assert main(["verify", "--claim", "star-albertson", "--n-max", "6", "--json"]) == 0
         alone = capsys.readouterr().out
@@ -297,6 +312,7 @@ class TestPermsearchCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["orderings"] == 3
         assert len(payload["evaluations"]) == 3
+        assert "skipped" not in payload
 
 
 class TestTable1Command:
