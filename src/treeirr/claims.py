@@ -29,9 +29,15 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from . import __version__
 from ._kernels import BACKEND
-from .degseq import DegreeSequence, caterpillar, star
+from .degseq import DegreeSequence, caterpillar_sigma, star
 from .edgelist import parse_edge_list
-from .enumeration import EnumerationGuard, all_trees, tree_degree_sequences
+from .enumeration import (
+    EnumerationGuard,
+    _canonical_levels,
+    _degrees_parents,
+    all_trees,
+    tree_degree_sequences,
+)
 from .formulas import (
     floor_bound_value,
     hyp_four_bounds_values,
@@ -42,7 +48,7 @@ from .formulas import (
     three_c_values,
 )
 from .indices import compute_indices, total_irregularity_by_sequence
-from .tree import Tree, canonical_code, degrees, is_caterpillar, strong_support_vertices
+from .tree import Tree, canonical_code, degrees, strong_support_vertices
 
 DEFAULT_WITNESS_CAP = 25
 DEFAULT_EXTREMAL_GUARD = 14
@@ -98,24 +104,50 @@ class TreeClass:
     def trees(self) -> Iterator[Tree]:
         """The trees of the class, in ``all_trees`` order (ascending canonical code).
 
-        The one filter over ``all_trees(n)`` for every class query. A tree's
-        degrees are read once, and only when ``delta`` or ``degree_sequence``
-        is set; its sorted degrees must equal the sequence.
+        The one filter over ``all_trees(n)`` for every class query. With no
+        constraint it is ``all_trees(n)``. Otherwise each tree of the order
+        is decided on the degrees and parents read off its level sequence
+        (``enumeration._degrees_parents``), and only the trees kept are
+        built, from the same slice, so labels and order are those of
+        ``all_trees``: the maximum degree must equal ``delta``, the sorted
+        degrees must equal the sequence, and a caterpillar's non-leaf
+        vertices each have at most two non-leaf neighbours.
         """
         delta = self.delta
-        seq = None if self.degree_sequence is None else self.degree_sequence.values
+        seq = None if self.degree_sequence is None else list(self.degree_sequence.values)
         caterpillar_only = self.caterpillar_only
-        read_degrees = delta is not None or seq is not None
-        for t in all_trees(self.n):
-            if read_degrees:
-                deg = degrees(t)
-                if delta is not None and max(deg) != delta:
-                    continue
-                if seq is not None and tuple(sorted(deg, reverse=True)) != seq:
-                    continue
-            if caterpillar_only and not is_caterpillar(t):
+        if delta is None and seq is None and not caterpillar_only:
+            yield from all_trees(self.n)
+            return
+        for code, levels in _canonical_levels(self.n):
+            deg, parent = _degrees_parents(levels)
+            if delta is not None and max(deg) != delta:
                 continue
-            yield t
+            if seq is not None and sorted(deg, reverse=True) != seq:
+                continue
+            if caterpillar_only and not _caterpillar_levels(deg, parent):
+                continue
+            yield Tree._from_levels(levels, code)
+
+
+def _caterpillar_levels(deg: list[int], parent: list[int]) -> bool:
+    """``is_caterpillar`` of the tree with these degrees and parents.
+
+    Removing the leaves leaves a path (or nothing) exactly when every
+    non-leaf vertex has at most two non-leaf neighbours: the non-leaf
+    vertices of a tree span a subtree. Each edge is seen once, from the
+    child. A vertex is seen as a child before any of its children, so its
+    count can pass two only while it is a parent, where it is checked.
+    """
+    inner = [0] * len(deg)
+    for i in range(1, len(deg)):
+        p = parent[i]
+        if deg[i] >= 2 and deg[p] >= 2:
+            inner[i] += 1
+            inner[p] += 1
+            if inner[p] > 2:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -255,8 +287,9 @@ def perm_search(degree_tuple: Sequence[int], interpretation: str) -> PermSearchR
     """Evaluate every distinct ordering of the tuple under one reading.
 
     ``formula`` feeds the permuted tuple to the ordered closed form;
-    ``caterpillar`` builds the caterpillar with that spine order and takes
-    its true sigma. Extremes come with all orderings attaining them and
+    ``caterpillar`` takes the true sigma of the caterpillar with that spine
+    order, summed over its edge classes (``degseq.caterpillar_sigma``)
+    without building it. Extremes come with all orderings attaining them and
     with match flags against the documented reference values when the
     multiset is the documented example.
     """
@@ -275,7 +308,7 @@ def perm_search(degree_tuple: Sequence[int], interpretation: str) -> PermSearchR
         if interpretation == "formula":
             value = sigma_ordered_value(p)
         else:
-            value = compute_indices(caterpillar(p)).sigma
+            value = caterpillar_sigma(p)[0]
         evaluations.append((p, value))
     values = [v for _, v in evaluations]
     mx, mn = max(values), min(values)
@@ -459,8 +492,16 @@ def _relocation_witnesses(t, y, lam, filter_name, donors, deltas, hit, value_key
                 }
 
 
-def _relocation_claim(params, tally, lam_ok, bad, value_key, apply_support_filter):
+def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filter, lam_max=None):
     """Shared engine for the relocation sweeps, over all trees up to ``n_max``.
+
+    Supports of degree ``lam_min`` to ``lam_max`` (``None``: no upper
+    bound) are admissible, with ``lam_min >= 3``. A support of degree
+    ``lam`` needs ``lam + 1`` vertices, so orders below ``lam_min + 1`` are
+    skipped. With ``lam_min > 3`` a tree whose maximum degree is below
+    ``lam_min`` is skipped on the degrees read off its level sequence,
+    before it is built; at ``lam_min == 3`` only the path would be, so
+    there every tree is built.
 
     ``bad(change, lam)`` decides whether a move that changes the index
     ``value_key`` by ``change`` violates the claim. It is decided once per
@@ -476,9 +517,21 @@ def _relocation_claim(params, tally, lam_ok, bad, value_key, apply_support_filte
     the filter split is reported in the notes.
     """
     pos = _DELTA_POS[value_key]
+
+    def lam_ok(lam):
+        return lam_min <= lam and (lam_max is None or lam <= lam_max)
+
     per_filter = {"strict": [0, 0], "tied": [0, 0], "unfiltered": [0, 0]}
-    for n in range(2, params["n_max"] + 1):
-        for t in all_trees(n):
+    for n in range(lam_min + 1, params["n_max"] + 1):
+        if lam_min > 3:
+            trees = (
+                Tree._from_levels(levels, code)
+                for code, levels in _canonical_levels(n)
+                if max(_degrees_parents(levels)[0]) >= lam_min
+            )
+        else:
+            trees = all_trees(n)
+        for t in trees:
             for y, lam, strict, tied, donors, deltas in _tree_relocations(
                 t, lam_ok, apply_support_filter
             ):
@@ -845,7 +898,7 @@ def _check_irr_decrease(params, tally):
     return _relocation_claim(
         params,
         tally,
-        lam_ok=lambda lam: lam >= 3,
+        lam_min=3,
         bad=lambda change, lam: not change < 0,
         value_key="irr",
         apply_support_filter=True,
@@ -864,7 +917,7 @@ def _check_irr_decrease_bound(params, tally):
     return _relocation_claim(
         params,
         tally,
-        lam_ok=lambda lam: lam >= 3,
+        lam_min=3,
         bad=lambda change, lam: not -change < 3 * lam - 6,
         value_key="irr",
         apply_support_filter=True,
@@ -1000,7 +1053,8 @@ def _check_sigma_decrease(params, tally):
     return _relocation_claim(
         params,
         tally,
-        lam_ok=lambda lam: 3 < lam < 10,
+        lam_min=4,
+        lam_max=9,
         bad=lambda change, lam: not change < 0,
         value_key="sigma",
         apply_support_filter=False,
@@ -1018,7 +1072,7 @@ def _check_sigma_increase(params, tally):
     notes = _relocation_claim(
         params,
         tally,
-        lam_ok=lambda lam: lam >= 11,
+        lam_min=11,
         bad=lambda change, lam: not change > 0,
         value_key="sigma",
         apply_support_filter=False,
@@ -1064,15 +1118,14 @@ def _check_sigma_ordered(params, tally):
                 yield (v,) + rest
 
     def check(spine):
-        t = caterpillar(spine)
-        true_sigma = compute_indices(t).sigma
+        true_sigma, order = caterpillar_sigma(spine)
         value = sigma_ordered_value(spine)
         if value != true_sigma:
             return {
                 "spine": str(spine),
                 "formula": value,
                 "sigma": true_sigma,
-                "order": t.n,
+                "order": order,
             }
 
     tally.run((s for k in range(2, params["n_max"] + 1) for s in spines(k, 2)), check)

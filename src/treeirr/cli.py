@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=_positive, default=None)
     p.add_argument("--witness-cap", type=_non_negative, default=25)
     p.add_argument("--all-witnesses", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--deterministic", action="store_true", help="single worker, no timings")
     p.add_argument("--timings", action="store_true")
     p.add_argument("--json", action="store_true")

@@ -1,11 +1,13 @@
 """Exhaustive tree streams.
 
 :func:`all_trees` is the one enumerator of unlabeled trees: it walks
-canonical level sequences (a recursive-generation scheme).
-:func:`trees_with_degree_sequence` realizes one tree-graphical degree
+canonical level sequences (a recursive-generation scheme), read through
+:func:`_canonical_levels`. Claims that keep only some trees of an order
+decide on :func:`_degrees_parents` of those sequences and build the rest
+alone. :func:`trees_with_degree_sequence` realizes one tree-graphical degree
 multiset through Prüfer codes and deduplicates by canonical code. The
 ``realize`` command is its only CLI user: ``extremal --seq`` and the claims
-filter :func:`all_trees` instead (``claims.TreeClass.trees``). The test
+filter the canonical order instead (``claims.TreeClass.trees``). The test
 suite builds an independent twin of :func:`all_trees` from it, over every
 degree multiset of an order, and holds the two to agreement.
 """
@@ -13,11 +15,11 @@ degree multiset of an order, and holds the two to agreement.
 from __future__ import annotations
 
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import _kernels
 from .degseq import DegreeSequence, prufer_decode, validate_tree_sequence
-from .tree import Tree, canonical_code
+from .tree import CanonicalCode, Tree, canonical_code
 
 DEFAULT_MAX_ORDER = 16
 DEFAULT_CODE_CAP = 10_000_000
@@ -37,37 +39,64 @@ def _check_order(n: int, max_order: int) -> None:
 _CANONICAL_ORDERS: dict[int, bytes] = {}
 
 
+def _canonical_levels(
+    n: int, max_order: int = DEFAULT_MAX_ORDER
+) -> Iterable[tuple[CanonicalCode | None, bytes]]:
+    """``(code, levels)`` for each tree of ``all_trees(n)``, in its order.
+
+    The one reader of the canonical order. The call that first reaches an
+    order generates its level sequences, sorts them by the canonical code
+    each one holds (``_kernels.level_code``) and keeps them, before it
+    returns, as one ``bytes`` blob of n bytes per tree (72 KB for all
+    orders up to 14, 0.5 MB up to 16) for the rest of the process; it
+    returns the sorted pairs with their codes. Later calls read the blob,
+    with no generation, coding or sort, and their codes are ``None``.
+    Callers that filter on :func:`_degrees_parents` build only the trees
+    they keep, by ``Tree._from_levels`` on the same slice.
+    """
+    _check_order(n, max_order)
+    blob = _CANONICAL_ORDERS.get(n)
+    if blob is not None:
+        return ((None, blob[start : start + n]) for start in range(0, len(blob), n))
+    seqs = map(bytes, _kernels.level_sequences(n))
+    keyed = sorted((_kernels.level_code(seq), seq) for seq in seqs)
+    _CANONICAL_ORDERS[n] = b"".join(seq for _, seq in keyed)
+    return keyed
+
+
+def _degrees_parents(levels: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Degrees and parents of the tree of a level sequence, in one pass.
+
+    The rule of ``Tree._from_levels``: vertex ``i > 0`` hangs from the
+    latest earlier vertex one level up. The root's parent is ``-1``.
+    """
+    n = len(levels)
+    last = [0] * n  # last[d]: the latest vertex seen at level d
+    deg = [1] * n
+    parent = [-1] * n
+    deg[0] = 0
+    for i in range(1, n):
+        lv = levels[i]
+        p = last[lv - 1]
+        last[lv] = i
+        parent[i] = p
+        deg[p] += 1
+    return deg, parent
+
+
 def all_trees(n: int, max_order: int = DEFAULT_MAX_ORDER) -> Iterator[Tree]:
     """One representative per isomorphism class of trees on ``n`` vertices.
 
     Deterministic emission: ascending canonical code.
 
-    The first call for an order generates the level sequences and sorts
-    them by the canonical code each one holds (``_kernels.level_code``),
-    with no ``Tree`` built before the sort. Before it yields the first
-    tree, it keeps the sorted level sequences as one ``bytes`` blob of n
-    bytes per tree (72 KB for all orders up to 14, 0.5 MB up to 16) for
-    the rest of the process. It then builds the trees one at a time, each
-    carrying its canonical code. Later calls rebuild the trees from the
-    blob, with no generation, canonical coding or sort. Both calls build a
-    tree in one unvalidated pass over its level sequence
-    (``Tree._from_levels``), so a slice gives the same labeled tree as on
-    the first call and the output is identical; only the canonical code
-    is not yet cached on the rebuilt trees.
+    Each tree is built in one unvalidated pass over its slice of
+    :func:`_canonical_levels` (``Tree._from_levels``), so every call gives
+    the same labeled trees in the same order. On the call that generates
+    the order, each tree carries its canonical code; later calls skip the
+    generation, coding and sort, and their trees have no code cached yet.
     """
-    _check_order(n, max_order)
-    blob = _CANONICAL_ORDERS.get(n)
-    if blob is not None:
-        for start in range(0, len(blob), n):
-            yield Tree._from_levels(blob[start : start + n])
-        return
-    seqs = map(bytes, _kernels.level_sequences(n))
-    keyed = sorted((_kernels.level_code(seq), seq) for seq in seqs)
-    _CANONICAL_ORDERS[n] = b"".join(seq for _, seq in keyed)
-    for code, seq in keyed:
-        t = Tree._from_levels(seq)
-        t._code = code
-        yield t
+    for code, levels in _canonical_levels(n, max_order):
+        yield Tree._from_levels(levels, code)
 
 
 def tree_degree_sequences(n: int) -> Iterator[DegreeSequence]:

@@ -24,7 +24,9 @@ class Tree:
     :meth:`_from_levels` (a level sequence). Their callers, and the tests
     that rebuild each caller's output through the constructor:
 
-    - ``all_trees`` via :meth:`_from_levels`: ``TestFromLevels`` in
+    - ``all_trees``, and the claims that filter ``all_trees``' level
+      sequences before building (``claims.TreeClass.trees`` and the
+      relocation sweeps), via :meth:`_from_levels`: ``TestFromLevels`` in
       ``tests/test_tree.py``;
     - ``edgelist.parse_edge_list``, after its own line-numbered checks:
       ``TestParserOracle`` in ``tests/test_cli.py``;
@@ -102,7 +104,7 @@ class Tree:
         return t
 
     @classmethod
-    def _from_levels(cls, levels: Sequence[int]) -> "Tree":
+    def _from_levels(cls, levels: Sequence[int], code: CanonicalCode | None = None) -> "Tree":
         """Build from a preorder level sequence (a tuple or ``bytes``).
 
         ``levels[0] == 0`` and ``1 <= levels[i] <= levels[i - 1] + 1``;
@@ -110,7 +112,7 @@ class Tree:
         Skips every check of :meth:`__init__`, like :meth:`_unchecked`.
         Each parent id is below its child and children come in ascending
         id, so every adjacency list is sorted as built; only the edges
-        need a sort.
+        need a sort. ``code``, when known, is cached as the canonical code.
         """
         n = len(levels)
         last = [0] * n  # last[d]: the latest vertex seen at level d
@@ -128,7 +130,7 @@ class Tree:
         t.n = n
         t.edges = tuple(edges)
         t.adjacency = tuple(map(tuple, adj))
-        t._code = None
+        t._code = code
         return t
 
     def leaves(self) -> tuple[int, ...]:

@@ -35,9 +35,11 @@ from treeirr.claims import (
     table1_text,
     verify,
 )
-from treeirr.claims import _seq_extremes, _tree_relocations
+from treeirr.claims import _caterpillar_levels, _seq_extremes, _tree_relocations
 from treeirr.enumeration import (
     EnumerationGuard,
+    _canonical_levels,
+    _degrees_parents,
     tree_degree_sequences,
     trees_with_degree_sequence,
 )
@@ -623,6 +625,119 @@ class TestExtremal:
             extremal_over_class(TreeClass(n=4), "wiener", "max")
         with pytest.raises(ValueError, match="objective"):
             extremal_over_class(TreeClass(n=4), "irr", "best")
+
+
+# Each relocation claim's admissible support degrees, violation test on
+# the brute-force indices before and after a move, index and support
+# filter, as the catalog registers them.
+RELOCATION_CLAIMS = {
+    "irr-decrease": (lambda lam: lam >= 3, lambda b, a, lam: not a["irr"] < b["irr"], "irr", True),
+    "irr-decrease-bound": (
+        lambda lam: lam >= 3,
+        lambda b, a, lam: not b["irr"] - a["irr"] < 3 * lam - 6,
+        "irr",
+        True,
+    ),
+    "sigma-decrease": (
+        lambda lam: 3 < lam < 10,
+        lambda b, a, lam: not a["sigma"] < b["sigma"],
+        "sigma",
+        False,
+    ),
+    "sigma-increase": (
+        lambda lam: lam >= 11,
+        lambda b, a, lam: not a["sigma"] > b["sigma"],
+        "sigma",
+        False,
+    ),
+}
+
+
+class TestLevelFilters:
+    def test_caterpillar_predicate_matches_is_caterpillar(self):
+        from treeirr import is_caterpillar
+
+        seen = {True: 0, False: 0}
+        for n in range(1, 15):
+            for _, levels in _canonical_levels(n):
+                got = _caterpillar_levels(*_degrees_parents(levels))
+                assert got == is_caterpillar(Tree._from_levels(levels)), levels
+                seen[got] += 1
+        assert seen == {True: 2144, False: 3303}
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_tree_class_matches_brute_filter(self, n):
+        from treeirr import is_caterpillar
+
+        every = list(all_trees(n))
+        delta_of = {t: max(degrees(t)) for t in every}
+
+        def assert_class(klass, keep):
+            got = list(klass.trees())
+            want = [t for t in every if keep(t)]
+            assert got == want, klass.describe()
+            assert [canonical_code(t) for t in got] == [canonical_code(t) for t in want]
+
+        for caterpillar_only in (False, True):
+            cat_ok = is_caterpillar if caterpillar_only else (lambda t: True)
+            assert_class(TreeClass(n, caterpillar_only=caterpillar_only), cat_ok)
+            for delta in range(0, n):
+                assert_class(
+                    TreeClass(n, delta=delta, caterpillar_only=caterpillar_only),
+                    lambda t: delta_of[t] == delta and cat_ok(t),
+                )
+        for seq in tree_degree_sequences(n):
+            assert_class(
+                TreeClass(n, degree_sequence=seq),
+                lambda t: tuple(sorted(degrees(t), reverse=True)) == seq.values,
+            )
+
+    @pytest.mark.parametrize("claim_id", sorted(RELOCATION_CLAIMS))
+    def test_relocation_tallies_match_unfiltered_sweep(self, claim_id):
+        # The claim skips small orders and low maximum degrees before any
+        # tree is built; a brute-force sweep over every tree of every order
+        # from 2 must give the same counts and every witness, move for move.
+        r = verify(claim_id, witness_cap=None)
+        checked, moves = _brute_relocation_sweep(
+            r.params["n_max"], *RELOCATION_CLAIMS[claim_id], classes=_canonical_classes
+        )
+        assert (r.checked, r.violations) == (checked, len(moves))
+        assert list(r.witnesses) == moves
+
+    @pytest.mark.parametrize("claim_id", ["sigma-ordered", "perm-example"])
+    def test_spine_claims_build_no_caterpillar(self, claim_id, monkeypatch):
+        from treeirr import claims, degseq
+
+        calls = []
+        build = degseq.caterpillar
+
+        def counted(spine):
+            calls.append(spine)
+            return build(spine)
+
+        verify(claim_id)
+        monkeypatch.setattr(degseq, "caterpillar", counted)
+        monkeypatch.setattr(claims, "caterpillar", counted, raising=False)
+        warm = verify(claim_id)
+        assert calls == []
+        assert warm.checked > 0
+        # The counter does see the builder when it runs.
+        degseq.caterpillar((2, 2))
+        assert calls == [(2, 2)]
+
+    @pytest.mark.parametrize("claim_id, builds", [("caterpillar-support", 2143), ("sigma-increase", 8)])
+    def test_warm_claim_builds_only_kept_trees(self, claim_id, builds, monkeypatch):
+        builds_seen = []
+        from_levels = Tree._from_levels
+
+        def counted(cls, levels, code=None):
+            builds_seen.append(len(levels))
+            return from_levels(levels, code)
+
+        verify(claim_id)
+        monkeypatch.setattr(Tree, "_from_levels", classmethod(counted))
+        verify(claim_id)
+        assert len(builds_seen) == builds
 
 
 class TestPermSearch:

@@ -278,6 +278,14 @@ class TestVerifyAndReport:
         assert captured.err.startswith(f"usage: treeirr {verb[0]}")
         assert f"argument --n-max: must be >= 1, got {value}" in captured.err
 
+    @pytest.mark.parametrize("value", ["-3", "0"])
+    def test_jobs_below_one_rejected(self, value, capsys):
+        assert main(["report", "--claims", "table1", "--jobs", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: treeirr report")
+        assert f"argument --jobs: must be >= 1, got {value}" in captured.err
+
     def test_verify_json_matches_report_record(self, capsys):
         assert main(["verify", "--claim", "star-albertson", "--n-max", "6", "--json"]) == 0
         alone = capsys.readouterr().out

@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +9,7 @@ from treeirr import (
     NotTreeGraphical,
     Tree,
     caterpillar,
+    compute_indices,
     degrees,
     path,
     prufer_decode,
@@ -16,7 +17,7 @@ from treeirr import (
     star,
     validate_tree_sequence,
 )
-from treeirr.degseq import parse_degree_sequence
+from treeirr.degseq import caterpillar_sigma, parse_degree_sequence
 
 from _brute import degree_sequence_of, tree_graphical
 
@@ -183,3 +184,55 @@ class TestBuilders:
         for t in (star(5), path(6), caterpillar((2, 3, 4))):
             values = degree_sequence_of(t.n, t.edges)
             assert validate_tree_sequence(values).values == values
+
+
+def assert_spine_sum(spine):
+    # The oracle is the built caterpillar's full index bundle; the ordered
+    # closed form the catalog tests is never used here.
+    t = caterpillar(spine)
+    assert caterpillar_sigma(spine) == (compute_indices(t).sigma, t.n), spine
+
+
+class TestCaterpillarSigma:
+    def test_sigma_ordered_default_space(self):
+        # Every non-decreasing spine of length 2..8 with degrees 2..7: the
+        # default parameter space of the sigma-ordered claim.
+        spines = [
+            spine
+            for k in range(2, 9)
+            for spine in combinations_with_replacement(range(2, 8), k)
+        ]
+        assert len(spines) == 2996
+        for spine in spines:
+            assert_spine_sum(spine)
+
+    def test_every_ordering_of_the_reference_tuple(self):
+        orderings = list(permutations((4, 8, 10, 14, 18, 20)))
+        assert len(orderings) == 720
+        for spine in orderings:
+            assert_spine_sum(spine)
+
+    def test_small_spines_by_hand(self):
+        # A lone slot is a star; (2, 2) is the path on four vertices.
+        assert caterpillar_sigma((3,)) == (12, 4)
+        assert caterpillar_sigma((1,)) == (0, 2)
+        assert caterpillar_sigma((2, 2)) == (2, 4)
+        assert caterpillar_sigma((2, 2, 3)) == (10, 6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-2, 30), min_size=1, max_size=12))
+    def test_random_spines(self, spine):
+        # Infeasible spines raise the same error as the builder.
+        try:
+            t = caterpillar(spine)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                caterpillar_sigma(spine)
+            assert str(info.value) == str(exc)
+            return
+        assert caterpillar_sigma(spine) == (compute_indices(t).sigma, t.n)
+
+    def test_empty_spine_rejected(self):
+        for build in (caterpillar, caterpillar_sigma):
+            with pytest.raises(ValueError, match="empty spine"):
+                build(())

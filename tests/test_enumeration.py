@@ -118,6 +118,50 @@ class TestAllTrees:
         assert len(list(all_trees(13, max_order=13))) == unlabeled_tree_count(13)
 
 
+def assert_degrees_parents(levels):
+    # The one-pass reader against the tree _from_levels builds: a parent id
+    # is below its child and adjacency lists are sorted, so a non-root
+    # vertex's parent is its first neighbour.
+    deg, parent = enumeration._degrees_parents(levels)
+    t = Tree._from_levels(levels)
+    assert tuple(deg) == degrees(t)
+    assert parent[0] == -1
+    assert parent[1:] == [t.adjacency[i][0] for i in range(1, t.n)]
+
+
+class TestLevelReader:
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_every_layout(self, n):
+        for seq in _kernels.level_sequences(n):
+            assert_degrees_parents(bytes(seq))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 200), max_size=199))
+    def test_random_layouts(self, picks):
+        # Any preorder layout of order 1-200, as in TestFromLevels.
+        levels = [0]
+        for x in picks:
+            levels.append(min(x, levels[-1] + 1))
+        assert_degrees_parents(tuple(levels))
+        assert_degrees_parents(bytes(levels))
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_reader_is_all_trees(self, n, cold_orders):
+        # Cold and warm, the reader yields all_trees(n)'s slices: codes on
+        # the generating call, none later.
+        cold = list(enumeration._canonical_levels(n))
+        assert [Tree._from_levels(levels) for _, levels in cold] == list(all_trees(n))
+        assert [code for code, _ in cold] == [canonical_code(t) for t in all_trees(n)]
+        warm = list(enumeration._canonical_levels(n))
+        assert [levels for _, levels in warm] == [levels for _, levels in cold]
+        assert all(code is None for code, _ in warm)
+
+    def test_guard(self):
+        for n in (0, 17):
+            with pytest.raises(EnumerationGuard):
+                enumeration._canonical_levels(n)
+
+
 class TestDegreeSequences:
     def test_order_four(self):
         values = [seq.values for seq in tree_degree_sequences(4)]
