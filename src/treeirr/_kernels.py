@@ -2,9 +2,11 @@
 
 Trees are passed in as ``Tree.edges``: a sequence of ``n - 1`` pairs
 ``(u, v)`` over dense vertex ids ``0..n-1``, except to ``level_code``, which
-takes a level sequence from ``level_sequences``; nothing here validates,
-callers do. Callers look the kernels up as ``_kernels.<name>`` at call
-time, so a tracer or a test can replace one by setting the module
+takes a level sequence rooted at a center, as ``level_sequences`` yields
+them. ``level_code`` is the one canonical encoder: ``canon_code`` lays an
+edge list out as such a sequence and hands it over. Nothing here
+validates, callers do. Callers look the kernels up as ``_kernels.<name>``
+at call time, so a tracer or a test can replace one by setting the module
 attribute. ``BACKEND`` names this implementation in report metadata.
 """
 
@@ -87,13 +89,15 @@ def _skip_to_free(layout):
 
 
 def level_code(levels):
-    """The :func:`canon_code` of the tree a free-tree level sequence encodes.
+    """Canonical code of the tree a level sequence encodes: equal iff isomorphic.
 
-    ``levels`` is a level sequence rooted at a center of its tree, as every
-    layout from :func:`level_sequences` is (a tuple or a ``bytes`` slice),
-    not edge pairs. Each vertex's parent is the nearest earlier vertex one
-    level up, so one stack pass builds the rooted codes bottom-up with no
-    edge list, adjacency or center search. If exactly one child of the
+    ``levels`` is a preorder level sequence rooted at a center of its tree,
+    as every layout from :func:`level_sequences` and :func:`canon_code` is
+    (a tuple, list or ``bytes`` slice), not edge pairs. The code is the
+    nested-parentheses encoding with children ordered by byte value. Each
+    vertex's parent is the nearest earlier vertex one level up, so one
+    stack pass builds the rooted codes bottom-up with no edge list,
+    adjacency or center search. If exactly one child of the
     root reaches the maximum level, that child is the second center, and
     the code rerooted there competes for the smaller code.
     """
@@ -146,32 +150,37 @@ def level_code(levels):
 def canon_code(n, edges):
     """Relabeling-invariant code of a tree: equal codes iff isomorphic.
 
-    Rooted at the tree center; for bicentral trees the smaller of the two
-    rooted codes wins. The code is the usual nested-parentheses encoding
-    with children ordered by byte value.
+    The tree is laid out in preorder from one center as a level sequence,
+    and :func:`level_code` codes it: the nested-parentheses encoding with
+    children ordered by byte value, rooted at the center, or for a
+    bicentral tree at whichever of the two centers gives the smaller code.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
     if n == 1:
         return b"()"
-    adj = _adjacency(n, edges)
-    best = None
-    for root in _centers(n, adj):
-        code = _rooted_code(n, adj, root)
-        if best is None or code < best:
-            best = code
-    return best
-
-
-def _adjacency(n, edges):
     adj = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    return adj
+    root = _centers(n, adj)[0]
+    depth = [-1] * n
+    depth[root] = 0
+    levels = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        d = depth[v]
+        levels.append(d)
+        for w in adj[v]:
+            if depth[w] < 0:
+                depth[w] = d + 1
+                stack.append(w)
+    return level_code(levels)
 
 
 def _centers(n, adj):
+    # Strip leaf layers until at most two vertices remain.
     if n <= 2:
         return list(range(n))
     deg = [len(a) for a in adj]
@@ -187,22 +196,6 @@ def _centers(n, adj):
                     nxt.append(w)
         layer = nxt
     return layer
-
-
-def _rooted_code(n, adj, root):
-    parent = [-1] * n
-    parent[root] = root
-    order = [root]
-    for v in order:
-        for w in adj[v]:
-            if parent[w] < 0:
-                parent[w] = v
-                order.append(w)
-    codes = [b""] * n
-    for v in reversed(order):
-        kids = sorted(codes[w] for w in adj[v] if parent[w] == v and w != v)
-        codes[v] = b"(" + b"".join(kids) + b")"
-    return codes[root]
 
 
 def index_bundle(n, edges):

@@ -51,7 +51,6 @@ from .indices import compute_indices, total_irregularity_by_sequence
 from .tree import Tree, canonical_code, degrees, strong_support_vertices
 
 DEFAULT_WITNESS_CAP = 25
-DEFAULT_EXTREMAL_GUARD = 14
 
 REFERENCE_PERM_TUPLE = (4, 8, 10, 14, 18, 20)
 REFERENCE_PERM_MAX = 14802
@@ -240,25 +239,18 @@ def _edges_str(t: Tree) -> str:
     return " ".join(f"{u}-{v}" for u, v in t.edges)
 
 
-def extremal_over_class(
-    tree_class: TreeClass,
-    index: str,
-    objective: str,
-    max_order: int = DEFAULT_EXTREMAL_GUARD,
-) -> ExtremalResult:
+def extremal_over_class(tree_class: TreeClass, index: str, objective: str) -> ExtremalResult:
     """Exact optimum of one index over the class, with every witness.
 
-    The class is enumerated outright by :meth:`TreeClass.trees` (guarded
-    by ``max_order``), so the result is certified rather than heuristic.
-    Witnesses come in ascending canonical code, each with the edge list of
-    its ``all_trees`` representative (level-sequence labels).
+    The class is enumerated outright by :meth:`TreeClass.trees`, under the
+    enumeration's order guard, so the result is certified rather than
+    heuristic. Witnesses come in ascending canonical code, each with the
+    edge list of its ``all_trees`` representative (level-sequence labels).
     """
     if index not in _INDEX_KEYS:
         raise ValueError(f"unknown index {index!r} (expected irr, sigma or irr_T)")
     if objective not in ("min", "max"):
         raise ValueError(f"objective must be min or max, got {objective!r}")
-    if tree_class.n > max_order:
-        raise EnumerationGuard(f"class order {tree_class.n} above guard {max_order}")
     seq = tree_class.degree_sequence
     if seq is not None and seq.n != tree_class.n:
         raise ValueError("degree sequence length disagrees with class order")
@@ -853,24 +845,33 @@ def _check_table1(params, tally):
     n_max=14,
 )
 def _check_caterpillar_support(params, tally):
-    groups: dict[tuple[int, int], list[tuple[int, Tree]]] = {}
+    # (order, pendants) -> (largest irr, its caterpillars as (code, levels)).
+    # irr and the pendant count come off the level sequence; only the
+    # maxima are built as trees, in all_trees order.
+    groups: dict[tuple[int, int], tuple[int, list]] = {}
     for n in range(2, params["n_max"] + 1):
-        for t in TreeClass(n, caterpillar_only=True).trees():
-            pendants = len(t.leaves())
-            groups.setdefault((n, pendants), []).append((compute_indices(t).irr, t))
-    weak_violations = 0
-    for (n, pendants), members in sorted(groups.items()):
-        tally.checked += 1
-        best = max(v for v, _ in members)
-        for value, t in members:
-            if value != best:
+        for code, levels in _canonical_levels(n):
+            deg, parent = _degrees_parents(levels)
+            if not _caterpillar_levels(deg, parent):
                 continue
+            irr = sum(abs(deg[i] - deg[parent[i]]) for i in range(1, n))
+            key = (n, deg.count(1))
+            group = groups.get(key)
+            if group is None or irr > group[0]:
+                groups[key] = (irr, [(code, levels)])
+            elif irr == group[0]:
+                group[1].append((code, levels))
+    weak_violations = 0
+    for (n, pendants), (best, maxima) in sorted(groups.items()):
+        tally.checked += 1
+        for code, levels in maxima:
+            t = Tree._from_levels(levels, code)
             if not strong_support_vertices(t, min_leaves=2):
                 tally.add(
                     {
                         "n": n,
                         "pendants": pendants,
-                        "irr": value,
+                        "irr": best,
                         "tree": _edges_str(t),
                     }
                 )

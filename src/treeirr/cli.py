@@ -108,7 +108,7 @@ def _print_tree_records(records: list[dict], as_json: bool) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    records = _tree_records(all_trees(args.n, max_order=args.max_order))
+    records = _tree_records(all_trees(args.n))
     _print_tree_records(records, args.json)
     return 0
 
@@ -116,7 +116,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_realize(args) -> int:
     text = args.seq if args.file is None else _read_text(args.file)
     seq = parse_degree_sequence(text)
-    records = _tree_records(trees_with_degree_sequence(seq, max_order=args.max_order))
+    records = _tree_records(trees_with_degree_sequence(seq))
     _print_tree_records(records, args.json)
     return 0
 
@@ -129,7 +129,7 @@ def _cmd_extremal(args) -> int:
     tree_class = TreeClass(
         n=n, delta=args.delta, degree_sequence=seq, caterpillar_only=args.caterpillar
     )
-    result = extremal_over_class(tree_class, args.index, args.objective, max_order=args.max_order)
+    result = extremal_over_class(tree_class, args.index, args.objective)
     if args.json:
         print(
             json.dumps(
@@ -295,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="all unlabeled trees of an order")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-order", type=int, default=16)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -303,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--seq", help="whitespace-separated degrees")
     source.add_argument("--file", help="file holding one line of degrees")
-    p.add_argument("--max-order", type=int, default=16)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_realize)
 
@@ -314,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--caterpillar", action="store_true")
     p.add_argument("--index", choices=["irr", "sigma", "irr_T"], required=True)
     p.add_argument("--objective", choices=["min", "max"], required=True)
-    p.add_argument("--max-order", type=int, default=14)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_extremal)
 

@@ -10,6 +10,10 @@ multiset through Prüfer codes and deduplicates by canonical code. The
 filter the canonical order instead (``claims.TreeClass.trees``). The test
 suite builds an independent twin of :func:`all_trees` from it, over every
 degree multiset of an order, and holds the two to agreement.
+
+Both walk through one guard, :func:`_check_order`: orders 1 to
+``MAX_ORDER`` (16), with no override. The realizer also refuses any
+sequence with more than ``CODE_CAP`` (10⁷) Prüfer arrangements.
 """
 
 from __future__ import annotations
@@ -21,17 +25,18 @@ from . import _kernels
 from .degseq import DegreeSequence, prufer_decode, validate_tree_sequence
 from .tree import CanonicalCode, Tree, canonical_code
 
-DEFAULT_MAX_ORDER = 16
-DEFAULT_CODE_CAP = 10_000_000
+MAX_ORDER = 16
+CODE_CAP = 10_000_000
 
 
 class EnumerationGuard(ValueError):
-    """A sweep would exceed the configured desk-scale guard rails."""
+    """A sweep would exceed the desk-scale guard rails."""
 
 
-def _check_order(n: int, max_order: int) -> None:
-    if not 1 <= n <= max_order:
-        raise EnumerationGuard(f"order {n} outside guard range 1..{max_order}")
+def _check_order(n: int) -> None:
+    """The order guard of every exhaustive sweep: ``1 <= n <= MAX_ORDER``."""
+    if not 1 <= n <= MAX_ORDER:
+        raise EnumerationGuard(f"order {n} outside guard range 1..{MAX_ORDER}")
 
 
 # Order -> the level sequences of all_trees(order), concatenated in
@@ -39,9 +44,7 @@ def _check_order(n: int, max_order: int) -> None:
 _CANONICAL_ORDERS: dict[int, bytes] = {}
 
 
-def _canonical_levels(
-    n: int, max_order: int = DEFAULT_MAX_ORDER
-) -> Iterable[tuple[CanonicalCode | None, bytes]]:
+def _canonical_levels(n: int) -> Iterable[tuple[CanonicalCode | None, bytes]]:
     """``(code, levels)`` for each tree of ``all_trees(n)``, in its order.
 
     The one reader of the canonical order. The call that first reaches an
@@ -54,7 +57,7 @@ def _canonical_levels(
     Callers that filter on :func:`_degrees_parents` build only the trees
     they keep, by ``Tree._from_levels`` on the same slice.
     """
-    _check_order(n, max_order)
+    _check_order(n)
     blob = _CANONICAL_ORDERS.get(n)
     if blob is not None:
         return ((None, blob[start : start + n]) for start in range(0, len(blob), n))
@@ -84,7 +87,7 @@ def _degrees_parents(levels: Sequence[int]) -> tuple[list[int], list[int]]:
     return deg, parent
 
 
-def all_trees(n: int, max_order: int = DEFAULT_MAX_ORDER) -> Iterator[Tree]:
+def all_trees(n: int) -> Iterator[Tree]:
     """One representative per isomorphism class of trees on ``n`` vertices.
 
     Deterministic emission: ascending canonical code.
@@ -95,7 +98,7 @@ def all_trees(n: int, max_order: int = DEFAULT_MAX_ORDER) -> Iterator[Tree]:
     the order, each tree carries its canonical code; later calls skip the
     generation, coding and sort, and their trees have no code cached yet.
     """
-    for code, levels in _canonical_levels(n, max_order):
+    for code, levels in _canonical_levels(n):
         yield Tree._from_levels(levels, code)
 
 
@@ -149,21 +152,18 @@ def realization_count(seq: DegreeSequence) -> int:
     return total
 
 
-def trees_with_degree_sequence(
-    seq: DegreeSequence | Sequence[int],
-    max_order: int = DEFAULT_MAX_ORDER,
-    code_cap: int = DEFAULT_CODE_CAP,
-) -> Iterator[Tree]:
+def trees_with_degree_sequence(seq: DegreeSequence | Sequence[int]) -> Iterator[Tree]:
     """Every isomorphism class realizing the degree multiset, code order.
 
     Realization walks the distinct Prüfer arrangements in which vertex i
     appears ``d_i - 1`` times, decodes each, and deduplicates canonically.
-    The stream size is bounded up front by ``code_cap``.
+    A sequence that needs more than ``CODE_CAP`` arrangements is refused
+    up front, from :func:`realization_count`, before any decoding.
     """
     if not isinstance(seq, DegreeSequence):
         seq = validate_tree_sequence(seq)
     n = seq.n
-    _check_order(n, max_order)
+    _check_order(n)
     if n == 1:
         yield Tree(1, [])
         return
@@ -171,9 +171,9 @@ def trees_with_degree_sequence(
         yield Tree(2, [(0, 1)])
         return
     count = realization_count(seq)
-    if count > code_cap:
+    if count > CODE_CAP:
         raise EnumerationGuard(
-            f"degree sequence {seq} needs {count} realization codes, cap is {code_cap}"
+            f"degree sequence {seq} needs {count} realization codes, cap is {CODE_CAP}"
         )
     entries = [[v, d - 1] for v, d in enumerate(seq.values) if d >= 2]
     found: dict[bytes, Tree] = {}

@@ -25,9 +25,9 @@ class Tree:
     that rebuild each caller's output through the constructor:
 
     - ``all_trees``, and the claims that filter ``all_trees``' level
-      sequences before building (``claims.TreeClass.trees`` and the
-      relocation sweeps), via :meth:`_from_levels`: ``TestFromLevels`` in
-      ``tests/test_tree.py``;
+      sequences before building (``claims.TreeClass.trees``, the
+      relocation sweeps and ``caterpillar-support``), via
+      :meth:`_from_levels`: ``TestFromLevels`` in ``tests/test_tree.py``;
     - ``edgelist.parse_edge_list``, after its own line-numbered checks:
       ``TestParserOracle`` in ``tests/test_cli.py``;
     - ``degseq.prufer_decode``: ``test_roundtrip_and_cayley_count`` and
@@ -132,9 +132,6 @@ class Tree:
         t.adjacency = tuple(map(tuple, adj))
         t._code = code
         return t
-
-    def leaves(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if len(self.adjacency[v]) == 1)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Tree) and self.n == other.n and self.edges == other.edges

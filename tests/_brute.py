@@ -121,6 +121,69 @@ def brute_isomorphic(n, edges_a, edges_b):
     return False
 
 
+def _adjacency(n, edges):
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def distances(n, edges, source):
+    """Edge distance from ``source`` to every vertex, by breadth-first search."""
+    adj = _adjacency(n, edges)
+    dist = {source: 0}
+    queue = [source]
+    for x in queue:
+        for y in adj[x]:
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
+def farthest(n, edges, source):
+    """A vertex at the largest distance from ``source``."""
+    dist = distances(n, edges, source)
+    return max(dist, key=dist.get)
+
+
+def centers(n, edges):
+    """The middle vertex or vertices of a longest path.
+
+    Two breadth-first sweeps find the ends ``a`` and ``b`` of a longest
+    path; its vertices are those with ``d(a, v) + d(v, b)`` equal to its
+    length, and its middle minimizes the larger of the two.
+    """
+    a = farthest(n, edges, 0)
+    from_a = distances(n, edges, a)
+    b = max(from_a, key=from_a.get)
+    from_b = distances(n, edges, b)
+    length = from_a[b]
+    return [
+        v
+        for v in range(n)
+        if from_a[v] + from_b[v] == length and max(from_a[v], from_b[v]) == (length + 1) // 2
+    ]
+
+
+def edge_rooted_code(n, edges):
+    """Canonical code of a tree from its edge list, rooted at each center.
+
+    The nested-parentheses code of the tree rooted at a center, children
+    ordered by byte value, and for a bicentral tree the smaller of the two
+    rooted codes: the format of the library's canonical codes, built by
+    plain recursion with no level sequence.
+    """
+    adj = _adjacency(n, edges)
+
+    def rooted(v, parent):
+        kids = sorted(rooted(w, v) for w in adj[v] if w != parent)
+        return b"(" + b"".join(kids) + b")"
+
+    return min(rooted(c, -1) for c in centers(n, edges))
+
+
 @lru_cache(maxsize=None)
 def rooted_tree_count(n):
     """Number of unlabeled rooted trees (standard divisor-sum recurrence)."""

@@ -168,6 +168,25 @@ class TestStreams:
     def test_enumerate_guard(self, capsys):
         assert main(["enumerate", "--n", "30"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--n", "5"],
+            ["realize", "--seq", "1 1"],
+            ["extremal", "--n", "5", "--index", "irr", "--objective", "max"],
+        ],
+        ids=["enumerate", "realize", "extremal"],
+    )
+    def test_guard_has_no_override(self, argv, capsys):
+        assert main([*argv, "--max-order", "16"]) == 2
+        assert "unrecognized arguments: --max-order 16" in capsys.readouterr().err
+
+    def test_extremal_answers_up_to_the_guard(self, capsys):
+        assert main(["extremal", "--n", "15", "--index", "irr", "--objective", "max"]) == 0
+        assert capsys.readouterr().out.startswith("max irr over n=15: 182\n")
+        assert main(["extremal", "--n", "17", "--index", "irr", "--objective", "max"]) == 2
+        assert "order 17 outside guard range 1..16" in capsys.readouterr().err
+
     def test_realize(self, capsys):
         assert main(["realize", "--seq", "3 2 2 1 1 1"]) == 0
         assert "count: 2" in capsys.readouterr().out

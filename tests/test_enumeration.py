@@ -21,6 +21,7 @@ from treeirr.enumeration import realization_count
 
 from _brute import (
     brute_canonical,
+    edge_rooted_code,
     relocate_leaf,
     spanning_trees,
     tree_graphical,
@@ -72,11 +73,11 @@ class TestAllTrees:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_cold_call_presets_codes(self, n, cold_orders):
         # The first call codes level sequences, not trees: each tree's
-        # preset code must be the one canon_code gives its edges.
+        # preset code must be the one the edge-rooted oracle gives its edges.
         trees = list(all_trees(n))
         for t in trees:
             assert t._code is not None
-            assert t._code == _kernels.canon_code(n, t.edges)
+            assert t._code == edge_rooted_code(n, t.edges)
         if n <= 7:
             # Equal codes iff brute-force isomorphic, over every tree and a
             # relabeled copy of it.
@@ -114,8 +115,6 @@ class TestAllTrees:
             list(all_trees(0))
         with pytest.raises(EnumerationGuard):
             list(all_trees(17))
-        # raising the cap is an explicit opt-in
-        assert len(list(all_trees(13, max_order=13))) == unlabeled_tree_count(13)
 
 
 def assert_degrees_parents(levels):
@@ -224,10 +223,20 @@ class TestRealization:
         assert realization_count(validate_tree_sequence((2, 2, 1, 1))) == 2
         assert realization_count(validate_tree_sequence((3, 1, 1, 1))) == 1
 
-    def test_code_cap_guard(self):
-        seq = validate_tree_sequence((2,) * 10 + (1, 1))
-        with pytest.raises(EnumerationGuard, match="cap"):
-            list(trees_with_degree_sequence(seq, code_cap=10))
+    def test_code_cap_guard(self, monkeypatch):
+        # 681,080,400 arrangements: refused from the count, before decoding.
+        seq = validate_tree_sequence((3,) * 7 + (1,) * 9)
+        assert realization_count(seq) == 681_080_400 > enumeration.CODE_CAP
+        decodes = []
+        monkeypatch.setattr(enumeration, "prufer_decode", lambda code, n: decodes.append(n))
+        with pytest.raises(EnumerationGuard, match="cap is 10000000"):
+            list(trees_with_degree_sequence(seq))
+        assert decodes == []
+
+    def test_order_guard(self):
+        seq = validate_tree_sequence((2,) * 15 + (1, 1))
+        with pytest.raises(EnumerationGuard, match="1..16"):
+            list(trees_with_degree_sequence(seq))
 
     def test_single_vertex_and_edge(self):
         assert list(trees_with_degree_sequence((0,))) == [Tree(1, [])]
@@ -284,7 +293,7 @@ class TestRelocation:
                                 continue
                             moved, step = relocate_leaf(t, y, donor, recipient)
                             assert moved.n == t.n
-                            drop = len(t.leaves()) - len(moved.leaves())
+                            drop = degrees(t).count(1) - degrees(moved).count(1)
                             assert drop in (0, 1)
                             assert step.degrees_after[0] == deg[y] - 1
 

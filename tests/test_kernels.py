@@ -1,12 +1,13 @@
-"""The kernels' order guards, the level-sequence code, and the backend name."""
+"""The kernels' order guards, the canonical codes, and the backend name."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import treeirr
-from treeirr import _kernels
+from treeirr import _kernels, prufer_decode
 from treeirr.claims import ReportConfig, run_report
 
-from _brute import levels_to_edges
+from _brute import centers, edge_rooted_code, farthest, levels_to_edges
 
 
 def test_backend_is_python():
@@ -32,11 +33,13 @@ def test_order_guards(call):
 
 @pytest.mark.parametrize("n", range(1, 16))
 def test_level_code_matches_canon_code(n):
-    # The stack-pass code of a layout against the center-search code of
-    # the tree it encodes, on every free tree of the order, from both the
-    # tuple the generator yields and the bytes all_trees keeps.
+    # The stack-pass code of a layout, and canon_code of its edges, against
+    # the edge-rooted oracle, on every free tree of the order, from both
+    # the tuple the generator yields and the bytes all_trees keeps.
     for seq in _kernels.level_sequences(n):
-        want = _kernels.canon_code(n, levels_to_edges(seq))
+        edges = levels_to_edges(seq)
+        want = edge_rooted_code(n, edges)
+        assert _kernels.canon_code(n, edges) == want
         assert _kernels.level_code(seq) == want
         assert _kernels.level_code(bytes(seq)) == want
         assert _kernels.level_code(_siblings_reversed(seq)) == want
@@ -56,3 +59,29 @@ def _siblings_reversed(levels):
         out.append(levels[v])
         stack.extend(kids[v])
     return tuple(out)
+
+
+@st.composite
+def relabeled_trees(draw):
+    # A random Prüfer tree, grown by one leaf at an end of a longest path
+    # when that gives the drawn number of centers, then relabeled.
+    want_centers = draw(st.sampled_from((1, 2)))
+    n = draw(st.integers(2, 199))
+    code = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    edges = list(prufer_decode(code, n).edges)
+    if len(centers(n, edges)) != want_centers:
+        end = farthest(n, edges, farthest(n, edges, 0))
+        edges.append((end, n))
+        n += 1
+    perm = draw(st.permutations(range(n)))
+    edges = [(perm[u], perm[v]) for u, v in edges]
+    return n, edges, want_centers
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabeled_trees())
+def test_canon_code_matches_edge_rooted_code(tree):
+    # Both center counts, on trees whose labels say nothing of the layout.
+    n, edges, want_centers = tree
+    assert len(centers(n, edges)) == want_centers
+    assert _kernels.canon_code(n, edges) == edge_rooted_code(n, edges)
