@@ -33,8 +33,7 @@ from .degseq import DegreeSequence, caterpillar_sigma, star
 from .edgelist import parse_edge_list
 from .enumeration import (
     EnumerationGuard,
-    _canonical_levels,
-    _degrees_parents,
+    _canonical_table,
     all_trees,
     tree_degree_sequences,
 )
@@ -105,9 +104,9 @@ class TreeClass:
 
         The one filter over ``all_trees(n)`` for every class query. With no
         constraint it is ``all_trees(n)``. Otherwise each tree of the order
-        is decided on the degrees and parents read off its level sequence
-        (``enumeration._degrees_parents``), and only the trees kept are
-        built, from the same slice, so labels and order are those of
+        is decided on its degrees and parents in the order's table
+        (``enumeration._canonical_table``), and only the trees kept are
+        built, from their level sequences, so labels and order are those of
         ``all_trees``: the maximum degree must equal ``delta``, the sorted
         degrees must equal the sequence, and a caterpillar's non-leaf
         vertices each have at most two non-leaf neighbours.
@@ -118,8 +117,7 @@ class TreeClass:
         if delta is None and seq is None and not caterpillar_only:
             yield from all_trees(self.n)
             return
-        for code, levels in _canonical_levels(self.n):
-            deg, parent = _degrees_parents(levels)
+        for code, levels, deg, parent in _canonical_table(self.n):
             if delta is not None and max(deg) != delta:
                 continue
             if seq is not None and sorted(deg, reverse=True) != seq:
@@ -129,7 +127,7 @@ class TreeClass:
             yield Tree._from_levels(levels, code)
 
 
-def _caterpillar_levels(deg: list[int], parent: list[int]) -> bool:
+def _caterpillar_levels(deg: Sequence[int], parent: Sequence[int]) -> bool:
     """``is_caterpillar`` of the tree with these degrees and parents.
 
     Removing the leaves leaves a path (or nothing) exactly when every
@@ -372,8 +370,18 @@ def _seq_extremes(seq: DegreeSequence, attr: str) -> tuple[int, int]:
     return min(values), max(values)
 
 
-def _tree_relocations(t: Tree, lam_ok: Callable[[int], bool], support_filter: bool = False):
-    """Every leaf relocation on ``t`` with admissible support degree, by class.
+def _tree_relocations(
+    deg: Sequence[int],
+    parent: Sequence[int],
+    lam_ok: Callable[[int], bool],
+    support_filter: bool = False,
+):
+    """Every leaf relocation with admissible support degree on a tree, by class.
+
+    The tree is a level-sequence layout, given by its degrees and parents
+    (``enumeration._canonical_table``; the root's parent is never read).
+    A parent's id is below its children's, so a vertex's neighbours in
+    ascending id are its parent, then its children in ascending id.
 
     Yields one record ``(y, lam, strict, tied, donors, deltas)`` per support
     vertex ``y``: degree ``lam >= 3`` with ``lam_ok(lam)`` and at least one
@@ -384,7 +392,7 @@ def _tree_relocations(t: Tree, lam_ok: Callable[[int], bool], support_filter: bo
     ``y``, so the class holds ``len(donors) * (lam - 1)`` moves, donor
     first, then recipient, both ascending.
 
-    ``deltas`` maps each recipient ``r``, in adjacency order, to the change
+    ``deltas`` maps each recipient ``r``, in ascending id, to the change
     ``(irr, sigma)`` of a move onto it. The donor is a leaf, so the change
     does not depend on which one moves; a lone donor is not a recipient.
     Only the edges at ``y`` and ``r`` change. Let ``W`` be the ``lam - 2``
@@ -398,39 +406,41 @@ def _tree_relocations(t: Tree, lam_ok: Callable[[int], bool], support_filter: bo
     - irr: ``#{W: d_w >= lam} - #{W: d_w < lam} + |lam - 2 - d_r|
       - |lam - d_r| + d_r - lam + 1 + #{R: d_w <= d_r} - #{R: d_w > d_r}``.
 
-    No moved tree and no index bundle is built. The tests check both
-    changes against ``_brute.relocate_leaf`` plus a full recompute on
-    every move up to order 9 and on random Prüfer trees up to order 60.
+    Each vertex's children come from one pass over the parent edges, and
+    the sums over ``W`` and ``R`` are read off the parent and children of
+    ``y`` and ``r``. No tree, moved or not, and no index bundle is built.
+    The tests check both changes against ``_brute.relocate_leaf`` plus a
+    full recompute on every move up to order 9 and on random layouts up to
+    order 60.
     """
-    adjacency = t.adjacency
-    deg = [len(a) for a in adjacency]
-    supports = [
-        y
-        for y in range(t.n)
-        if deg[y] >= 3 and lam_ok(deg[y]) and any(deg[w] == 1 for w in adjacency[y])
-    ]
+    n = len(deg)
+    kids: list[list[int]] = [[] for _ in range(n)]
+    for i in range(1, n):
+        kids[parent[i]].append(i)
+    supports = []
+    for y in range(n):
+        lam = deg[y]
+        if lam >= 3 and lam_ok(lam):
+            nbrs = [parent[y], *kids[y]] if y else kids[y]
+            donors = [w for w in nbrs if deg[w] == 1]
+            if donors:
+                supports.append((y, lam, nbrs, donors))
     if not supports:
         return
     delta = max(deg)
     ties = deg.count(delta)
-    for y in supports:
-        lam = deg[y]
+    for y, lam, nbrs, donors in supports:
         strict = lam < delta
         tied = lam == delta and ties >= 2
         if support_filter and not (strict or tied):
             continue
-        nbrs = adjacency[y]
         # Degree sum and count at >= lam over N(y) less one donor leaf.
-        donors = []
         sum_y = -1
         ge_y = 0
         for w in nbrs:
             dw = deg[w]
             sum_y += dw
-            if dw == 1:
-                donors.append(w)
-            elif dw >= lam:
-                ge_y += 1
+            ge_y += dw >= lam
         lone = donors[0] if len(donors) == 1 else -1
         deltas = {}
         for r in nbrs:
@@ -441,9 +451,10 @@ def _tree_relocations(t: Tree, lam_ok: Callable[[int], bool], support_filter: bo
             ge_w = ge_y - (dr >= lam)
             sum_r = -lam  # over R = N(r) less y
             le_r = -(lam <= dr)
-            for w in adjacency[r]:
-                sum_r += deg[w]
-                le_r += deg[w] <= dr
+            for w in [parent[r], *kids[r]] if r else kids[r]:
+                dw = deg[w]
+                sum_r += dw
+                le_r += dw <= dr
             sigma = (
                 2 * sum_w + (lam - 2) * (1 - 2 * lam)
                 + (lam - 2 - dr) ** 2 - (lam - dr) ** 2
@@ -463,8 +474,10 @@ def _tree_relocations(t: Tree, lam_ok: Callable[[int], bool], support_filter: bo
 _DELTA_POS = {"irr": 0, "sigma": 1}  # index of each value in a ``deltas`` pair
 
 
-def _relocation_witnesses(t, y, lam, filter_name, donors, deltas, hit, value_key):
-    # The class's violating moves in sweep order, each built only when drawn.
+def _relocation_witnesses(levels, code, y, lam, filter_name, donors, deltas, hit, value_key):
+    # The class's violating moves in sweep order. The tree is built from its
+    # level sequence only when the tally draws the first of them.
+    t = Tree._from_levels(levels, code)
     tree = _edges_str(t)
     before = getattr(compute_indices(t), value_key)
     pos = _DELTA_POS[value_key]
@@ -490,10 +503,10 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
     Supports of degree ``lam_min`` to ``lam_max`` (``None``: no upper
     bound) are admissible, with ``lam_min >= 3``. A support of degree
     ``lam`` needs ``lam + 1`` vertices, so orders below ``lam_min + 1`` are
-    skipped. With ``lam_min > 3`` a tree whose maximum degree is below
-    ``lam_min`` is skipped on the degrees read off its level sequence,
-    before it is built; at ``lam_min == 3`` only the path would be, so
-    there every tree is built.
+    skipped, and so is a tree whose maximum degree in its order's table
+    (``enumeration._canonical_table``) is below ``lam_min``. The rest are
+    swept on their degrees and parents by :func:`_tree_relocations`; a
+    tree is built only for the witnesses the tally keeps.
 
     ``bad(change, lam)`` decides whether a move that changes the index
     ``value_key`` by ``change`` violates the claim. It is decided once per
@@ -501,7 +514,7 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
     class is counted arithmetically: with ``D`` donors and ``B`` bad
     recipients it holds ``D * (lam - 1)`` moves and ``D * B`` violations,
     less the bad recipients that are donors themselves (no leaf moves onto
-    itself). Witnesses are built only while the tally keeps them.
+    itself).
 
     With ``apply_support_filter`` the sweep keeps only supports that do not
     hold the maximum degree alone (both readings of that side condition
@@ -515,17 +528,11 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
 
     per_filter = {"strict": [0, 0], "tied": [0, 0], "unfiltered": [0, 0]}
     for n in range(lam_min + 1, params["n_max"] + 1):
-        if lam_min > 3:
-            trees = (
-                Tree._from_levels(levels, code)
-                for code, levels in _canonical_levels(n)
-                if max(_degrees_parents(levels)[0]) >= lam_min
-            )
-        else:
-            trees = all_trees(n)
-        for t in trees:
+        for code, levels, deg, parent in _canonical_table(n):
+            if max(deg) < lam_min:
+                continue
             for y, lam, strict, tied, donors, deltas in _tree_relocations(
-                t, lam_ok, apply_support_filter
+                deg, parent, lam_ok, apply_support_filter
             ):
                 hit = {r: bad(change[pos], lam) for r, change in deltas.items()}
                 moves = len(donors) * (lam - 1)
@@ -541,7 +548,7 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
                     moves,
                     violations,
                     _relocation_witnesses(
-                        t, y, lam, filter_name, donors, deltas, hit, value_key
+                        levels, code, y, lam, filter_name, donors, deltas, hit, value_key
                     ),
                 )
     notes = [
@@ -846,12 +853,11 @@ def _check_table1(params, tally):
 )
 def _check_caterpillar_support(params, tally):
     # (order, pendants) -> (largest irr, its caterpillars as (code, levels)).
-    # irr and the pendant count come off the level sequence; only the
-    # maxima are built as trees, in all_trees order.
+    # irr and the pendant count come off the order's degree/parent table;
+    # only the maxima are built as trees, in all_trees order.
     groups: dict[tuple[int, int], tuple[int, list]] = {}
     for n in range(2, params["n_max"] + 1):
-        for code, levels in _canonical_levels(n):
-            deg, parent = _degrees_parents(levels)
+        for code, levels, deg, parent in _canonical_table(n):
             if not _caterpillar_levels(deg, parent):
                 continue
             irr = sum(abs(deg[i] - deg[parent[i]]) for i in range(1, n))
@@ -1231,15 +1237,17 @@ def _run_one(args: tuple[str, dict, int | None]) -> ClaimResult:
 def run_report(config: ReportConfig | None = None) -> ClaimReport:
     """Run a set of claims (default: all) into one aggregate report.
 
-    Unknown ids become per-claim error entries instead of aborting the
-    run; so do exceptions raised inside a claim. With ``jobs > 1`` and
-    ``deterministic=False`` the claims run in a process pool of at most
-    ``jobs`` workers, and no more than there are claims or CPUs, since
-    extra workers only add start-up and contention; results are identical
-    either way, only the timings differ.
+    Each id is stripped of surrounding whitespace and runs once, however
+    often it is named. Unknown ids become per-claim error entries instead
+    of aborting the run; so do exceptions raised inside a claim. With
+    ``jobs > 1`` and ``deterministic=False`` the claims run in a process
+    pool of at most ``jobs`` workers, and no more than there are claims or
+    CPUs, since extra workers only add start-up and contention; results
+    are identical either way, only the timings differ.
     """
     config = config or ReportConfig()
-    wanted = config.claim_ids if config.claim_ids is not None else CLAIM_IDS
+    wanted = CLAIM_IDS if config.claim_ids is None else config.claim_ids
+    wanted = list(dict.fromkeys(cid.strip() for cid in wanted))
     errors = [(cid, "unknown claim id") for cid in wanted if cid not in _REGISTRY]
     runnable = [cid for cid in wanted if cid in _REGISTRY]
     tasks = [(cid, _scaled_params(cid, config), config.witness_cap) for cid in runnable]

@@ -194,7 +194,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    claim_ids = tuple(args.claims.split(",")) if args.claims else None
+    claim_ids = None if args.claims is None else tuple(args.claims.split(","))
     config = ReportConfig(
         claim_ids=claim_ids,
         n_max=args.n_max,

@@ -3,8 +3,12 @@
 :func:`all_trees` is the one enumerator of unlabeled trees: it walks
 canonical level sequences (a recursive-generation scheme), read through
 :func:`_canonical_levels`. Claims that keep only some trees of an order
-decide on :func:`_degrees_parents` of those sequences and build the rest
-alone. :func:`trees_with_degree_sequence` realizes one tree-graphical degree
+read :func:`_canonical_table` instead: each tree's degrees and parents,
+kept per order as two ``bytes`` blobs beside the level sequences. The
+first such claim to reach an order fills its table through
+:func:`_degrees_parents`, once per tree; ``all_trees`` never fills it.
+They decide on degrees and parents and build only the trees they keep.
+:func:`trees_with_degree_sequence` realizes one tree-graphical degree
 multiset through Prüfer codes and deduplicates by canonical code. The
 ``realize`` command is its only CLI user: ``extremal --seq`` and the claims
 filter the canonical order instead (``claims.TreeClass.trees``). The test
@@ -85,6 +89,44 @@ def _degrees_parents(levels: Sequence[int]) -> tuple[list[int], list[int]]:
         parent[i] = p
         deg[p] += 1
     return deg, parent
+
+
+# Order -> the degrees and the parents of each tree of _CANONICAL_ORDERS[order],
+# laid out like it: two blobs of n bytes per tree (144 KB for all orders up
+# to 14). The root's parent byte is 0.
+_DEGREES_PARENTS: dict[int, tuple[bytes, bytes]] = {}
+
+
+def _canonical_table(
+    n: int,
+) -> Iterator[tuple[CanonicalCode | None, bytes, bytes, bytes]]:
+    """``(code, levels, degrees, parents)`` for each tree of ``all_trees(n)``, in its order.
+
+    The reader for callers that decide on degrees and parents before they
+    build (``claims.TreeClass.trees``, ``caterpillar-support`` and the
+    relocation sweeps). The first call for an order runs
+    :func:`_degrees_parents` once per tree of :func:`_canonical_levels`
+    and keeps the result, before it yields, in ``_DEGREES_PARENTS``;
+    later calls read the blobs. ``degrees`` and ``parents`` are ``bytes``
+    slices, the root's parent being ``0``. ``code`` is as
+    :func:`_canonical_levels` gives it. ``all_trees`` never fills the
+    table.
+    """
+    rows = _canonical_levels(n)
+    table = _DEGREES_PARENTS.get(n)
+    if table is None:
+        rows = list(rows)
+        degs = bytearray()
+        parents = bytearray()
+        for _, levels in rows:
+            deg, parent = _degrees_parents(levels)
+            parent[0] = 0
+            degs += bytes(deg)
+            parents += bytes(parent)
+        table = _DEGREES_PARENTS[n] = (bytes(degs), bytes(parents))
+    deg_blob, parent_blob = table
+    for start, (code, levels) in zip(range(0, len(deg_blob), n), rows):
+        yield code, levels, deg_blob[start : start + n], parent_blob[start : start + n]
 
 
 def all_trees(n: int) -> Iterator[Tree]:

@@ -25,8 +25,8 @@ class Tree:
     that rebuild each caller's output through the constructor:
 
     - ``all_trees``, and the claims that filter ``all_trees``' level
-      sequences before building (``claims.TreeClass.trees``, the
-      relocation sweeps and ``caterpillar-support``), via
+      sequences before building (``claims.TreeClass.trees``, the witnesses
+      of the relocation sweeps and ``caterpillar-support``'s maxima), via
       :meth:`_from_levels`: ``TestFromLevels`` in ``tests/test_tree.py``;
     - ``edgelist.parse_edge_list``, after its own line-numbered checks:
       ``TestParserOracle`` in ``tests/test_cli.py``;
@@ -36,6 +36,14 @@ class Tree:
       ``test_star_and_path_rebuild_validated`` there;
     - ``degseq.caterpillar``: ``test_caterpillar_rebuilds_validated``
       there.
+
+    ``edges`` holds the sorted ``(u, v)`` pairs with ``u < v`` and
+    ``adjacency`` each vertex's neighbours, ascending. The constructor
+    builds the adjacency for its connectivity check, and
+    :meth:`_from_levels` in the same pass as the edges. A tree from
+    :meth:`_unchecked` builds it on its first read and keeps it, so one
+    that only feeds ``compute_indices`` or ``canonical_code``, which read
+    ``edges``, never builds it.
 
     Instances hash and compare by labeled edge set.
     """
@@ -60,8 +68,8 @@ class Tree:
         if len(norm) != n - 1:
             raise TreeError(f"a tree on {n} vertices needs {n - 1} edges, got {len(norm)}")
         self._fill(n, norm)
+        adj = self.adjacency = _sorted_adjacency(n, self.edges)
         if n > 1:
-            adj = self.adjacency
             stack = [0]
             visited = bytearray(n)
             visited[0] = 1
@@ -77,18 +85,8 @@ class Tree:
                 raise TreeError("edge list is disconnected")
 
     def _fill(self, n: int, edges: list[tuple[int, int]]) -> None:
-        # With the ``u < v`` pairs sorted, a vertex x meets its neighbours
-        # below it in edges (u, x) before those above it in edges (x, v),
-        # each group in ascending order: every adjacency list comes out
-        # sorted.
-        edges = sorted(edges)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
         self.n = n
-        self.edges = tuple(edges)
-        self.adjacency = tuple(map(tuple, adj))
+        self.edges = tuple(sorted(edges))
         self._code = None
 
     @classmethod
@@ -97,9 +95,10 @@ class Tree:
 
         Skips every check of :meth:`__init__`. For builders whose output is
         a tree by construction or by their own proof; the class docstring
-        lists them with the tests that validate each.
+        lists them with the tests that validate each. The result is an
+        :class:`_EdgeTree`, which builds its adjacency on first read.
         """
-        t = cls.__new__(cls)
+        t = _EdgeTree.__new__(_EdgeTree)
         t._fill(n, edges)
         return t
 
@@ -141,6 +140,35 @@ class Tree:
 
     def __repr__(self) -> str:
         return f"Tree(n={self.n}, edges={list(self.edges)!r})"
+
+
+class _EdgeTree(Tree):
+    """A :class:`Tree` from :meth:`Tree._unchecked` that builds its adjacency on first read.
+
+    Its ``__getattr__`` runs only for a slot not yet set; the adjacency,
+    once built, is kept in the slot. ``Tree`` itself has no
+    ``__getattr__``, so the attribute reads of the validated and the
+    level-sequence trees stay plain slot reads, which CPython specializes.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if name != "adjacency":
+            raise AttributeError(f"'Tree' object has no attribute {name!r}")
+        self.adjacency = _sorted_adjacency(self.n, self.edges)
+        return self.adjacency
+
+
+def _sorted_adjacency(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
+    # With the ``u < v`` pairs sorted, a vertex x meets its neighbours below
+    # it in edges (u, x) before those above it in edges (x, v), each group
+    # in ascending order: every adjacency list comes out sorted.
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(map(tuple, adj))
 
 
 def degrees(t: Tree) -> tuple[int, ...]:

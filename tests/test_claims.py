@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,12 +40,13 @@ from treeirr.claims import _caterpillar_levels, _seq_extremes, _tree_relocations
 from treeirr.enumeration import (
     EnumerationGuard,
     _canonical_levels,
+    _canonical_table,
     _degrees_parents,
     tree_degree_sequences,
     trees_with_degree_sequence,
 )
 
-from _brute import brute_indices, relocate_leaf, spanning_trees
+from _brute import brute_indices, levels_to_edges, relocate_leaf, spanning_trees
 
 TABLE1_SHA256 = "acaa463bf17fd9ca3b3c19c6c425e8d0dbba0bc1cc9eb08e7676b4c4e4395185"
 FIG2_SHA256 = "5ec994fc7dd151bb8105ebcdfc48befd0b6e8b2ed42801f5c6494294649c0204"
@@ -329,12 +331,21 @@ def _admissible_moves(t):
     ]
 
 
-def _class_moves(t, **kwargs):
-    """The moves of the per-support records of ``t``, expanded in sweep order."""
+def _class_moves(levels, deg, parent, **kwargs):
+    """The moves of the per-support records of a layout, expanded in sweep order.
+
+    ``deg`` and ``parent`` describe the layout ``levels``; the records are
+    held to the validated tree of ``_brute.levels_to_edges``, which the
+    function returns with the moves.
+    """
+    t = Tree(len(levels), levels_to_edges(levels))
     moves = []
-    for y, lam, strict, tied, donors, deltas in _tree_relocations(t, lambda lam: True, **kwargs):
+    for y, lam, strict, tied, donors, deltas in _tree_relocations(
+        deg, parent, lambda lam: True, **kwargs
+    ):
         assert lam == len(t.adjacency[y])
         assert donors == [w for w in t.adjacency[y] if len(t.adjacency[w]) == 1]
+        assert list(deltas) == [r for r in t.adjacency[y] if donors != [r]]
         class_moves = [
             (y, donor, recipient, strict, tied, change)
             for donor in donors
@@ -343,7 +354,23 @@ def _class_moves(t, **kwargs):
         ]
         assert len(class_moves) == len(donors) * (lam - 1)
         moves += class_moves
-    return moves
+    return t, moves
+
+
+def _preorder_levels(t, root, rng):
+    """A level-sequence layout of ``t``: preorder from ``root``, children shuffled."""
+    depth = {root: 0}
+    levels = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        levels.append(depth[v])
+        kids = [w for w in t.adjacency[v] if w not in depth]
+        rng.shuffle(kids)
+        for w in kids:
+            depth[w] = depth[v] + 1
+            stack.append(w)
+    return levels
 
 
 def _assert_matches_recompute(t, moves):
@@ -410,6 +437,29 @@ class TestEnumerationOnce:
         list(trees_with_degree_sequence((2, 2, 1, 1)))
         assert decodes
 
+    def test_report_reads_each_tree_once(self, monkeypatch):
+        # A cold default report reads each tree of the orders its filtering
+        # claims reach through _degrees_parents once: at most the 5,447
+        # trees of orders 1-14.
+        from treeirr import enumeration
+
+        calls = []
+        reader = enumeration._degrees_parents
+
+        def counted(levels):
+            calls.append(len(levels))
+            return reader(levels)
+
+        monkeypatch.setattr(enumeration, "_CANONICAL_ORDERS", {})
+        monkeypatch.setattr(enumeration, "_DEGREES_PARENTS", {})
+        monkeypatch.setattr(enumeration, "_degrees_parents", counted)
+        report = run_report(ReportConfig())
+        assert report.errors == ()
+        tables = enumeration._DEGREES_PARENTS
+        assert Counter(calls) == {n: len(degs) // n for n, (degs, _) in tables.items()}
+        assert max(tables) == 14
+        assert len(calls) <= 5447
+
     def test_extremal_seq_decodes_nothing(self, monkeypatch, capsys):
         # extremal --seq filters all_trees; it never runs the Prüfer realizer.
         from treeirr import degseq, enumeration
@@ -469,34 +519,45 @@ class TestEnumerationOnce:
 
 
 class TestRelocationDeltas:
+    # _tree_relocations reads a level-sequence layout's degrees and parents:
+    # as lists from _degrees_parents (root parent -1) and as the bytes
+    # slices of the order's table (root parent 0).
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_random_prufer_trees(self, data):
+        # Random Prüfer trees up to order 60, laid out from a random root.
         n = data.draw(st.integers(4, 60))
         code = data.draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
-        t = prufer_decode(code, n)
-        moves = _class_moves(t)
+        root = data.draw(st.integers(0, n - 1))
+        levels = _preorder_levels(prufer_decode(code, n), root, data.draw(st.randoms()))
+        t, moves = _class_moves(levels, *_degrees_parents(levels))
         assert [m[:3] for m in moves] == _admissible_moves(t)
         _assert_matches_recompute(t, moves)
 
     def test_every_move_up_to_order_nine(self):
         for n in range(2, 10):
-            for t in all_trees(n):
-                moves = _class_moves(t)
+            for _, levels, deg, parent in _canonical_table(n):
+                t, moves = _class_moves(levels, deg, parent)
                 assert [m[:3] for m in moves] == _admissible_moves(t)
                 _assert_matches_recompute(t, moves)
                 # The support filter drops exactly the moves that are neither strict nor tied.
-                assert _class_moves(t, support_filter=True) == [m for m in moves if m[3] or m[4]]
+                _, kept = _class_moves(levels, deg, parent, support_filter=True)
+                assert kept == [m for m in moves if m[3] or m[4]]
+                # The lists of _degrees_parents give the same records.
+                assert _class_moves(levels, *_degrees_parents(levels)) == (t, moves)
 
     def test_lone_donor_is_not_a_recipient(self):
-        # Support 0 has one leaf neighbor (1); its other neighbors 2 and 3
-        # are inner vertices, so the leaf can only move to 2 or 3.
-        t = Tree(6, [(0, 1), (0, 2), (0, 3), (2, 4), (3, 5)])
-        [(y, lam, strict, tied, donors, deltas)] = _tree_relocations(t, lambda lam: True)
+        # Support 0 has one leaf neighbor (1); its other neighbors 2 and 4
+        # are inner vertices, so the leaf can only move to 2 or 4.
+        levels = (0, 1, 1, 2, 1, 2)
+        deg, parent = _degrees_parents(levels)
+        [(y, lam, strict, tied, donors, deltas)] = _tree_relocations(deg, parent, lambda lam: True)
         assert (y, lam, strict, tied, donors) == (0, 3, False, False, [1])
-        assert list(deltas) == [2, 3]
-        moves = _class_moves(t)
-        assert [m[:3] for m in moves] == [(0, 1, 2), (0, 1, 3)]
+        assert list(deltas) == [2, 4]
+        t, moves = _class_moves(levels, deg, parent)
+        assert t.edges == ((0, 1), (0, 2), (0, 4), (2, 3), (4, 5))
+        assert [m[:3] for m in moves] == [(0, 1, 2), (0, 1, 4)]
         _assert_matches_recompute(t, moves)
 
     def test_witnesses_built_only_while_kept(self, monkeypatch):
@@ -726,8 +787,19 @@ class TestLevelFilters:
         assert calls == [(2, 2)]
 
     # caterpillar-support builds each (order, pendants) group's irr maxima
-    # alone, of the 2,143 caterpillars of orders 2-14.
-    @pytest.mark.parametrize("claim_id, builds", [("caterpillar-support", 174), ("sigma-increase", 8)])
+    # alone, of the 2,143 caterpillars of orders 2-14. The relocation
+    # sweeps build one tree per support class that the tally draws a
+    # witness from (25 kept each), never a tree they only count.
+    @pytest.mark.parametrize(
+        "claim_id, builds",
+        [
+            ("caterpillar-support", 174),
+            ("irr-decrease", 13),
+            ("irr-decrease-bound", 13),
+            ("sigma-decrease", 10),
+            ("sigma-increase", 1),
+        ],
+    )
     def test_warm_claim_builds_only_kept_trees(self, claim_id, builds, monkeypatch):
         builds_seen = []
         from_levels = Tree._from_levels

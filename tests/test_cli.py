@@ -124,6 +124,54 @@ class TestParserOracle:
         )
         assert back == sorted(tuple(sorted(p)) for p in pairs)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_errors_keep_text_and_line(self, data):
+        # One bad line spliced into a random tree's document. The expected
+        # line and message come from the tree: a format error wins wherever
+        # it is, a self-loop offends on its own line, a repeated edge on the
+        # later of its two lines, and an edge between two vertices at
+        # distance >= 2 on the last line of the cycle it closes.
+        n = data.draw(st.integers(3, 60))
+        rng = data.draw(st.randoms(use_true_random=True))
+        t = prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
+        edges = list(t.edges)
+        rng.shuffle(edges)
+        at = data.draw(st.integers(0, n - 1))
+        line_of = {e: i + 1 + (i >= at) for i, e in enumerate(edges)}
+        kind = data.draw(st.sampled_from(["format", "self-loop", "duplicate", "cycle"]))
+        if kind == "format":
+            bad, line, message = "x 1", at + 1, "non-integer vertex label in 'x 1'"
+        elif kind == "self-loop":
+            v = rng.randrange(n)
+            bad, line, message = f"{v} {v}", at + 1, f"self-loop at vertex {v}"
+        elif kind == "duplicate":
+            u, v = rng.choice(edges)
+            bad, line, message = f"{v} {u}", max(at + 1, line_of[(u, v)]), f"duplicate edge {(u, v)}"
+        else:
+            a, b = rng.sample(range(n), 2)
+            while b in t.adjacency[a]:
+                a, b = rng.sample(range(n), 2)
+            parent = {a: a}
+            queue = [a]
+            for x in queue:
+                for y in t.adjacency[x]:
+                    if y not in parent:
+                        parent[y] = x
+                        queue.append(y)
+            cycle_lines = [at + 1]
+            x = b
+            while x != a:
+                cycle_lines.append(line_of[(min(x, parent[x]), max(x, parent[x]))])
+                x = parent[x]
+            bad, line, message = f"{a} {b}", max(cycle_lines), "edge closes a cycle"
+        lines = [f"{u} {v}" for u, v in edges]
+        lines.insert(at, bad)
+        with pytest.raises(ParseError) as info:
+            parse_edge_list("\n".join(lines))
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: {message}"
+
     def test_compute_json_on_shuffled_tree(self, tmp_path, capsys):
         rng = random.Random(400)
         n = 400
@@ -260,6 +308,33 @@ class TestVerifyAndReport:
         capsys.readouterr()
         assert main(["report", "--claims", "sandwich,bogus", "--n-max", "5"]) == 2
         assert "unknown claim id" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_report_runs_each_claim_once(self, jobs, capsys):
+        # Repeated ids run once, with or without the process pool.
+        argv = ["report", "--claims", "hyp-four,sigma-five,hyp-four", "--jobs", jobs]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "claims: 2  holds: 0  holds-with-notes: 0  fails: 2  errors: 0" in out
+        assert out.count("claim: hyp-four\n") == 1
+        assert main(["report", "--claims", "hyp-four,hyp-four", "--jobs", jobs]) == 1
+        assert "claims: 1  holds: 0  holds-with-notes: 0  fails: 1  errors: 0" in (
+            capsys.readouterr().out
+        )
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_report_strips_claim_ids(self, jobs, capsys):
+        argv = ["report", "--claims", " hyp-four, sigma-five ,hyp-four ", "--jobs", jobs]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "claims: 2  holds: 0  holds-with-notes: 0  fails: 2  errors: 0" in out
+        assert "claim: sigma-five\n" in out and "unknown claim id" not in out
+
+    def test_report_empty_claim_list_is_an_error(self, capsys):
+        # An empty --claims names no claim; it does not mean all of them.
+        assert main(["report", "--claims", ""]) == 2
+        out = capsys.readouterr().out
+        assert "claims: 0" in out and "error: unknown claim id" in out
 
     def test_report_to_file(self, tmp_path, capsys):
         out = tmp_path / "report.txt"

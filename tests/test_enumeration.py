@@ -31,11 +31,35 @@ from _brute import (
 
 @pytest.fixture
 def cold_orders():
-    # all_trees keeps each order's canonical order for the process; start
-    # and end empty so that test order cannot decide which path runs.
+    # all_trees keeps each order's canonical order for the process, and the
+    # filtering claims its degree/parent table; start and end empty so that
+    # test order cannot decide which path runs.
     enumeration._CANONICAL_ORDERS.clear()
+    enumeration._DEGREES_PARENTS.clear()
     yield
     enumeration._CANONICAL_ORDERS.clear()
+    enumeration._DEGREES_PARENTS.clear()
+
+
+@pytest.fixture
+def counted_readers(monkeypatch):
+    # Calls of the degree/parent reader and first reads of a lazy adjacency.
+    from treeirr.tree import _EdgeTree
+
+    calls = []
+    reader, fallback = enumeration._degrees_parents, _EdgeTree.__getattr__
+
+    def counted_reader(levels):
+        calls.append("_degrees_parents")
+        return reader(levels)
+
+    def counted_fallback(self, name):
+        calls.append(name)
+        return fallback(self, name)
+
+    monkeypatch.setattr(enumeration, "_degrees_parents", counted_reader)
+    monkeypatch.setattr(_EdgeTree, "__getattr__", counted_fallback)
+    return calls
 
 
 class TestAllTrees:
@@ -159,6 +183,60 @@ class TestLevelReader:
         for n in (0, 17):
             with pytest.raises(EnumerationGuard):
                 enumeration._canonical_levels(n)
+            with pytest.raises(EnumerationGuard):
+                next(enumeration._canonical_table(n))
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_table_is_degrees_parents(self, n, cold_orders, counted_readers):
+        # The table's first call reads every tree of the order once, keeps
+        # the whole table before it yields, and later calls read it alone.
+        levels_rows = list(enumeration._canonical_levels(n))
+        first = next(enumeration._canonical_table(n))
+        assert counted_readers == ["_degrees_parents"] * len(levels_rows)
+        degs, parents = enumeration._DEGREES_PARENTS[n]
+        assert len(degs) == len(parents) == n * len(levels_rows)
+        rows = list(enumeration._canonical_table(n))
+        assert len(counted_readers) == len(levels_rows)
+        assert rows[0] == first
+        assert [levels for _, levels, _, _ in rows] == [levels for _, levels in levels_rows]
+        assert all(code is None for code, _, _, _ in rows)
+        for (_, levels), (_, _, deg, parent) in zip(levels_rows, rows):
+            want_deg, want_parent = enumeration._degrees_parents(levels)
+            assert type(deg) is bytes and type(parent) is bytes
+            assert list(deg) == want_deg
+            assert list(parent) == [0] + want_parent[1:]
+        # The cold call of the order hands its codes on.
+        enumeration._CANONICAL_ORDERS.clear()
+        enumeration._DEGREES_PARENTS.clear()
+        cold = list(enumeration._canonical_table(n))
+        assert [row[0] for row in cold] == [canonical_code(t) for t in all_trees(n)]
+        assert [row[1:] for row in cold] == [row[1:] for row in rows]
+
+
+class TestEnumeratePath:
+    @pytest.mark.parametrize("n", [1, 2, 9, 12])
+    def test_no_table_and_no_lazy_adjacency(self, n, cold_orders, counted_readers, capsys):
+        # Cold and warm, all_trees and enumerate --json neither fill the
+        # degree/parent table nor read it, and every tree's adjacency,
+        # which the records read, is the one _from_levels built.
+        from treeirr.cli import main
+
+        for _ in ("cold", "warm"):
+            trees = list(all_trees(n))
+            assert all(type(t) is Tree for t in trees)
+            assert [degrees(t) for t in trees]
+        enumeration._CANONICAL_ORDERS.clear()
+        for _ in ("cold", "warm"):
+            assert main(["enumerate", "--n", str(n), "--json"]) == 0
+            assert len(capsys.readouterr().out) > 0
+        assert n in enumeration._CANONICAL_ORDERS
+        assert enumeration._DEGREES_PARENTS == {}
+        assert counted_readers == []
+        # The counters do see the reader and the lazy adjacency when they run.
+        next(enumeration._canonical_table(n))
+        prufer_decode([], 2).adjacency
+        assert counted_readers[-1] == "adjacency"
+        assert counted_readers[:-1] == ["_degrees_parents"] * len(trees)
 
 
 class TestDegreeSequences:

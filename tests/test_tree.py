@@ -7,8 +7,11 @@ from treeirr import (
     Tree,
     TreeError,
     canonical_code,
+    caterpillar,
+    compute_indices,
     degrees,
     is_caterpillar,
+    prufer_decode,
     strong_support_vertices,
     all_trees,
     path,
@@ -16,6 +19,7 @@ from treeirr import (
 )
 from treeirr import _kernels
 from treeirr.claims import load_fig2_tree
+from treeirr.edgelist import parse_edge_list
 
 from _brute import brute_isomorphic, levels_to_edges
 
@@ -97,6 +101,77 @@ class TestFromLevels:
             levels.append(min(x, levels[-1] + 1))
         assert_built_from_levels(tuple(levels))
         assert_built_from_levels(bytes(levels))
+
+
+def adjacency_built(t):
+    # Reads the slot itself, past the lazy fallback.
+    try:
+        Tree.adjacency.__get__(t, Tree)
+    except AttributeError:
+        return False
+    return True
+
+
+def assert_lazy_adjacency(t):
+    # An edge-pair builder's tree carries its edges alone. Equality and
+    # hashing never build the adjacency; the first read gives what the
+    # validating constructor builds, and later reads give the same tuple.
+    want = Tree(t.n, t.edges)
+    assert adjacency_built(want)
+    assert not adjacency_built(t)
+    assert t == want and hash(t) == hash(want) == hash((t.n, t.edges))
+    assert not adjacency_built(t)
+    assert t.adjacency == want.adjacency
+    assert adjacency_built(t)
+    assert t.adjacency is t.adjacency
+    assert t == want and hash(t) == hash(want)
+
+
+class TestLazyAdjacency:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_edge_pair_builders(self, data):
+        n = data.draw(st.integers(2, 200))
+        rng = data.draw(st.randoms(use_true_random=True))
+        t = prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)
+        assert_lazy_adjacency(t)
+        # The same tree relabeled, as a document with sparse labels.
+        labels = rng.sample(range(3 * n), n)
+        lines = [f"{labels[u]} {labels[v]}" for u, v in t.edges]
+        rng.shuffle(lines)
+        parsed = parse_edge_list("\n".join(lines))
+        assert compute_indices(parsed.tree) == compute_indices(t)
+        canonical_code(parsed.tree)
+        assert_lazy_adjacency(parsed.tree)
+        assert_lazy_adjacency(star(n - 1))
+        assert_lazy_adjacency(path(n))
+        k = data.draw(st.integers(1, 8))
+        assert_lazy_adjacency(
+            caterpillar([rng.randint(1 if i in (0, k - 1) else 2, 6) for i in range(k)])
+        )
+
+    def test_eager_builders(self):
+        # The validating constructor builds the adjacency for its
+        # connectivity check, and _from_levels builds it with the edges;
+        # neither tree has the lazy fallback.
+        for t in [Tree(3, [(0, 1), (1, 2)]), Tree._from_levels((0, 1, 1)), *all_trees(7)]:
+            assert type(t) is Tree
+            assert adjacency_built(t)
+
+    def test_unchecked_keeps_the_callers_list(self):
+        edges = [(2, 3), (0, 1), (1, 2)]
+        t = Tree._unchecked(4, edges)
+        assert edges == [(2, 3), (0, 1), (1, 2)]
+        assert t.edges == ((0, 1), (1, 2), (2, 3))
+        assert_lazy_adjacency(t)
+        assert edges == [(2, 3), (0, 1), (1, 2)]
+
+    def test_other_missing_attributes_still_raise(self):
+        t = path(3)
+        with pytest.raises(AttributeError):
+            t.adjacent
+        assert not hasattr(t, "leaves")
+        assert not adjacency_built(t)
 
 
 class TestDegrees:
