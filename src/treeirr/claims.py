@@ -370,48 +370,67 @@ def _seq_extremes(seq: DegreeSequence, attr: str) -> tuple[int, int]:
     return min(values), max(values)
 
 
+def _move_change(lam: int, dr: int, sum_w: int, ge_w: int, sum_r: int, le_r: int):
+    """The change ``(irr, sigma)`` of moving a leaf off support ``y`` onto ``r``.
+
+    ``y`` has degree ``lam`` and ``r``, another neighbor of ``y``, degree
+    ``dr``. Only the edges at ``y`` and ``r`` change, so six integers fix
+    the change. ``W`` are the ``lam - 2`` neighbors of ``y`` other than the
+    donor leaf and ``r``: their degree sum is ``sum_w`` and ``ge_w`` of
+    them have degree ``>= lam``. ``R`` are the ``dr - 1`` neighbors of
+    ``r`` other than ``y``: their degree sum is ``sum_r`` and ``le_r`` of
+    them have degree ``<= dr``. The end degrees of edge ``yr`` go from
+    ``(lam, dr)`` to ``(lam - 1, dr + 1)``, those of the donor edge from
+    ``(lam, 1)`` to ``(dr + 1, 1)``, so:
+
+    - sigma: ``sum_W (2 d_w - 2 lam + 1) + (lam - 2 - dr)^2 - (lam - dr)^2
+      + dr^2 - (lam - 1)^2 + sum_R (2 dr - 2 d_w + 1)``;
+    - irr: ``#{W: d_w >= lam} - #{W: d_w < lam} + |lam - 2 - dr|
+      - |lam - dr| + dr - lam + 1 + #{R: d_w <= dr} - #{R: d_w > dr}``.
+
+    The tests hold both to ``_brute.relocate_leaf`` plus a full recompute.
+    """
+    irr = (
+        2 * ge_w - (lam - 2)
+        + abs(lam - 2 - dr) - abs(lam - dr)
+        + dr - lam + 1
+        + 2 * le_r - (dr - 1)
+    )
+    sigma = (
+        2 * sum_w + (lam - 2) * (1 - 2 * lam)
+        + (lam - 2 - dr) ** 2 - (lam - dr) ** 2
+        + dr * dr - (lam - 1) ** 2
+        + (dr - 1) * (2 * dr + 1) - 2 * sum_r
+    )
+    return irr, sigma
+
+
 def _tree_relocations(
-    deg: Sequence[int],
-    parent: Sequence[int],
-    lam_ok: Callable[[int], bool],
-    support_filter: bool = False,
+    deg: Sequence[int], parent: Sequence[int], lam_min: int, lam_max: int, support_filter: bool
 ):
-    """Every leaf relocation with admissible support degree on a tree, by class.
+    """Every leaf relocation off a support of degree ``lam_min..lam_max``, by support.
 
     The tree is a level-sequence layout, given by its degrees and parents
     (``enumeration._canonical_table``; the root's parent is never read).
     A parent's id is below its children's, so a vertex's neighbours in
     ascending id are its parent, then its children in ascending id.
 
-    Yields one record ``(y, lam, strict, tied, donors, deltas)`` per support
-    vertex ``y``: degree ``lam >= 3`` with ``lam_ok(lam)`` and at least one
-    leaf neighbor. ``strict`` says ``y`` sits below the maximum degree and
-    ``tied`` that it holds it with another vertex; with ``support_filter``
-    a support holding the maximum degree alone is skipped. ``donors`` are
-    the leaf neighbors of ``y``. Each may move to every other neighbor of
-    ``y``, so the class holds ``len(donors) * (lam - 1)`` moves, donor
-    first, then recipient, both ascending.
+    Yields one record ``(y, lam, side, donors, deltas)`` per support vertex
+    ``y``: degree ``lam`` with ``3 <= lam_min <= lam <= lam_max`` and at
+    least one leaf neighbor. ``side`` is ``"strict"`` when ``y`` sits below
+    the maximum degree, ``"tied"`` when it holds it with another vertex and
+    ``"unfiltered"`` when it holds it alone; ``support_filter`` skips the
+    last. ``donors`` are the leaf neighbors of ``y``. Each may move to every
+    other neighbor of ``y``, so the support holds ``len(donors) * (lam -
+    1)`` moves, donor first, then recipient, both ascending.
 
     ``deltas`` maps each recipient ``r``, in ascending id, to the change
-    ``(irr, sigma)`` of a move onto it. The donor is a leaf, so the change
-    does not depend on which one moves; a lone donor is not a recipient.
-    Only the edges at ``y`` and ``r`` change. Let ``W`` be the ``lam - 2``
-    neighbors of ``y`` other than the donor and ``r``, and ``R`` the
-    neighbors of ``r`` other than ``y``. The end degrees of edge ``yr`` go
-    from ``(lam, d_r)`` to ``(lam - 1, d_r + 1)``, those of the donor edge
-    from ``(lam, 1)`` to ``(d_r + 1, 1)``, so:
-
-    - sigma: ``sum_W (2 d_w - 2 lam + 1) + (lam - 2 - d_r)^2 - (lam - d_r)^2
-      + d_r^2 - (lam - 1)^2 + sum_R (2 d_r - 2 d_w + 1)``;
-    - irr: ``#{W: d_w >= lam} - #{W: d_w < lam} + |lam - 2 - d_r|
-      - |lam - d_r| + d_r - lam + 1 + #{R: d_w <= d_r} - #{R: d_w > d_r}``.
-
-    Each vertex's children come from one pass over the parent edges, and
-    the sums over ``W`` and ``R`` are read off the parent and children of
-    ``y`` and ``r``. No tree, moved or not, and no index bundle is built.
-    The tests check both changes against ``_brute.relocate_leaf`` plus a
-    full recompute on every move up to order 9 and on random layouts up to
-    order 60.
+    ``(irr, sigma)`` of a move onto it (:func:`_move_change`). The donor is
+    a leaf, so the change does not depend on which one moves; a lone donor
+    is not a recipient. Each vertex's children come from one pass over the
+    parent edges, and the sums over ``W`` and ``R`` are read off the parent
+    and children of ``y`` and ``r``. No tree, moved or not, and no index
+    bundle is built.
     """
     n = len(deg)
     kids: list[list[int]] = [[] for _ in range(n)]
@@ -420,7 +439,7 @@ def _tree_relocations(
     supports = []
     for y in range(n):
         lam = deg[y]
-        if lam >= 3 and lam_ok(lam):
+        if lam_min <= lam <= lam_max:
             nbrs = [parent[y], *kids[y]] if y else kids[y]
             donors = [w for w in nbrs if deg[w] == 1]
             if donors:
@@ -428,11 +447,10 @@ def _tree_relocations(
     if not supports:
         return
     delta = max(deg)
-    ties = deg.count(delta)
+    alone = deg.count(delta) == 1
     for y, lam, nbrs, donors in supports:
-        strict = lam < delta
-        tied = lam == delta and ties >= 2
-        if support_filter and not (strict or tied):
+        side = "strict" if lam < delta else ("unfiltered" if alone else "tied")
+        if support_filter and side == "unfiltered":
             continue
         # Degree sum and count at >= lam over N(y) less one donor leaf.
         sum_y = -1
@@ -447,54 +465,39 @@ def _tree_relocations(
             if r == lone:
                 continue
             dr = deg[r]
-            sum_w = sum_y - dr
-            ge_w = ge_y - (dr >= lam)
             sum_r = -lam  # over R = N(r) less y
             le_r = -(lam <= dr)
             for w in [parent[r], *kids[r]] if r else kids[r]:
                 dw = deg[w]
                 sum_r += dw
                 le_r += dw <= dr
-            sigma = (
-                2 * sum_w + (lam - 2) * (1 - 2 * lam)
-                + (lam - 2 - dr) ** 2 - (lam - dr) ** 2
-                + dr * dr - (lam - 1) ** 2
-                + (dr - 1) * (2 * dr + 1) - 2 * sum_r
-            )
-            irr = (
-                2 * ge_w - (lam - 2)
-                + abs(lam - 2 - dr) - abs(lam - dr)
-                + dr - lam + 1
-                + 2 * le_r - (dr - 1)
-            )
-            deltas[r] = (irr, sigma)
-        yield y, lam, strict, tied, donors, deltas
+            deltas[r] = _move_change(lam, dr, sum_y - dr, ge_y - (dr >= lam), sum_r, le_r)
+        yield y, lam, side, donors, deltas
 
 
-_DELTA_POS = {"irr": 0, "sigma": 1}  # index of each value in a ``deltas`` pair
-
-
-def _relocation_witnesses(levels, code, y, lam, filter_name, donors, deltas, hit, value_key):
-    # The class's violating moves in sweep order. The tree is built from its
-    # level sequence only when the tally draws the first of them.
+def _relocation_witnesses(levels, code, supports, value_key):
+    # The tree's violating moves in sweep order, per support ``(y, lam,
+    # side, donors, hit)`` with ``hit`` mapping each violating recipient to
+    # the index change. The tree, its edge list and its index value are
+    # built once, when the tally draws the first witness.
     t = Tree._from_levels(levels, code)
     tree = _edges_str(t)
     before = getattr(compute_indices(t), value_key)
-    pos = _DELTA_POS[value_key]
-    for donor in donors:
-        for recipient, change in deltas.items():
-            if recipient != donor and hit[recipient]:
-                yield {
-                    "tree": tree,
-                    "n": t.n,
-                    "y": y,
-                    "donor": donor,
-                    "recipient": recipient,
-                    "lambda": lam,
-                    "filter": filter_name,
-                    "before": before,
-                    "after": before + change[pos],
-                }
+    for y, lam, side, donors, hit in supports:
+        for donor in donors:
+            for recipient, change in hit.items():
+                if recipient != donor:
+                    yield {
+                        "tree": tree,
+                        "n": t.n,
+                        "y": y,
+                        "donor": donor,
+                        "recipient": recipient,
+                        "lambda": lam,
+                        "filter": side,
+                        "before": before,
+                        "after": before + change,
+                    }
 
 
 def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filter, lam_max=None):
@@ -506,12 +509,12 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
     skipped, and so is a tree whose maximum degree in its order's table
     (``enumeration._canonical_table``) is below ``lam_min``. The rest are
     swept on their degrees and parents by :func:`_tree_relocations`; a
-    tree is built only for the witnesses the tally keeps.
+    tree is built, once, only when the tally keeps a witness from it.
 
     ``bad(change, lam)`` decides whether a move that changes the index
     ``value_key`` by ``change`` violates the claim. It is decided once per
-    recipient of each support class of :func:`_tree_relocations`, and the
-    class is counted arithmetically: with ``D`` donors and ``B`` bad
+    recipient of each support of :func:`_tree_relocations`, and the
+    support is counted arithmetically: with ``D`` donors and ``B`` bad
     recipients it holds ``D * (lam - 1)`` moves and ``D * B`` violations,
     less the bad recipients that are donors themselves (no leaf moves onto
     itself).
@@ -519,48 +522,45 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
     With ``apply_support_filter`` the sweep keeps only supports that do not
     hold the maximum degree alone (both readings of that side condition
     are tallied separately); without it every admissible move counts and
-    the filter split is reported in the notes.
+    the split by side is reported in the notes.
     """
-    pos = _DELTA_POS[value_key]
-
-    def lam_ok(lam):
-        return lam_min <= lam and (lam_max is None or lam <= lam_max)
-
-    per_filter = {"strict": [0, 0], "tied": [0, 0], "unfiltered": [0, 0]}
+    pos = ("irr", "sigma").index(value_key)
+    if lam_max is None:
+        lam_max = params["n_max"]
+    moves = dict.fromkeys(("strict", "tied", "unfiltered"), 0)
+    violations = dict(moves)
     for n in range(lam_min + 1, params["n_max"] + 1):
         for code, levels, deg, parent in _canonical_table(n):
             if max(deg) < lam_min:
                 continue
-            for y, lam, strict, tied, donors, deltas in _tree_relocations(
-                deg, parent, lam_ok, apply_support_filter
+            tree_moves = tree_violations = 0
+            witnessing = []
+            for y, lam, side, donors, deltas in _tree_relocations(
+                deg, parent, lam_min, lam_max, apply_support_filter
             ):
-                hit = {r: bad(change[pos], lam) for r, change in deltas.items()}
-                moves = len(donors) * (lam - 1)
-                violations = len(donors) * sum(hit.values()) - sum(
-                    hit.get(d, False) for d in donors
-                )
-                for name, flag in (("strict", strict), ("tied", tied), ("unfiltered", True)):
-                    if flag:
-                        per_filter[name][0] += moves
-                        per_filter[name][1] += violations
-                filter_name = "strict" if strict else ("tied" if tied else "unfiltered")
-                tally.add_class(
-                    moves,
-                    violations,
-                    _relocation_witnesses(
-                        levels, code, y, lam, filter_name, donors, deltas, hit, value_key
-                    ),
-                )
+                hit = {r: c[pos] for r, c in deltas.items() if bad(c[pos], lam)}
+                count = len(donors) * (lam - 1)
+                bad_count = len(donors) * len(hit) - sum(d in hit for d in donors)
+                moves[side] += count
+                violations[side] += bad_count
+                tree_moves += count
+                tree_violations += bad_count
+                if bad_count:
+                    witnessing.append((y, lam, side, donors, hit))
+            tally.add_class(
+                tree_moves,
+                tree_violations,
+                _relocation_witnesses(levels, code, witnessing, value_key),
+            )
     notes = [
-        f"support below max degree: {per_filter['strict'][0]} moves, "
-        f"{per_filter['strict'][1]} violations",
-        f"support tying max degree with another vertex: {per_filter['tied'][0]} moves, "
-        f"{per_filter['tied'][1]} violations",
+        f"support below max degree: {moves['strict']} moves, {violations['strict']} violations",
+        f"support tying max degree with another vertex: {moves['tied']} moves, "
+        f"{violations['tied']} violations",
     ]
     if not apply_support_filter:
         notes.append(
-            f"no side condition on the support vertex: {per_filter['unfiltered'][0]} moves, "
-            f"{per_filter['unfiltered'][1]} violations"
+            f"no side condition on the support vertex: {sum(moves.values())} moves, "
+            f"{sum(violations.values())} violations"
         )
     return notes
 
@@ -1191,7 +1191,8 @@ def verify(
     """Run one cataloged claim and return its result.
 
     ``params`` overrides the claim's defaults (unknown keys are rejected);
-    ``witness_cap=None`` keeps every witness instead of the first 25.
+    ``witness_cap=None`` keeps every witness instead of the first 25, and a
+    negative cap is rejected.
     """
     if claim_id not in _REGISTRY:
         raise KeyError(f"unknown claim id {claim_id!r}; known: {', '.join(CLAIM_IDS)}")
@@ -1205,6 +1206,8 @@ def verify(
     low = [f"{k}={v}" for k, v in sorted(merged.items()) if v < 1]
     if low:
         raise ValueError(f"parameters of {claim_id} must be >= 1, got {', '.join(low)}")
+    if witness_cap is not None and witness_cap < 0:
+        raise ValueError(f"witness_cap must be >= 0 or None, got {witness_cap}")
     tally = _Tally(witness_cap)
     start = time.perf_counter()
     notes = check(merged, tally)
@@ -1229,11 +1232,6 @@ def _scaled_params(claim_id: str, config: ReportConfig) -> dict:
     return params
 
 
-def _run_one(args: tuple[str, dict, int | None]) -> ClaimResult:
-    claim_id, params, cap = args
-    return verify(claim_id, params, witness_cap=cap)
-
-
 def run_report(config: ReportConfig | None = None) -> ClaimReport:
     """Run a set of claims (default: all) into one aggregate report.
 
@@ -1249,26 +1247,26 @@ def run_report(config: ReportConfig | None = None) -> ClaimReport:
     wanted = CLAIM_IDS if config.claim_ids is None else config.claim_ids
     wanted = list(dict.fromkeys(cid.strip() for cid in wanted))
     errors = [(cid, "unknown claim id") for cid in wanted if cid not in _REGISTRY]
-    runnable = [cid for cid in wanted if cid in _REGISTRY]
-    tasks = [(cid, _scaled_params(cid, config), config.witness_cap) for cid in runnable]
+    params = {cid: _scaled_params(cid, config) for cid in wanted if cid in _REGISTRY}
+    cap = config.witness_cap
     results: list[ClaimResult] = []
-    jobs = 1 if config.deterministic else min(config.jobs, len(tasks), os.cpu_count() or 1)
+    jobs = 1 if config.deterministic else min(config.jobs, len(params), os.cpu_count() or 1)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [(task[0], pool.submit(_run_one, task)) for task in tasks]
-            for cid, fut in futures:
+            futures = {cid: pool.submit(verify, cid, p, cap) for cid, p in params.items()}
+            for cid, fut in futures.items():
                 try:
                     results.append(fut.result())
                 except Exception as exc:  # noqa: BLE001 - claim errors must not abort the report
                     errors.append((cid, f"{type(exc).__name__}: {exc}"))
     else:
-        for task in tasks:
+        for cid, p in params.items():
             try:
-                results.append(_run_one(task))
+                results.append(verify(cid, p, cap))
             except Exception as exc:  # noqa: BLE001 - claim errors must not abort the report
-                errors.append((task[0], f"{type(exc).__name__}: {exc}"))
+                errors.append((cid, f"{type(exc).__name__}: {exc}"))
     results.sort(key=lambda r: r.claim_id)
     errors.sort()
     metadata = {

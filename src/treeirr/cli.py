@@ -8,6 +8,7 @@ import sys
 
 from .claims import (
     CLAIM_IDS,
+    DEFAULT_WITNESS_CAP,
     ReportConfig,
     _edges_str,
     exit_status,
@@ -181,6 +182,14 @@ def _witness_cap(args) -> int | None:
     return None if args.all_witnesses else args.witness_cap
 
 
+def _add_witness_options(p: argparse.ArgumentParser) -> None:
+    # argparse lets an option given at its default value through a mutually
+    # exclusive group, unless the default is a string it parses itself.
+    cap = p.add_mutually_exclusive_group()
+    cap.add_argument("--witness-cap", type=_non_negative, default=str(DEFAULT_WITNESS_CAP))
+    cap.add_argument("--all-witnesses", action="store_true")
+
+
 def _cmd_verify(args) -> int:
     params = {}
     if args.n_max is not None:
@@ -324,8 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run one cataloged claim")
     p.add_argument("--claim", choices=list(CLAIM_IDS), required=True)
     p.add_argument("--n-max", type=_positive, default=None)
-    p.add_argument("--witness-cap", type=_non_negative, default=25)
-    p.add_argument("--all-witnesses", action="store_true")
+    _add_witness_options(p)
     p.add_argument("--timings", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
@@ -333,8 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="run many claims into one report")
     p.add_argument("--claims", help="comma-separated claim ids (default: all)")
     p.add_argument("--n-max", type=_positive, default=None)
-    p.add_argument("--witness-cap", type=_non_negative, default=25)
-    p.add_argument("--all-witnesses", action="store_true")
+    _add_witness_options(p)
     p.add_argument("--jobs", type=_positive, default=1)
     p.add_argument("--deterministic", action="store_true", help="single worker, no timings")
     p.add_argument("--timings", action="store_true")

@@ -36,7 +36,7 @@ from treeirr.claims import (
     table1_text,
     verify,
 )
-from treeirr.claims import _caterpillar_levels, _seq_extremes, _tree_relocations
+from treeirr.claims import _caterpillar_levels, _move_change, _seq_extremes, _tree_relocations
 from treeirr.enumeration import (
     EnumerationGuard,
     _canonical_levels,
@@ -90,6 +90,18 @@ class TestCatalog:
         ((key, value),) = params.items()
         with pytest.raises(ValueError, match=f"must be >= 1, got {key}={value}"):
             verify(claim_id, params)
+
+    @pytest.mark.parametrize("cap", [-1, -3])
+    def test_negative_witness_cap_rejected(self, cap, monkeypatch):
+        # Rejected before the sweep reads a single order.
+        from treeirr import claims
+
+        def no_work(n):
+            raise AssertionError("swept with a negative cap")
+
+        monkeypatch.setattr(claims, "_canonical_table", no_work)
+        with pytest.raises(ValueError, match=f"witness_cap must be >= 0 or None, got {cap}"):
+            verify("irr-decrease", {"n_max": 6}, witness_cap=cap)
 
     def test_small_parameter_checks_nothing(self):
         # Legal but below the claim's smallest instance: no support of
@@ -242,7 +254,7 @@ def _labeled_tree_classes(n):
 
 
 def _brute_relocation_sweep(
-    n_max, lam_ok, bad, value_key, support_filter, classes=_labeled_tree_classes
+    n_max, admissible, bad, value_key, support_filter, classes=_labeled_tree_classes
 ):
     """Test-local rerun of a relocation claim, on brute-force indices.
 
@@ -268,7 +280,7 @@ def _brute_relocation_sweep(
             before = brute_indices(n, edges)
             for y in range(n):
                 lam = deg[y]
-                if lam < 3 or not lam_ok(lam):
+                if lam < 3 or not admissible(lam):
                     continue
                 strict, tied = lam < delta, lam == delta and ties >= 2
                 if support_filter and not (strict or tied):
@@ -304,11 +316,11 @@ def _canonical_classes(n):
     return [list(t.edges) for t in all_trees(n)]
 
 
-def _assert_witnesses_are_brute_moves(claim_id, n_max, lam_ok, bad, value_key, support_filter):
+def _assert_witnesses_are_brute_moves(claim_id, n_max, admissible, bad, value_key, support_filter):
     # On the claim's own trees the brute moves must be its witnesses, move
     # for move: all of them uncapped, the first cap of them capped.
     _, moves = _brute_relocation_sweep(
-        n_max, lam_ok, bad, value_key, support_filter, classes=_canonical_classes
+        n_max, admissible, bad, value_key, support_filter, classes=_canonical_classes
     )
     assert len(moves) > DEFAULT_WITNESS_CAP
     uncapped = verify(claim_id, {"n_max": n_max}, witness_cap=None)
@@ -331,23 +343,25 @@ def _admissible_moves(t):
     ]
 
 
-def _class_moves(levels, deg, parent, **kwargs):
+def _class_moves(levels, deg, parent, support_filter=False):
     """The moves of the per-support records of a layout, expanded in sweep order.
 
-    ``deg`` and ``parent`` describe the layout ``levels``; the records are
-    held to the validated tree of ``_brute.levels_to_edges``, which the
-    function returns with the moves.
+    ``deg`` and ``parent`` describe the layout ``levels``; every support of
+    degree >= 3 is admissible. The records are held to the validated tree
+    of ``_brute.levels_to_edges``, which the function returns with the
+    moves ``(y, donor, recipient, side, change)``.
     """
     t = Tree(len(levels), levels_to_edges(levels))
+    top = max(deg)
+    ties = deg.count(top)
     moves = []
-    for y, lam, strict, tied, donors, deltas in _tree_relocations(
-        deg, parent, lambda lam: True, **kwargs
-    ):
+    for y, lam, side, donors, deltas in _tree_relocations(deg, parent, 3, top, support_filter):
         assert lam == len(t.adjacency[y])
         assert donors == [w for w in t.adjacency[y] if len(t.adjacency[w]) == 1]
         assert list(deltas) == [r for r in t.adjacency[y] if donors != [r]]
+        assert side == ("strict" if lam < top else "tied" if ties > 1 else "unfiltered")
         class_moves = [
-            (y, donor, recipient, strict, tied, change)
+            (y, donor, recipient, side, change)
             for donor in donors
             for recipient, change in deltas.items()
             if recipient != donor
@@ -376,7 +390,7 @@ def _preorder_levels(t, root, rng):
 def _assert_matches_recompute(t, moves):
     # The oracle is the validated move plus a full recompute of the bundle.
     before = compute_indices(t)
-    for y, donor, recipient, _strict, _tied, (d_irr, d_sigma) in moves:
+    for y, donor, recipient, _side, (d_irr, d_sigma) in moves:
         after = compute_indices(relocate_leaf(t, y, donor, recipient)[0])
         assert (after.irr - before.irr, after.sigma - before.sigma) == (d_irr, d_sigma)
 
@@ -541,9 +555,10 @@ class TestRelocationDeltas:
                 t, moves = _class_moves(levels, deg, parent)
                 assert [m[:3] for m in moves] == _admissible_moves(t)
                 _assert_matches_recompute(t, moves)
-                # The support filter drops exactly the moves that are neither strict nor tied.
+                # The support filter drops exactly the moves off a support alone
+                # at the maximum degree.
                 _, kept = _class_moves(levels, deg, parent, support_filter=True)
-                assert kept == [m for m in moves if m[3] or m[4]]
+                assert kept == [m for m in moves if m[3] != "unfiltered"]
                 # The lists of _degrees_parents give the same records.
                 assert _class_moves(levels, *_degrees_parents(levels)) == (t, moves)
 
@@ -552,13 +567,30 @@ class TestRelocationDeltas:
         # are inner vertices, so the leaf can only move to 2 or 4.
         levels = (0, 1, 1, 2, 1, 2)
         deg, parent = _degrees_parents(levels)
-        [(y, lam, strict, tied, donors, deltas)] = _tree_relocations(deg, parent, lambda lam: True)
-        assert (y, lam, strict, tied, donors) == (0, 3, False, False, [1])
+        [(y, lam, side, donors, deltas)] = _tree_relocations(deg, parent, 3, 3, False)
+        assert (y, lam, side, donors) == (0, 3, "unfiltered", [1])
         assert list(deltas) == [2, 4]
         t, moves = _class_moves(levels, deg, parent)
         assert t.edges == ((0, 1), (0, 2), (0, 4), (2, 3), (4, 5))
         assert [m[:3] for m in moves] == [(0, 1, 2), (0, 1, 4)]
         _assert_matches_recompute(t, moves)
+
+    def test_order_23_sigma_increase_counterexample(self):
+        # Two supports of degree 11 with 10 leaves each, joined through a
+        # vertex r of degree 2: every move onto r lowers sigma by 316, with
+        # the support tied at the maximum degree.
+        levels = (0,) + (1,) * 10 + (1, 2) + (3,) * 10
+        deg, parent = _degrees_parents(levels)
+        records = list(_tree_relocations(deg, parent, 11, 11, True))
+        supports = [(y, lam, side) for y, lam, side, _, _ in records]
+        assert supports == [(0, 11, "tied"), (12, 11, "tied")]
+        for _, _, _, _, deltas in records:
+            assert deltas[11] == (-20, -316)
+        assert _move_change(11, 2, 9, 0, 11, 0) == (-20, -316)
+        t = Tree(len(levels), levels_to_edges(levels))
+        moved = relocate_leaf(t, 0, 1, 11)[0]
+        assert (compute_indices(t).sigma, compute_indices(moved).sigma) == (2162, 1846)
+        _assert_matches_recompute(t, _class_moves(levels, deg, parent)[1])
 
     def test_witnesses_built_only_while_kept(self, monkeypatch):
         from treeirr import claims
@@ -788,15 +820,15 @@ class TestLevelFilters:
 
     # caterpillar-support builds each (order, pendants) group's irr maxima
     # alone, of the 2,143 caterpillars of orders 2-14. The relocation
-    # sweeps build one tree per support class that the tally draws a
-    # witness from (25 kept each), never a tree they only count.
+    # sweeps build each tree that the tally draws a witness from (25 kept
+    # each) once, never a tree they only count.
     @pytest.mark.parametrize(
         "claim_id, builds",
         [
             ("caterpillar-support", 174),
-            ("irr-decrease", 13),
-            ("irr-decrease-bound", 13),
-            ("sigma-decrease", 10),
+            ("irr-decrease", 8),
+            ("irr-decrease-bound", 10),
+            ("sigma-decrease", 7),
             ("sigma-increase", 1),
         ],
     )
@@ -934,6 +966,13 @@ class TestReport:
         config = ReportConfig(claim_ids=self.SMALL, n_max=6, deterministic=False, jobs=10_000)
         assert report_to_text(run_report(config)) == serial
         assert pools == ([] if workers is None else [workers])
+
+    def test_negative_witness_cap_is_a_claim_error(self):
+        report = run_report(ReportConfig(claim_ids=("irr-decrease", "table1"), witness_cap=-1))
+        assert report.results == ()
+        message = "ValueError: witness_cap must be >= 0 or None, got -1"
+        assert report.errors == (("irr-decrease", message), ("table1", message))
+        assert exit_status(report) == 1
 
     def test_json_shape(self):
         report = run_report(ReportConfig(claim_ids=("table1",)))

@@ -357,6 +357,33 @@ class TestVerifyAndReport:
         assert captured.out == ""
         assert "argument --witness-cap: must be >= 0, got -3" in captured.err
 
+    @pytest.mark.parametrize("verb", [["verify", "--claim", "irr-decrease"], ["report"]])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--witness-cap", "2", "--all-witnesses"],
+            # 25 is the default cap, so a plain group would let it through.
+            ["--witness-cap", "25", "--all-witnesses"],
+            ["--all-witnesses", "--witness-cap", "25"],
+        ],
+    )
+    def test_witness_cap_and_all_witnesses_exclusive(self, verb, flags, capsys):
+        assert main(verb + ["--n-max", "6"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: treeirr {verb[0]}")
+        assert "not allowed with argument" in captured.err
+
+    @pytest.mark.parametrize(
+        "verb", [["verify", "--claim", "irr-decrease"], ["report", "--claims", "irr-decrease"]]
+    )
+    def test_default_witness_cap(self, verb, capsys):
+        assert main(verb + ["--n-max", "9"]) == 1
+        plain = capsys.readouterr().out
+        assert main(verb + ["--n-max", "9", "--witness-cap", "25"]) == 1
+        assert capsys.readouterr().out == plain
+        assert plain.count("witness: ") == 25
+
     @pytest.mark.parametrize(
         "verb, value",
         [
