@@ -34,6 +34,7 @@ from .edgelist import parse_edge_list
 from .enumeration import (
     EnumerationGuard,
     _canonical_table,
+    _level_tree,
     all_trees,
     tree_degree_sequences,
 )
@@ -124,7 +125,7 @@ class TreeClass:
                 continue
             if caterpillar_only and not _caterpillar_levels(deg, parent):
                 continue
-            yield Tree._from_levels(levels, code)
+            yield _level_tree(levels, code)
 
 
 def _caterpillar_levels(deg: Sequence[int], parent: Sequence[int]) -> bool:
@@ -480,7 +481,7 @@ def _relocation_witnesses(levels, code, supports, value_key):
     # side, donors, hit)`` with ``hit`` mapping each violating recipient to
     # the index change. The tree, its edge list and its index value are
     # built once, when the tally draws the first witness.
-    t = Tree._from_levels(levels, code)
+    t = _level_tree(levels, code)
     tree = _edges_str(t)
     before = getattr(compute_indices(t), value_key)
     for y, lam, side, donors, hit in supports:
@@ -871,7 +872,7 @@ def _check_caterpillar_support(params, tally):
     for (n, pendants), (best, maxima) in sorted(groups.items()):
         tally.checked += 1
         for code, levels in maxima:
-            t = Tree._from_levels(levels, code)
+            t = _level_tree(levels, code)
             if not strong_support_vertices(t, min_leaves=2):
                 tally.add(
                     {

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .claims import (
@@ -357,8 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_permsearch)
 
     p = sub.add_parser("table1", help="bundled reference table with recomputed columns")
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("--json", action="store_true")
+    form = p.add_mutually_exclusive_group()
+    form.add_argument("--csv", action="store_true")
+    form.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_table1)
 
     return parser
@@ -371,7 +373,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull so the flush at
+        # shutdown raises nothing, and exit as a shell does on SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (
         ParseError,
         NotTreeGraphical,

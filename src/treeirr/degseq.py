@@ -67,7 +67,8 @@ def prufer_encode(t: Tree) -> PruferCode:
         raise ValueError("encoding needs at least 2 vertices")
     if n == 2:
         return ()
-    deg = [len(a) for a in t.adjacency]
+    adj = t.adjacency
+    deg = [len(a) for a in adj]
     alive = [True] * n
     heap = [v for v in range(n) if deg[v] == 1]
     heapq.heapify(heap)
@@ -75,7 +76,7 @@ def prufer_encode(t: Tree) -> PruferCode:
     for _ in range(n - 2):
         v = heapq.heappop(heap)
         alive[v] = False
-        u = next(w for w in t.adjacency[v] if alive[w])
+        u = next(w for w in adj[v] if alive[w])
         code.append(u)
         deg[u] -= 1
         if deg[u] == 1:

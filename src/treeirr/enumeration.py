@@ -8,6 +8,8 @@ kept per order as two ``bytes`` blobs beside the level sequences. The
 first such claim to reach an order fills its table through
 :func:`_degrees_parents`, once per tree; ``all_trees`` never fills it.
 They decide on degrees and parents and build only the trees they keep.
+Every tree of the canonical order is built by :func:`_level_tree`;
+it and :func:`_degrees_parents` hold the level-sequence parent rule.
 :func:`trees_with_degree_sequence` realizes one tree-graphical degree
 multiset through Prüfer codes and deduplicates by canonical code. The
 ``realize`` command is its only CLI user: ``extremal --seq`` and the claims
@@ -15,9 +17,10 @@ filter the canonical order instead (``claims.TreeClass.trees``). The test
 suite builds an independent twin of :func:`all_trees` from it, over every
 degree multiset of an order, and holds the two to agreement.
 
-Both walk through one guard, :func:`_check_order`: orders 1 to
-``MAX_ORDER`` (16), with no override. The realizer also refuses any
-sequence with more than ``CODE_CAP`` (10⁷) Prüfer arrangements.
+These and :func:`tree_degree_sequences` walk through one guard,
+:func:`_check_order`: orders 1 to ``MAX_ORDER`` (16), with no
+override. The realizer also refuses any sequence with more than
+``CODE_CAP`` (10⁷) Prüfer arrangements.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ def _canonical_levels(n: int) -> Iterable[tuple[CanonicalCode | None, bytes]]:
     returns the sorted pairs with their codes. Later calls read the blob,
     with no generation, coding or sort, and their codes are ``None``.
     Callers that filter on :func:`_degrees_parents` build only the trees
-    they keep, by ``Tree._from_levels`` on the same slice.
+    they keep, by :func:`_level_tree` on the same slice.
     """
     _check_order(n)
     blob = _CANONICAL_ORDERS.get(n)
@@ -71,11 +74,34 @@ def _canonical_levels(n: int) -> Iterable[tuple[CanonicalCode | None, bytes]]:
     return keyed
 
 
+def _level_tree(levels: Sequence[int], code: CanonicalCode | None = None) -> Tree:
+    """The tree of a preorder level sequence (a tuple or ``bytes``), unvalidated.
+
+    ``levels[0] == 0`` and ``1 <= levels[i] <= levels[i - 1] + 1``; vertex
+    ``i > 0`` hangs from the latest earlier vertex one level up. Each
+    parent id is below its child and children come in ascending id, so
+    every adjacency list is sorted as built, in the same pass as the
+    edges, and goes to ``Tree._unchecked`` with them. ``code``, when
+    known, is the canonical code.
+    """
+    n = len(levels)
+    last = [0] * n  # last[d]: the latest vertex seen at level d
+    edges = []
+    adj: list[list[int]] = [[]]
+    for i in range(1, n):
+        lv = levels[i]
+        p = last[lv - 1]
+        last[lv] = i
+        edges.append((p, i))
+        adj[p].append(i)
+        adj.append([p])
+    return Tree._unchecked(n, edges, tuple(map(tuple, adj)), code)
+
+
 def _degrees_parents(levels: Sequence[int]) -> tuple[list[int], list[int]]:
     """Degrees and parents of the tree of a level sequence, in one pass.
 
-    The rule of ``Tree._from_levels``: vertex ``i > 0`` hangs from the
-    latest earlier vertex one level up. The root's parent is ``-1``.
+    The parent rule of :func:`_level_tree`. The root's parent is ``-1``.
     """
     n = len(levels)
     last = [0] * n  # last[d]: the latest vertex seen at level d
@@ -135,24 +161,20 @@ def all_trees(n: int) -> Iterator[Tree]:
     Deterministic emission: ascending canonical code.
 
     Each tree is built in one unvalidated pass over its slice of
-    :func:`_canonical_levels` (``Tree._from_levels``), so every call gives
+    :func:`_canonical_levels` (:func:`_level_tree`), so every call gives
     the same labeled trees in the same order. On the call that generates
     the order, each tree carries its canonical code; later calls skip the
     generation, coding and sort, and their trees have no code cached yet.
     """
     for code, levels in _canonical_levels(n):
-        yield Tree._from_levels(levels, code)
+        yield _level_tree(levels, code)
 
 
 def tree_degree_sequences(n: int) -> Iterator[DegreeSequence]:
     """All tree-graphical degree multisets of length ``n``, largest-first order."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
+    _check_order(n)
     if n == 1:
         yield DegreeSequence((0,))
-        return
-    if n == 2:
-        yield DegreeSequence((1, 1))
         return
 
     def rec(slots: int, remaining: int, max_part: int, prefix: list[int]):
@@ -208,9 +230,6 @@ def trees_with_degree_sequence(seq: DegreeSequence | Sequence[int]) -> Iterator[
     _check_order(n)
     if n == 1:
         yield Tree(1, [])
-        return
-    if n == 2:
-        yield Tree(2, [(0, 1)])
         return
     count = realization_count(seq)
     if count > CODE_CAP:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _kernels
-from .tree import Tree
+from .tree import Tree, degrees
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,6 @@ def total_irregularity_by_sequence(t: Tree) -> int:
     """
     n = t.n
     m = n - 1
-    ordered = sorted((len(a) for a in t.adjacency), reverse=True)
+    ordered = sorted(degrees(t), reverse=True)
     weighted = sum(i * d for i, d in enumerate(ordered, start=1))
     return 2 * (n + 1) * m - 2 * weighted

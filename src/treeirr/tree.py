@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import _kernels
 
@@ -18,37 +18,22 @@ class Tree:
 
     The constructor validates everything: exactly ``n-1`` edges, no loops
     or duplicates, ids in range, connected. Degree sums to ``2(n-1)`` by
-    consequence. It is the entry point for untrusted pairs. Two private
-    builders skip the checks for input that is already known to be a
-    tree: :meth:`_unchecked` (normalized edge pairs) and
-    :meth:`_from_levels` (a level sequence). Their callers, and the tests
-    that rebuild each caller's output through the constructor:
-
-    - ``all_trees``, and the claims that filter ``all_trees``' level
-      sequences before building (``claims.TreeClass.trees``, the witnesses
-      of the relocation sweeps and ``caterpillar-support``'s maxima), via
-      :meth:`_from_levels`: ``TestFromLevels`` in ``tests/test_tree.py``;
-    - ``edgelist.parse_edge_list``, after its own line-numbered checks:
-      ``TestParserOracle`` in ``tests/test_cli.py``;
-    - ``degseq.prufer_decode``: ``test_roundtrip_and_cayley_count`` and
-      ``test_decode_rebuilds_validated`` in ``tests/test_degseq.py``;
-    - ``degseq.star`` and ``degseq.path``:
-      ``test_star_and_path_rebuild_validated`` there;
-    - ``degseq.caterpillar``: ``test_caterpillar_rebuilds_validated``
-      there.
+    consequence. It is the entry point for untrusted pairs. The one
+    private builder, :meth:`_unchecked`, skips the checks for input its
+    caller already knows to be a tree; the test suite rebuilds each
+    caller's output through the constructor.
 
     ``edges`` holds the sorted ``(u, v)`` pairs with ``u < v`` and
     ``adjacency`` each vertex's neighbours, ascending. The constructor
-    builds the adjacency for its connectivity check, and
-    :meth:`_from_levels` in the same pass as the edges. A tree from
-    :meth:`_unchecked` builds it on its first read and keeps it, so one
-    that only feeds ``compute_indices`` or ``canonical_code``, which read
-    ``edges``, never builds it.
+    builds the adjacency for its connectivity check, and a trusted
+    builder may hand it to :meth:`_unchecked`. Otherwise its first read
+    builds and keeps it, so a tree that only feeds ``compute_indices`` or
+    ``canonical_code``, which read ``edges``, never builds it.
 
     Instances hash and compare by labeled edge set.
     """
 
-    __slots__ = ("n", "edges", "adjacency", "_code")
+    __slots__ = ("n", "edges", "_adj", "_code")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if not isinstance(n, int) or n < 1:
@@ -67,8 +52,11 @@ class Tree:
             norm.append(e)
         if len(norm) != n - 1:
             raise TreeError(f"a tree on {n} vertices needs {n - 1} edges, got {len(norm)}")
-        self._fill(n, norm)
-        adj = self.adjacency = _sorted_adjacency(n, self.edges)
+        norm.sort()
+        self.n = n
+        self.edges = tuple(norm)
+        self._code = None
+        adj = self._adj = _sorted_adjacency(n, self.edges)
         if n > 1:
             stack = [0]
             visited = bytearray(n)
@@ -84,53 +72,37 @@ class Tree:
             if count != n:
                 raise TreeError("edge list is disconnected")
 
-    def _fill(self, n: int, edges: list[tuple[int, int]]) -> None:
-        self.n = n
-        self.edges = tuple(sorted(edges))
-        self._code = None
-
     @classmethod
-    def _unchecked(cls, n: int, edges: list[tuple[int, int]]) -> "Tree":
+    def _unchecked(
+        cls,
+        n: int,
+        edges: list[tuple[int, int]],
+        adjacency: tuple[tuple[int, ...], ...] | None = None,
+        code: CanonicalCode | None = None,
+    ) -> "Tree":
         """Build from ``(u, v)`` pairs with ``u < v`` already known to form a tree.
 
-        Skips every check of :meth:`__init__`. For builders whose output is
-        a tree by construction or by their own proof; the class docstring
-        lists them with the tests that validate each. The result is an
-        :class:`_EdgeTree`, which builds its adjacency on first read.
+        Skips every check of :meth:`__init__`. The tree owns ``edges``: the
+        list is sorted in place, not copied, so callers hand over a fresh
+        one. ``adjacency``, when given, must be the sorted adjacency of the
+        edges, and ``code``, when given, the canonical code; both are kept
+        as they are.
         """
-        t = _EdgeTree.__new__(_EdgeTree)
-        t._fill(n, edges)
-        return t
-
-    @classmethod
-    def _from_levels(cls, levels: Sequence[int], code: CanonicalCode | None = None) -> "Tree":
-        """Build from a preorder level sequence (a tuple or ``bytes``).
-
-        ``levels[0] == 0`` and ``1 <= levels[i] <= levels[i - 1] + 1``;
-        vertex ``i`` hangs from the latest earlier vertex one level up.
-        Skips every check of :meth:`__init__`, like :meth:`_unchecked`.
-        Each parent id is below its child and children come in ascending
-        id, so every adjacency list is sorted as built; only the edges
-        need a sort. ``code``, when known, is cached as the canonical code.
-        """
-        n = len(levels)
-        last = [0] * n  # last[d]: the latest vertex seen at level d
-        edges = []
-        adj: list[list[int]] = [[]]
-        for i in range(1, n):
-            lv = levels[i]
-            p = last[lv - 1]
-            last[lv] = i
-            edges.append((p, i))
-            adj[p].append(i)
-            adj.append([p])
         edges.sort()
         t = cls.__new__(cls)
         t.n = n
         t.edges = tuple(edges)
-        t.adjacency = tuple(map(tuple, adj))
+        t._adj = adjacency
         t._code = code
         return t
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours, ascending; built on first read if not handed over."""
+        adj = self._adj
+        if adj is None:
+            adj = self._adj = _sorted_adjacency(self.n, self.edges)
+        return adj
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Tree) and self.n == other.n and self.edges == other.edges
@@ -140,24 +112,6 @@ class Tree:
 
     def __repr__(self) -> str:
         return f"Tree(n={self.n}, edges={list(self.edges)!r})"
-
-
-class _EdgeTree(Tree):
-    """A :class:`Tree` from :meth:`Tree._unchecked` that builds its adjacency on first read.
-
-    Its ``__getattr__`` runs only for a slot not yet set; the adjacency,
-    once built, is kept in the slot. ``Tree`` itself has no
-    ``__getattr__``, so the attribute reads of the validated and the
-    level-sequence trees stay plain slot reads, which CPython specializes.
-    """
-
-    __slots__ = ()
-
-    def __getattr__(self, name: str):
-        if name != "adjacency":
-            raise AttributeError(f"'Tree' object has no attribute {name!r}")
-        self.adjacency = _sorted_adjacency(self.n, self.edges)
-        return self.adjacency
 
 
 def _sorted_adjacency(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
@@ -185,11 +139,10 @@ def strong_support_vertices(t: Tree, min_leaves: int = 2) -> frozenset[int]:
     """
     if min_leaves < 1:
         raise ValueError("min_leaves must be >= 1")
-    if t.n < 2:
-        return frozenset()
+    adj = t.adjacency
     out = set()
     for v in range(t.n):
-        pendant = sum(1 for w in t.adjacency[v] if len(t.adjacency[w]) == 1)
+        pendant = sum(1 for w in adj[v] if len(adj[w]) == 1)
         if pendant >= min_leaves:
             out.add(v)
     return frozenset(out)
@@ -207,13 +160,10 @@ def is_caterpillar(t: Tree) -> bool:
 
     Single vertices and single edges count as caterpillars.
     """
-    if t.n <= 2:
-        return True
-    internal = [v for v in range(t.n) if len(t.adjacency[v]) >= 2]
-    if not internal:
-        return False
+    adj = t.adjacency
+    internal = [v for v in range(t.n) if len(adj[v]) >= 2]
     for v in internal:
-        internal_deg = sum(1 for w in t.adjacency[v] if len(t.adjacency[w]) >= 2)
+        internal_deg = sum(1 for w in adj[v] if len(adj[w]) >= 2)
         if internal_deg > 2:
             return False
     # The spine inherits connectivity from the tree, so degree <= 2 suffices.

@@ -42,6 +42,7 @@ from treeirr.enumeration import (
     _canonical_levels,
     _canonical_table,
     _degrees_parents,
+    _level_tree,
     tree_degree_sequences,
     trees_with_degree_sequence,
 )
@@ -498,19 +499,20 @@ class TestEnumerationOnce:
 
     def test_all_trees_builds_without_fallback(self, monkeypatch):
         # Cold and warm, all_trees builds every tree in one pass from its
-        # level sequence: no validation, no edge-list build, no coding.
-        from treeirr import _kernels, enumeration
+        # level sequence: no validation, no adjacency rebuilt from the
+        # edges, no coding.
+        from treeirr import _kernels, enumeration, tree
 
         calls = []
-        init, unchecked, canon = Tree.__init__, Tree._unchecked, _kernels.canon_code
+        init, adjacency, canon = Tree.__init__, tree._sorted_adjacency, _kernels.canon_code
 
         def counted_init(self, n, edges):
             calls.append("__init__")
             init(self, n, edges)
 
-        def counted_unchecked(cls, n, edges):
-            calls.append("_unchecked")
-            return unchecked(n, edges)
+        def counted_adjacency(n, edges):
+            calls.append("_sorted_adjacency")
+            return adjacency(n, edges)
 
         def counted_canon(n, flat):
             calls.append("canon_code")
@@ -518,18 +520,19 @@ class TestEnumerationOnce:
 
         monkeypatch.setattr(enumeration, "_CANONICAL_ORDERS", {})
         monkeypatch.setattr(Tree, "__init__", counted_init)
-        monkeypatch.setattr(Tree, "_unchecked", classmethod(counted_unchecked))
+        monkeypatch.setattr(tree, "_sorted_adjacency", counted_adjacency)
         monkeypatch.setattr(_kernels, "canon_code", counted_canon)
         cold = list(all_trees(10))
         assert 10 in enumeration._CANONICAL_ORDERS
         warm = list(all_trees(10))
+        assert [t.adjacency for t in warm] == [t.adjacency for t in cold]
         assert calls == []
         assert warm == cold and len(cold) == 106
         # The counters do see each fallback when it runs.
         Tree(2, [(0, 1)])
-        Tree._unchecked(2, [(0, 1)])
+        Tree._unchecked(2, [(0, 1)]).adjacency
         canonical_code(warm[0])
-        assert calls == ["__init__", "_unchecked", "canon_code"]
+        assert calls == ["__init__", "_sorted_adjacency", "_sorted_adjacency", "canon_code"]
 
 
 class TestRelocationDeltas:
@@ -754,7 +757,7 @@ class TestLevelFilters:
         for n in range(1, 15):
             for _, levels in _canonical_levels(n):
                 got = _caterpillar_levels(*_degrees_parents(levels))
-                assert got == is_caterpillar(Tree._from_levels(levels)), levels
+                assert got == is_caterpillar(_level_tree(levels)), levels
                 seen[got] += 1
         assert seen == {True: 2144, False: 3303}
 
@@ -833,15 +836,18 @@ class TestLevelFilters:
         ],
     )
     def test_warm_claim_builds_only_kept_trees(self, claim_id, builds, monkeypatch):
-        builds_seen = []
-        from_levels = Tree._from_levels
+        from treeirr import claims, enumeration
 
-        def counted(cls, levels, code=None):
+        builds_seen = []
+        level_tree = enumeration._level_tree
+
+        def counted(levels, code=None):
             builds_seen.append(len(levels))
-            return from_levels(levels, code)
+            return level_tree(levels, code)
 
         verify(claim_id)
-        monkeypatch.setattr(Tree, "_from_levels", classmethod(counted))
+        monkeypatch.setattr(claims, "_level_tree", counted)
+        monkeypatch.setattr(enumeration, "_level_tree", counted)
         verify(claim_id)
         assert len(builds_seen) == builds
 

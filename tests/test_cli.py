@@ -1,9 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import treeirr
 from treeirr import Tree, canonical_code, prufer_decode
 from treeirr.cli import main
 from treeirr.claims import fig2_text
@@ -407,6 +411,10 @@ class TestVerifyAndReport:
         assert captured.err.startswith("usage: treeirr report")
         assert f"argument --jobs: must be >= 1, got {value}" in captured.err
 
+    def test_degree_sequence_sweep_obeys_the_guard(self, capsys):
+        assert main(["verify", "--claim", "resn1", "--n-max", "17"]) == 2
+        assert "order 17 outside guard range 1..16" in capsys.readouterr().err
+
     def test_verify_json_matches_report_record(self, capsys):
         assert main(["verify", "--claim", "star-albertson", "--n-max", "6", "--json"]) == 0
         alone = capsys.readouterr().out
@@ -457,6 +465,11 @@ class TestTable1Command:
         assert lines[1].startswith("18,12,6,4")
         assert len(lines) == 25
 
+    def test_csv_and_json_exclusive(self, capsys):
+        assert main(["table1", "--csv", "--json"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --json: not allowed with argument --csv" in err
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
@@ -467,3 +480,22 @@ class TestUsage:
 
     def test_unknown_claim_choice(self, capsys):
         assert main(["verify", "--claim", "nope"]) == 2
+
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_closed_stdout_exits_141_quietly(self, n):
+        # The reader is gone before the command starts. With stdout
+        # buffered, order 3 prints less than a buffer, flushed on the way
+        # out, and order 12 more.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(treeirr.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "treeirr", "enumerate", "--n", str(n)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""

@@ -43,22 +43,23 @@ def cold_orders():
 
 @pytest.fixture
 def counted_readers(monkeypatch):
-    # Calls of the degree/parent reader and first reads of a lazy adjacency.
-    from treeirr.tree import _EdgeTree
+    # Calls of the degree/parent reader and of the adjacency builder that a
+    # tree runs when no builder handed its adjacency over.
+    from treeirr import tree
 
     calls = []
-    reader, fallback = enumeration._degrees_parents, _EdgeTree.__getattr__
+    reader, builder = enumeration._degrees_parents, tree._sorted_adjacency
 
     def counted_reader(levels):
         calls.append("_degrees_parents")
         return reader(levels)
 
-    def counted_fallback(self, name):
-        calls.append(name)
-        return fallback(self, name)
+    def counted_builder(n, edges):
+        calls.append("_sorted_adjacency")
+        return builder(n, edges)
 
     monkeypatch.setattr(enumeration, "_degrees_parents", counted_reader)
-    monkeypatch.setattr(_EdgeTree, "__getattr__", counted_fallback)
+    monkeypatch.setattr(tree, "_sorted_adjacency", counted_builder)
     return calls
 
 
@@ -139,14 +140,17 @@ class TestAllTrees:
             list(all_trees(0))
         with pytest.raises(EnumerationGuard):
             list(all_trees(17))
+        for n in (0, 17):
+            with pytest.raises(EnumerationGuard):
+                list(tree_degree_sequences(n))
 
 
 def assert_degrees_parents(levels):
-    # The one-pass reader against the tree _from_levels builds: a parent id
+    # The one-pass reader against the tree _level_tree builds: a parent id
     # is below its child and adjacency lists are sorted, so a non-root
     # vertex's parent is its first neighbour.
     deg, parent = enumeration._degrees_parents(levels)
-    t = Tree._from_levels(levels)
+    t = enumeration._level_tree(levels)
     assert tuple(deg) == degrees(t)
     assert parent[0] == -1
     assert parent[1:] == [t.adjacency[i][0] for i in range(1, t.n)]
@@ -161,7 +165,7 @@ class TestLevelReader:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(1, 200), max_size=199))
     def test_random_layouts(self, picks):
-        # Any preorder layout of order 1-200, as in TestFromLevels.
+        # Any preorder layout of order 1-200, as in test_tree.TestFromLevels.
         levels = [0]
         for x in picks:
             levels.append(min(x, levels[-1] + 1))
@@ -173,7 +177,7 @@ class TestLevelReader:
         # Cold and warm, the reader yields all_trees(n)'s slices: codes on
         # the generating call, none later.
         cold = list(enumeration._canonical_levels(n))
-        assert [Tree._from_levels(levels) for _, levels in cold] == list(all_trees(n))
+        assert [enumeration._level_tree(levels) for _, levels in cold] == list(all_trees(n))
         assert [code for code, _ in cold] == [canonical_code(t) for t in all_trees(n)]
         warm = list(enumeration._canonical_levels(n))
         assert [levels for _, levels in warm] == [levels for _, levels in cold]
@@ -218,7 +222,7 @@ class TestEnumeratePath:
     def test_no_table_and_no_lazy_adjacency(self, n, cold_orders, counted_readers, capsys):
         # Cold and warm, all_trees and enumerate --json neither fill the
         # degree/parent table nor read it, and every tree's adjacency,
-        # which the records read, is the one _from_levels built.
+        # which the records read, is the one _level_tree built.
         from treeirr.cli import main
 
         for _ in ("cold", "warm"):
@@ -235,7 +239,7 @@ class TestEnumeratePath:
         # The counters do see the reader and the lazy adjacency when they run.
         next(enumeration._canonical_table(n))
         prufer_decode([], 2).adjacency
-        assert counted_readers[-1] == "adjacency"
+        assert counted_readers[-1] == "_sorted_adjacency"
         assert counted_readers[:-1] == ["_degrees_parents"] * len(trees)
 
 

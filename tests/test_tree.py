@@ -18,8 +18,9 @@ from treeirr import (
     star,
 )
 from treeirr import _kernels
-from treeirr.claims import load_fig2_tree
+from treeirr.claims import TreeClass, load_fig2_tree
 from treeirr.edgelist import parse_edge_list
+from treeirr.enumeration import _level_tree, trees_with_degree_sequence
 
 from _brute import brute_isomorphic, levels_to_edges
 
@@ -69,11 +70,11 @@ class TestTreeValidation:
 
 
 def assert_built_from_levels(levels):
-    # _from_levels skips validation; the stack-scan oracle's edges, rebuilt
-    # by the validating constructor, must give the same tree.
+    # enumeration._level_tree skips validation; the stack-scan oracle's
+    # edges, rebuilt by the validating constructor, must give the same tree.
     n = len(levels)
     want = Tree(n, levels_to_edges(levels))
-    got = Tree._from_levels(levels)
+    got = _level_tree(levels)
     assert got.n == n
     assert got.edges == want.edges
     assert got.adjacency == want.adjacency
@@ -104,12 +105,7 @@ class TestFromLevels:
 
 
 def adjacency_built(t):
-    # Reads the slot itself, past the lazy fallback.
-    try:
-        Tree.adjacency.__get__(t, Tree)
-    except AttributeError:
-        return False
-    return True
+    return t._adj is not None
 
 
 def assert_lazy_adjacency(t):
@@ -152,25 +148,43 @@ class TestLazyAdjacency:
 
     def test_eager_builders(self):
         # The validating constructor builds the adjacency for its
-        # connectivity check, and _from_levels builds it with the edges;
-        # neither tree has the lazy fallback.
-        for t in [Tree(3, [(0, 1), (1, 2)]), Tree._from_levels((0, 1, 1)), *all_trees(7)]:
-            assert type(t) is Tree
+        # connectivity check, and the level decoder hands it over with the
+        # edges.
+        for t in [Tree(3, [(0, 1), (1, 2)]), _level_tree((0, 1, 1)), *all_trees(7)]:
             assert adjacency_built(t)
 
-    def test_unchecked_keeps_the_callers_list(self):
+    def test_every_builder_returns_a_tree(self):
+        built = [
+            Tree(3, [(0, 1), (1, 2)]),
+            Tree._unchecked(3, [(0, 1), (1, 2)]),
+            _level_tree((0, 1, 1)),
+            *all_trees(5),
+            *TreeClass(6, delta=3).trees(),
+            *trees_with_degree_sequence((3, 2, 2, 1, 1, 1)),
+            prufer_decode([0, 0], 4),
+            star(3),
+            path(4),
+            caterpillar([2, 3]),
+            parse_edge_list("5 7\n7 9").tree,
+            load_fig2_tree(),
+        ]
+        assert all(type(t) is Tree for t in built)
+
+    def test_unchecked_sorts_the_list_it_owns(self):
         edges = [(2, 3), (0, 1), (1, 2)]
         t = Tree._unchecked(4, edges)
-        assert edges == [(2, 3), (0, 1), (1, 2)]
-        assert t.edges == ((0, 1), (1, 2), (2, 3))
+        assert edges == [(0, 1), (1, 2), (2, 3)]
+        assert t.edges == tuple(edges)
         assert_lazy_adjacency(t)
-        assert edges == [(2, 3), (0, 1), (1, 2)]
 
     def test_other_missing_attributes_still_raise(self):
         t = path(3)
         with pytest.raises(AttributeError):
             t.adjacent
         assert not hasattr(t, "leaves")
+        assert not adjacency_built(t)
+        with pytest.raises(AttributeError):
+            t.adjacency = ((1,), (0, 2), (1,))
         assert not adjacency_built(t)
 
 
@@ -192,6 +206,7 @@ class TestStrongSupport:
 
     def test_path5_empty(self):
         assert strong_support_vertices(path(5)) == frozenset()
+        assert strong_support_vertices(path(1), min_leaves=1) == frozenset()
 
     def test_fixture(self):
         assert strong_support_vertices(load_fig2_tree()) == {0, 3, 4}
@@ -266,6 +281,7 @@ class TestCaterpillar:
         assert is_caterpillar(path(7))
         assert is_caterpillar(star(5))
         assert is_caterpillar(path(2))
+        assert is_caterpillar(path(1))
 
     def test_spider_is_not(self):
         # Three legs of length two meeting at a hub.
