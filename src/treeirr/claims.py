@@ -19,12 +19,11 @@ actually checked.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
 from importlib import resources
-from itertools import islice, permutations
+from itertools import combinations_with_replacement, islice, permutations
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import __version__
@@ -34,6 +33,7 @@ from .edgelist import parse_edge_list
 from .enumeration import (
     EnumerationGuard,
     _canonical_table,
+    _check_order,
     _level_tree,
     all_trees,
     tree_degree_sequences,
@@ -176,9 +176,14 @@ class ReportConfig:
     claim_ids: tuple[str, ...] | None = None
     n_max: int | None = None
     witness_cap: int | None = DEFAULT_WITNESS_CAP
-    deterministic: bool = True
+    deterministic: bool = True  # False adds each claim's wall time to the output
+    # Reports run in one process. The field stays, with 1 its only legal
+    # value, while perfbench/worker.py still passes jobs=1.
     jobs: int = 1
-    include_timings: bool = False
+
+    def __post_init__(self) -> None:
+        if self.jobs != 1:
+            raise ValueError(f"reports run in one process; jobs must be 1, got {self.jobs}")
 
 
 @dataclass
@@ -323,6 +328,12 @@ def perm_search(degree_tuple: Sequence[int], interpretation: str) -> PermSearchR
         matches_reference_max=match_max,
         matches_reference_min=match_min,
     )
+
+
+def _orders(lo: int, n_max: int) -> range:
+    """Orders ``lo..n_max`` of a sweep, refused by the order guard before any work."""
+    _check_order(n_max)
+    return range(lo, n_max + 1)
 
 
 class _Tally:
@@ -530,7 +541,7 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
         lam_max = params["n_max"]
     moves = dict.fromkeys(("strict", "tied", "unfiltered"), 0)
     violations = dict(moves)
-    for n in range(lam_min + 1, params["n_max"] + 1):
+    for n in _orders(lam_min + 1, params["n_max"]):
         for code, levels, deg, parent in _canonical_table(n):
             if max(deg) < lam_min:
                 continue
@@ -674,7 +685,7 @@ def _check_sandwich(params, tally):
         if not (b.sigma <= b.irr ** 2 and b.irr ** 2 <= (t.n - 1) * b.sigma):
             return {"tree": _edges_str(t), "irr": b.irr, "sigma": b.sigma}
 
-    tally.run((t for n in range(1, params["n_max"] + 1) for t in all_trees(n)), check)
+    tally.run((t for n in _orders(1, params["n_max"]) for t in all_trees(n)), check)
     return []
 
 
@@ -691,7 +702,7 @@ def _check_irr_upper(params, tally):
         if got > bound:
             return {"tree": _edges_str(t), "irr": got, "bound": bound}
 
-    tally.run((t for n in range(2, params["n_max"] + 1) for t in all_trees(n)), check)
+    tally.run((t for n in _orders(2, params["n_max"]) for t in all_trees(n)), check)
     return []
 
 
@@ -709,7 +720,7 @@ def _check_irrT_seq(params, tally):
         if pairwise != by_seq:
             return {"tree": _edges_str(t), "pairwise": pairwise, "sequence": by_seq}
 
-    tally.run((t for n in range(1, params["n_max"] + 1) for t in all_trees(n)), check)
+    tally.run((t for n in _orders(1, params["n_max"]) for t in all_trees(n)), check)
     return []
 
 
@@ -728,7 +739,7 @@ def _check_m1_identity(params, tally):
         if m1 != edge_sum:
             return {"tree": _edges_str(t), "m1": m1, "edge_sum": edge_sum}
 
-    tally.run((t for n in range(1, params["n_max"] + 1) for t in all_trees(n)), check)
+    tally.run((t for n in _orders(1, params["n_max"]) for t in all_trees(n)), check)
     return []
 
 
@@ -743,7 +754,7 @@ def _check_m1_identity(params, tally):
 def _check_three_c(params, tally):
     # The closed form takes the three distinct degree values of a sequence.
     max_hits = min_hits = anomalies = 0
-    for n in range(3, params["n_max"] + 1):
+    for n in _orders(3, params["n_max"]):
         for seq in tree_degree_sequences(n):
             distinct = tuple(sorted(set(seq.values), reverse=True))
             if len(distinct) != 3:
@@ -857,7 +868,7 @@ def _check_caterpillar_support(params, tally):
     # irr and the pendant count come off the order's degree/parent table;
     # only the maxima are built as trees, in all_trees order.
     groups: dict[tuple[int, int], tuple[int, list]] = {}
-    for n in range(2, params["n_max"] + 1):
+    for n in _orders(2, params["n_max"]):
         for code, levels, deg, parent in _canonical_table(n):
             if not _caterpillar_levels(deg, parent):
                 continue
@@ -946,7 +957,7 @@ def _check_seq_monotonicity(params, tally):
     # comparison with content is prefix-sum dominance; both the max and the
     # min over realizations are compared along it.
     max_bad = min_bad = 0
-    for n in range(3, params["n_max"] + 1):
+    for n in _orders(3, params["n_max"]):
         seqs = list(tree_degree_sequences(n))
         extremes = {seq.values: _seq_extremes(seq, "irr") for seq in seqs}
 
@@ -999,7 +1010,7 @@ def _check_resn1(params, tally):
     # Reduces to sum(D1) - 2 >= sum(D2), i.e. 2(i-1) - 2 >= 2(j-1) for
     # tree sequences of lengths i and j: true exactly when i > j.
     holds_cnt = expected_fail = 0
-    lengths = range(2, params["n_max"] + 1)
+    lengths = _orders(2, params["n_max"])
     seqs = {i: list(tree_degree_sequences(i)) for i in lengths}
     for i in lengths:
         for j in lengths:
@@ -1117,13 +1128,8 @@ def _check_cor3_part1(params, tally):
     deg_max=7,
 )
 def _check_sigma_ordered(params, tally):
-    def spines(k: int, lo: int):
-        if k == 0:
-            yield ()
-            return
-        for v in range(lo, params["deg_max"] + 1):
-            for rest in spines(k - 1, v):
-                yield (v,) + rest
+    orders = _orders(2, params["n_max"])  # also the spine lengths
+    degs = range(2, params["deg_max"] + 1)
 
     def check(spine):
         true_sigma, order = caterpillar_sigma(spine)
@@ -1136,9 +1142,9 @@ def _check_sigma_ordered(params, tally):
                 "order": order,
             }
 
-    tally.run((s for k in range(2, params["n_max"] + 1) for s in spines(k, 2)), check)
+    tally.run((s for k in orders for s in combinations_with_replacement(degs, k)), check)
     direct_total = direct_agree = 0
-    for n in range(2, params["n_max"] + 1):
+    for n in orders:
         for t in all_trees(n):
             direct_total += 1
             ascending = tuple(sorted(degrees(t)))
@@ -1237,37 +1243,22 @@ def run_report(config: ReportConfig | None = None) -> ClaimReport:
     """Run a set of claims (default: all) into one aggregate report.
 
     Each id is stripped of surrounding whitespace and runs once, however
-    often it is named. Unknown ids become per-claim error entries instead
-    of aborting the run; so do exceptions raised inside a claim. With
-    ``jobs > 1`` and ``deterministic=False`` the claims run in a process
-    pool of at most ``jobs`` workers, and no more than there are claims or
-    CPUs, since extra workers only add start-up and contention; results
-    are identical either way, only the timings differ.
+    often it is named, serially in this process. Unknown ids become
+    per-claim error entries instead of aborting the run; so do exceptions
+    raised inside a claim.
     """
     config = config or ReportConfig()
     wanted = CLAIM_IDS if config.claim_ids is None else config.claim_ids
     wanted = list(dict.fromkeys(cid.strip() for cid in wanted))
     errors = [(cid, "unknown claim id") for cid in wanted if cid not in _REGISTRY]
-    params = {cid: _scaled_params(cid, config) for cid in wanted if cid in _REGISTRY}
-    cap = config.witness_cap
     results: list[ClaimResult] = []
-    jobs = 1 if config.deterministic else min(config.jobs, len(params), os.cpu_count() or 1)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {cid: pool.submit(verify, cid, p, cap) for cid, p in params.items()}
-            for cid, fut in futures.items():
-                try:
-                    results.append(fut.result())
-                except Exception as exc:  # noqa: BLE001 - claim errors must not abort the report
-                    errors.append((cid, f"{type(exc).__name__}: {exc}"))
-    else:
-        for cid, p in params.items():
-            try:
-                results.append(verify(cid, p, cap))
-            except Exception as exc:  # noqa: BLE001 - claim errors must not abort the report
-                errors.append((cid, f"{type(exc).__name__}: {exc}"))
+    for cid in wanted:
+        if cid not in _REGISTRY:
+            continue
+        try:
+            results.append(verify(cid, _scaled_params(cid, config), config.witness_cap))
+        except Exception as exc:  # noqa: BLE001 - claim errors must not abort the report
+            errors.append((cid, f"{type(exc).__name__}: {exc}"))
     results.sort(key=lambda r: r.claim_id)
     errors.sort()
     metadata = {
@@ -1311,7 +1302,6 @@ def result_to_text(result: ClaimResult, include_timings: bool = False) -> str:
 
 
 def report_to_text(report: ClaimReport) -> str:
-    include_timings = report.config.include_timings and not report.config.deterministic
     counts = {"holds": 0, "holds-with-notes": 0, "fails": 0}
     for r in report.results:
         counts[r.verdict] += 1
@@ -1322,7 +1312,7 @@ def report_to_text(report: ClaimReport) -> str:
         f"holds-with-notes: {counts['holds-with-notes']}  fails: {counts['fails']}  "
         f"errors: {len(report.errors)}",
     ]
-    blocks = [result_to_text(r, include_timings) for r in report.results]
+    blocks = [result_to_text(r, not report.config.deterministic) for r in report.results]
     for cid, message in report.errors:
         blocks.append(f"claim: {cid}\nerror: {message}")
     return "\n".join(head) + "\n\n" + "\n\n".join(blocks) + "\n"
@@ -1343,10 +1333,9 @@ def result_to_dict(result: ClaimResult, include_timings: bool = False) -> dict:
 
 
 def report_to_json(report: ClaimReport) -> str:
-    include_timings = report.config.include_timings and not report.config.deterministic
     payload = {
         "metadata": report.metadata,
-        "results": [result_to_dict(r, include_timings) for r in report.results],
+        "results": [result_to_dict(r, not report.config.deterministic) for r in report.results],
         "errors": [{"claim": cid, "error": msg} for cid, msg in report.errors],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -199,7 +199,7 @@ def _cmd_verify(args) -> int:
     if args.json:
         print(json.dumps(result_to_dict(result, args.timings), sort_keys=True, indent=2))
     else:
-        print(result_to_text(result, include_timings=args.timings))
+        print(result_to_text(result, args.timings))
     return 1 if result.verdict == "fails" else 0
 
 
@@ -209,9 +209,7 @@ def _cmd_report(args) -> int:
         claim_ids=claim_ids,
         n_max=args.n_max,
         witness_cap=_witness_cap(args),
-        deterministic=args.deterministic,
-        jobs=args.jobs,
-        include_timings=args.timings,
+        deterministic=args.deterministic or not args.timings,
     )
     report = run_report(config)
     text = report_to_json(report) if args.json else report_to_text(report)
@@ -343,8 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claims", help="comma-separated claim ids (default: all)")
     p.add_argument("--n-max", type=_positive, default=None)
     _add_witness_options(p)
-    p.add_argument("--jobs", type=_positive, default=1)
-    p.add_argument("--deterministic", action="store_true", help="single worker, no timings")
+    p.add_argument("--deterministic", action="store_true", help="no timings")
     p.add_argument("--timings", action="store_true")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", help="write the report here instead of stdout")

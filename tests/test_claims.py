@@ -1,7 +1,5 @@
-import concurrent.futures
 import hashlib
 import json
-import os
 import re
 from collections import Counter
 from pathlib import Path
@@ -452,6 +450,42 @@ class TestEnumerationOnce:
         list(trees_with_degree_sequence((2, 2, 1, 1)))
         assert decodes
 
+    @pytest.mark.parametrize(
+        "claim_id",
+        [
+            "caterpillar-support",
+            "irr-decrease",
+            "irr-decrease-bound",
+            "irr-upper-tree",
+            "irrT-seq-formula",
+            "m1-edge-identity",
+            "sandwich",
+            "seq-monotonicity",
+            "sigma-decrease",
+            "sigma-increase",
+            "sigma-ordered",
+            "three-c",
+        ],
+    )
+    def test_order_guard_before_any_sweep(self, claim_id, monkeypatch):
+        # An n_max past the guard is refused before the first order is
+        # generated, not after sweeping every order below it.
+        from treeirr import _kernels, enumeration
+
+        orders = []
+        level_sequences = _kernels.level_sequences
+
+        def counted_levels(n):
+            orders.append(n)
+            return level_sequences(n)
+
+        monkeypatch.setattr(enumeration, "_CANONICAL_ORDERS", {})
+        monkeypatch.setattr(enumeration, "_DEGREES_PARENTS", {})
+        monkeypatch.setattr(_kernels, "level_sequences", counted_levels)
+        with pytest.raises(EnumerationGuard, match="order 17 outside guard range 1..16"):
+            verify(claim_id, {"n_max": 17})
+        assert orders == []
+
     def test_report_reads_each_tree_once(self, monkeypatch):
         # A cold default report reads each tree of the orders its filtering
         # claims reach through _degrees_parents once: at most the 5,447
@@ -901,8 +935,6 @@ class TestPermSearch:
 
 
 class TestReport:
-    SMALL = ("star-albertson", "sandwich", "table1")
-
     def test_exit_statuses(self):
         ok = run_report(ReportConfig(claim_ids=("star-albertson", "sandwich"), n_max=6))
         assert exit_status(ok) == 0
@@ -934,44 +966,12 @@ class TestReport:
         jb = report_to_json(run_report(config))
         assert ja == jb
 
-    def test_parallel_matches_serial(self):
-        config = ReportConfig(claim_ids=self.SMALL, n_max=6)
-        serial = report_to_text(run_report(config))
-        parallel = report_to_text(
-            run_report(ReportConfig(claim_ids=self.SMALL, n_max=6, deterministic=False, jobs=2))
-        )
-        assert serial == parallel
-
-    @pytest.mark.parametrize("cpus, workers", [(2, 2), (64, 3), (1, None), (None, None)])
-    def test_pool_capped_by_claims_and_cpus(self, monkeypatch, cpus, workers):
-        # A stand-in pool records its size and runs each task inline, so a
-        # huge --jobs value starts no process.
-        pools = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                try:
-                    future.set_result(fn(*args))
-                except Exception as exc:  # noqa: BLE001 - delivered through the future
-                    future.set_exception(exc)
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        serial = report_to_text(run_report(ReportConfig(claim_ids=self.SMALL, n_max=6)))
-        config = ReportConfig(claim_ids=self.SMALL, n_max=6, deterministic=False, jobs=10_000)
-        assert report_to_text(run_report(config)) == serial
-        assert pools == ([] if workers is None else [workers])
+    def test_jobs_stub_takes_only_one(self):
+        # The benchmark worker's exact call still constructs; any other
+        # value is refused, since reports run in one process.
+        assert ReportConfig(deterministic=True, jobs=1) == ReportConfig()
+        with pytest.raises(ValueError, match="jobs must be 1, got 2"):
+            ReportConfig(jobs=2)
 
     def test_negative_witness_cap_is_a_claim_error(self):
         report = run_report(ReportConfig(claim_ids=("irr-decrease", "table1"), witness_cap=-1))
@@ -995,8 +995,10 @@ class TestReport:
         assert DEFAULT_WITNESS_CAP == 25
 
     def test_timings_never_in_deterministic_output(self):
-        config = ReportConfig(claim_ids=("table1",), include_timings=True)
-        assert "wall_time" not in report_to_text(run_report(config))
+        for deterministic in (True, False):
+            report = run_report(ReportConfig(claim_ids=("table1",), deterministic=deterministic))
+            for text in (report_to_text(report), report_to_json(report)):
+                assert ("wall_time_s" in text) is not deterministic
 
     def test_timings_shown_on_request(self):
         r = verify("table1")

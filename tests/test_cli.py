@@ -313,23 +313,19 @@ class TestVerifyAndReport:
         assert main(["report", "--claims", "sandwich,bogus", "--n-max", "5"]) == 2
         assert "unknown claim id" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_report_runs_each_claim_once(self, jobs, capsys):
-        # Repeated ids run once, with or without the process pool.
-        argv = ["report", "--claims", "hyp-four,sigma-five,hyp-four", "--jobs", jobs]
-        assert main(argv) == 1
+    def test_report_runs_each_claim_once(self, capsys):
+        # Repeated ids run once.
+        assert main(["report", "--claims", "hyp-four,sigma-five,hyp-four"]) == 1
         out = capsys.readouterr().out
         assert "claims: 2  holds: 0  holds-with-notes: 0  fails: 2  errors: 0" in out
         assert out.count("claim: hyp-four\n") == 1
-        assert main(["report", "--claims", "hyp-four,hyp-four", "--jobs", jobs]) == 1
+        assert main(["report", "--claims", "hyp-four,hyp-four"]) == 1
         assert "claims: 1  holds: 0  holds-with-notes: 0  fails: 1  errors: 0" in (
             capsys.readouterr().out
         )
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_report_strips_claim_ids(self, jobs, capsys):
-        argv = ["report", "--claims", " hyp-four, sigma-five ,hyp-four ", "--jobs", jobs]
-        assert main(argv) == 1
+    def test_report_strips_claim_ids(self, capsys):
+        assert main(["report", "--claims", " hyp-four, sigma-five ,hyp-four "]) == 1
         out = capsys.readouterr().out
         assert "claims: 2  holds: 0  holds-with-notes: 0  fails: 2  errors: 0" in out
         assert "claim: sigma-five\n" in out and "unknown claim id" not in out
@@ -403,13 +399,12 @@ class TestVerifyAndReport:
         assert captured.err.startswith(f"usage: treeirr {verb[0]}")
         assert f"argument --n-max: must be >= 1, got {value}" in captured.err
 
-    @pytest.mark.parametrize("value", ["-3", "0"])
-    def test_jobs_below_one_rejected(self, value, capsys):
-        assert main(["report", "--claims", "table1", "--jobs", value]) == 2
+    def test_jobs_option_gone(self, capsys):
+        # Reports run in one process; --jobs is an unknown argument.
+        assert main(["report", "--claims", "table1", "--jobs", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("usage: treeirr report")
-        assert f"argument --jobs: must be >= 1, got {value}" in captured.err
+        assert "unrecognized arguments: --jobs 2" in captured.err
 
     def test_degree_sequence_sweep_obeys_the_guard(self, capsys):
         assert main(["verify", "--claim", "resn1", "--n-max", "17"]) == 2
@@ -422,9 +417,8 @@ class TestVerifyAndReport:
         (record,) = json.loads(capsys.readouterr().out)["results"]
         assert alone == json.dumps(record, sort_keys=True, indent=2) + "\n"
 
-    def test_timings_at_one_job(self, capsys):
-        # --timings needs no --jobs and reaches --json too; --deterministic
-        # keeps timings out.
+    def test_report_timings(self, capsys):
+        # --timings reaches --json too; --deterministic keeps timings out.
         assert main(["report", "--claims", "table1", "--timings"]) == 0
         assert "wall_time_s: " in capsys.readouterr().out
         assert main(["report", "--claims", "table1", "--timings", "--json"]) == 0
