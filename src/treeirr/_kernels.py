@@ -25,8 +25,6 @@ def level_sequences(n):
         raise ValueError("order must be >= 1")
     if n == 1:
         return [(0,)]
-    if n == 2:
-        return [(0, 1)]
     out = []
     layout = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while layout is not None:
@@ -180,9 +178,7 @@ def canon_code(n, edges):
 
 
 def _centers(n, adj):
-    # Strip leaf layers until at most two vertices remain.
-    if n <= 2:
-        return list(range(n))
+    # Strip leaf layers until at most two vertices remain (n >= 2).
     deg = [len(a) for a in adj]
     layer = [v for v in range(n) if deg[v] == 1]
     remaining = n

@@ -14,6 +14,10 @@ the clean verdict registered with it. That is ``holds``, or
 ``holds-with-notes`` for statements whose reading is ambiguous or that
 carry a documented discrepancy, with the notes spelling out what was
 actually checked.
+
+Each class of trees a statement ranges over (an order, a maximum degree, a
+degree sequence, caterpillars) is a :class:`TreeClass`, the one filter
+over an order's canonical table.
 """
 
 from __future__ import annotations
@@ -103,29 +107,34 @@ class TreeClass:
     def trees(self) -> Iterator[Tree]:
         """The trees of the class, in ``all_trees`` order (ascending canonical code).
 
-        The one filter over ``all_trees(n)`` for every class query. With no
-        constraint it is ``all_trees(n)``. Otherwise each tree of the order
-        is decided on its degrees and parents in the order's table
-        (``enumeration._canonical_table``), and only the trees kept are
-        built, from their level sequences, so labels and order are those of
-        ``all_trees``: the maximum degree must equal ``delta``, the sorted
-        degrees must equal the sequence, and a caterpillar's non-leaf
-        vertices each have at most two non-leaf neighbours.
+        Each row that :meth:`_rows` keeps is built from its level sequence,
+        so labels and order are those of ``all_trees``.
+        """
+        for levels, _, _ in self._rows():
+            yield _level_tree(levels)
+
+    def _rows(self) -> Iterator[tuple[bytes, bytes, bytes]]:
+        """The class's rows of the order's table, ``(levels, degrees, parents)``.
+
+        The one filter over the canonical order for every class query: each
+        tree is decided on its degrees and parents in
+        ``enumeration._canonical_table``, with no tree built. The maximum
+        degree must equal ``delta``, the sorted degrees must equal the
+        sequence, and a caterpillar's non-leaf vertices each have at most
+        two non-leaf neighbours. A class with no constraint keeps every row.
         """
         delta = self.delta
         seq = None if self.degree_sequence is None else list(self.degree_sequence.values)
         caterpillar_only = self.caterpillar_only
-        if delta is None and seq is None and not caterpillar_only:
-            yield from all_trees(self.n)
-            return
-        for code, levels, deg, parent in _canonical_table(self.n):
+        for row in _canonical_table(self.n):
+            _, deg, parent = row
             if delta is not None and max(deg) != delta:
                 continue
             if seq is not None and sorted(deg, reverse=True) != seq:
                 continue
             if caterpillar_only and not _caterpillar_levels(deg, parent):
                 continue
-            yield _level_tree(levels, code)
+            yield row
 
 
 def _caterpillar_levels(deg: Sequence[int], parent: Sequence[int]) -> bool:
@@ -487,12 +496,12 @@ def _tree_relocations(
         yield y, lam, side, donors, deltas
 
 
-def _relocation_witnesses(levels, code, supports, value_key):
+def _relocation_witnesses(levels, supports, value_key):
     # The tree's violating moves in sweep order, per support ``(y, lam,
     # side, donors, hit)`` with ``hit`` mapping each violating recipient to
     # the index change. The tree, its edge list and its index value are
     # built once, when the tally draws the first witness.
-    t = _level_tree(levels, code)
+    t = _level_tree(levels)
     tree = _edges_str(t)
     before = getattr(compute_indices(t), value_key)
     for y, lam, side, donors, hit in supports:
@@ -542,7 +551,7 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
     moves = dict.fromkeys(("strict", "tied", "unfiltered"), 0)
     violations = dict(moves)
     for n in _orders(lam_min + 1, params["n_max"]):
-        for code, levels, deg, parent in _canonical_table(n):
+        for levels, deg, parent in _canonical_table(n):
             if max(deg) < lam_min:
                 continue
             tree_moves = tree_violations = 0
@@ -562,7 +571,7 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
             tally.add_class(
                 tree_moves,
                 tree_violations,
-                _relocation_witnesses(levels, code, witnessing, value_key),
+                _relocation_witnesses(levels, witnessing, value_key),
             )
     notes = [
         f"support below max degree: {moves['strict']} moves, {violations['strict']} violations",
@@ -864,26 +873,24 @@ def _check_table1(params, tally):
     n_max=14,
 )
 def _check_caterpillar_support(params, tally):
-    # (order, pendants) -> (largest irr, its caterpillars as (code, levels)).
-    # irr and the pendant count come off the order's degree/parent table;
-    # only the maxima are built as trees, in all_trees order.
+    # (order, pendants) -> (largest irr, its caterpillars' level sequences).
+    # irr and the pendant count come off the caterpillar class's rows; only
+    # the maxima are built as trees, in all_trees order.
     groups: dict[tuple[int, int], tuple[int, list]] = {}
     for n in _orders(2, params["n_max"]):
-        for code, levels, deg, parent in _canonical_table(n):
-            if not _caterpillar_levels(deg, parent):
-                continue
+        for levels, deg, parent in TreeClass(n, caterpillar_only=True)._rows():
             irr = sum(abs(deg[i] - deg[parent[i]]) for i in range(1, n))
             key = (n, deg.count(1))
             group = groups.get(key)
             if group is None or irr > group[0]:
-                groups[key] = (irr, [(code, levels)])
+                groups[key] = (irr, [levels])
             elif irr == group[0]:
-                group[1].append((code, levels))
+                group[1].append(levels)
     weak_violations = 0
     for (n, pendants), (best, maxima) in sorted(groups.items()):
         tally.checked += 1
-        for code, levels in maxima:
-            t = _level_tree(levels, code)
+        for levels in maxima:
+            t = _level_tree(levels)
             if not strong_support_vertices(t, min_leaves=2):
                 tally.add(
                     {

@@ -24,11 +24,10 @@ from .claims import (
     TreeClass,
     verify,
 )
-from .degseq import NotTreeGraphical, parse_degree_sequence
-from .edgelist import ParseError, parse_edge_list
-from .enumeration import EnumerationGuard, all_trees, trees_with_degree_sequence
-from .formulas import FORMULA_IDS, FormulaError, evaluate_formula
-from .formulas import floor_bound_value, hyp_four_bounds_values
+from .degseq import parse_degree_sequence
+from .edgelist import parse_edge_list
+from .enumeration import all_trees, trees_with_degree_sequence
+from .formulas import FORMULA_IDS, evaluate_formula, floor_bound_value, hyp_four_bounds_values
 from .indices import compute_indices
 from .tree import Tree, canonical_code, degrees
 
@@ -378,15 +377,7 @@ def main(argv=None) -> int:
         # shutdown raises nothing, and exit as a shell does on SIGPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (
-        ParseError,
-        NotTreeGraphical,
-        FormulaError,
-        EnumerationGuard,
-        ValueError,
-        KeyError,
-        OSError,
-    ) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,12 +2,13 @@
 
 :func:`all_trees` is the one enumerator of unlabeled trees: it walks
 canonical level sequences (a recursive-generation scheme), read through
-:func:`_canonical_levels`. Claims that keep only some trees of an order
-read :func:`_canonical_table` instead: each tree's degrees and parents,
-kept per order as two ``bytes`` blobs beside the level sequences. The
-first such claim to reach an order fills its table through
-:func:`_degrees_parents`, once per tree; ``all_trees`` never fills it.
-They decide on degrees and parents and build only the trees they keep.
+:func:`_canonical_levels`, and its trees alone carry canonical codes.
+Callers that keep only some trees of an order (``claims.TreeClass`` and
+the relocation sweeps) read :func:`_canonical_table` instead: each tree's
+level sequence, degrees and parents, the last two kept per order as
+``bytes`` blobs. The first caller to reach an order fills its table
+through :func:`_degrees_parents`, once per tree; ``all_trees`` never
+fills it. They decide on degrees and parents and build only what they keep.
 Every tree of the canonical order is built by :func:`_level_tree`;
 it and :func:`_degrees_parents` hold the level-sequence parent rule.
 :func:`trees_with_degree_sequence` realizes one tree-graphical degree
@@ -123,20 +124,16 @@ def _degrees_parents(levels: Sequence[int]) -> tuple[list[int], list[int]]:
 _DEGREES_PARENTS: dict[int, tuple[bytes, bytes]] = {}
 
 
-def _canonical_table(
-    n: int,
-) -> Iterator[tuple[CanonicalCode | None, bytes, bytes, bytes]]:
-    """``(code, levels, degrees, parents)`` for each tree of ``all_trees(n)``, in its order.
+def _canonical_table(n: int) -> Iterator[tuple[bytes, bytes, bytes]]:
+    """``(levels, degrees, parents)`` for each tree of ``all_trees(n)``, in its order.
 
     The reader for callers that decide on degrees and parents before they
-    build (``claims.TreeClass.trees``, ``caterpillar-support`` and the
-    relocation sweeps). The first call for an order runs
-    :func:`_degrees_parents` once per tree of :func:`_canonical_levels`
-    and keeps the result, before it yields, in ``_DEGREES_PARENTS``;
-    later calls read the blobs. ``degrees`` and ``parents`` are ``bytes``
-    slices, the root's parent being ``0``. ``code`` is as
-    :func:`_canonical_levels` gives it. ``all_trees`` never fills the
-    table.
+    build (``claims.TreeClass`` and the relocation sweeps). The first call
+    for an order runs :func:`_degrees_parents` once per tree of
+    :func:`_canonical_levels` and keeps the result, before it yields, in
+    ``_DEGREES_PARENTS``; later calls read the blobs. All three are
+    ``bytes`` slices, the root's parent being ``0``. Rows carry no code;
+    ``canonical_code`` of a built tree gives it.
     """
     rows = _canonical_levels(n)
     table = _DEGREES_PARENTS.get(n)
@@ -151,8 +148,8 @@ def _canonical_table(
             parents += bytes(parent)
         table = _DEGREES_PARENTS[n] = (bytes(degs), bytes(parents))
     deg_blob, parent_blob = table
-    for start, (code, levels) in zip(range(0, len(deg_blob), n), rows):
-        yield code, levels, deg_blob[start : start + n], parent_blob[start : start + n]
+    for start, (_, levels) in zip(range(0, len(deg_blob), n), rows):
+        yield levels, deg_blob[start : start + n], parent_blob[start : start + n]
 
 
 def all_trees(n: int) -> Iterator[Tree]:

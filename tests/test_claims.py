@@ -588,7 +588,7 @@ class TestRelocationDeltas:
 
     def test_every_move_up_to_order_nine(self):
         for n in range(2, 10):
-            for _, levels, deg, parent in _canonical_table(n):
+            for levels, deg, parent in _canonical_table(n):
                 t, moves = _class_moves(levels, deg, parent)
                 assert [m[:3] for m in moves] == _admissible_moves(t)
                 _assert_matches_recompute(t, moves)
@@ -821,6 +821,19 @@ class TestLevelFilters:
                 TreeClass(n, degree_sequence=seq),
                 lambda t: tuple(sorted(degrees(t), reverse=True)) == seq.values,
             )
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_unconstrained_class_reads_the_table(self, n, monkeypatch):
+        # A class with no constraint takes the one filter path, not all_trees.
+        from treeirr import claims
+
+        want = [t.edges for t in all_trees(n)]
+
+        def no_all_trees(order):
+            raise AssertionError(f"TreeClass({order}) read all_trees")
+
+        monkeypatch.setattr(claims, "all_trees", no_all_trees)
+        assert [t.edges for t in TreeClass(n).trees()] == want
 
     @pytest.mark.parametrize("claim_id", sorted(RELOCATION_CLAIMS))
     def test_relocation_tallies_match_unfiltered_sweep(self, claim_id):

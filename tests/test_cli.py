@@ -1,16 +1,20 @@
+import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import treeirr
 from treeirr import Tree, canonical_code, prufer_decode
-from treeirr.cli import main
-from treeirr.claims import fig2_text
+from treeirr.cli import build_parser, main
+from treeirr.claims import TreeClass, extremal_over_class, fig2_text
+from treeirr.degseq import parse_degree_sequence
 from treeirr.edgelist import ParseError, parse_edge_list
 
 from _brute import brute_indices, edge_list_text
@@ -210,6 +214,13 @@ class TestCompute:
     def test_missing_file_exit_2(self, capsys):
         assert main(["compute", "--tree", "/nonexistent.edges"]) == 2
 
+    def test_stdin(self, fig2_file, monkeypatch, capsys):
+        assert main(["compute", "--tree", fig2_file]) == 0
+        from_file = capsys.readouterr().out
+        monkeypatch.setattr(sys, "stdin", io.StringIO(fig2_text()))
+        assert main(["compute", "--tree", "-"]) == 0
+        assert capsys.readouterr().out == from_file
+
 
 class TestStreams:
     def test_enumerate(self, capsys):
@@ -268,6 +279,36 @@ class TestStreams:
         assert captured.out == ""
         assert "argument --file: not allowed with argument --seq" in captured.err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--delta", "3"], ["--caterpillar"], ["--seq", "3 3 2 1 1 1 1"]],
+        ids=["order", "delta", "caterpillar", "seq"],
+    )
+    def test_extremal_json_is_the_library_result(self, flags, capsys):
+        argv = ["extremal", "--n", "7", *flags, "--index", "sigma", "--objective", "max"]
+        assert main([*argv, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        seq = parse_degree_sequence(flags[1]) if flags[:1] == ["--seq"] else None
+        delta = int(flags[1]) if flags[:1] == ["--delta"] else None
+        klass = TreeClass(7, delta, seq, caterpillar_only=flags == ["--caterpillar"])
+        result = extremal_over_class(klass, "sigma", "max")
+        assert payload == {
+            "class": result.class_description,
+            "index": "sigma",
+            "objective": "max",
+            "value": result.value,
+            "witnesses": [{"code": c, "edges": e} for c, e in result.witnesses],
+        }
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"max sigma over {result.class_description}: {result.value}"
+        assert lines[1:] == [f"witness: {e}" for _, e in result.witnesses]
+
+    def test_extremal_needs_an_order(self, capsys):
+        assert main(["extremal", "--index", "irr", "--objective", "max"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: need --n or --seq\n")
+
     def test_extremal_n_must_match_sequence(self, capsys):
         rest = ["--seq", "3 1 1 1", "--index", "irr", "--objective", "max"]
         assert main(["extremal", "--n", "9", *rest]) == 2
@@ -289,6 +330,20 @@ class TestFormulaCommand:
     def test_domain_error(self, capsys):
         assert main(["formula", "--id", "sigma_five", "--d", "5 4 3 2 1"]) == 2
 
+    def test_text_secondary_and_note(self, capsys):
+        assert main(["formula", "--id", "hyp_four_bounds", "--d", "18 12 6 4"]) == 0
+        assert capsys.readouterr().out == "hyp_four_bounds(18,12,6,4) = 458 (secondary 442)\n"
+        assert main(["formula", "--id", "cor3_part1", "--d", "4 3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "cor3_part1(4,3) = True"
+        assert len(lines) > 1 and all(line.startswith("note: ") for line in lines[1:])
+
+    def test_non_integer_degrees_exit_2(self, capsys):
+        assert main(["formula", "--id", "sigma_ordered", "--d", "1 x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: expected whitespace-separated integers, got '1 x'\n"
+
 
 class TestVerifyAndReport:
     def test_verify_holds_exit_0(self, capsys):
@@ -299,6 +354,10 @@ class TestVerifyAndReport:
     def test_verify_fails_exit_1(self, capsys):
         assert main(["verify", "--claim", "hyp-four"]) == 1
         assert "verdict: fails" in capsys.readouterr().out
+
+    def test_verify_n_max_not_an_integer(self, capsys):
+        assert main(["verify", "--claim", "sandwich", "--n-max", "x"]) == 2
+        assert "argument --n-max: expected an integer, got 'x'" in capsys.readouterr().err
 
     def test_verify_json(self, capsys):
         assert main(["verify", "--claim", "table1", "--json"]) == 0
@@ -445,6 +504,12 @@ class TestPermsearchCommand:
         assert len(payload["evaluations"]) == 3
         assert "skipped" not in payload
 
+    def test_text_full(self, capsys):
+        assert main(["permsearch", "--seq", "2 2 3", "--interp", "caterpillar", "--full"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "caterpillar: 3 orderings"
+        assert lines[-3:] == ["2,2,3: 10", "2,3,2: 8", "3,2,2: 10"]
+
 
 class TestTable1Command:
     def test_rows(self, capsys):
@@ -459,13 +524,47 @@ class TestTable1Command:
         assert lines[1].startswith("18,12,6,4")
         assert len(lines) == 25
 
+    def test_json_rows_are_the_csv_rows(self, capsys):
+        assert main(["table1", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert main(["table1", "--csv"]) == 0
+        header, *lines = capsys.readouterr().out.strip().splitlines()
+        keys = header.split(",")
+        assert len(rows) == len(lines) == 24
+        for row, line in zip(rows, lines):
+            assert sorted(row) == sorted(keys)
+            assert ",".join(str(row[k]) for k in keys) == line
+
     def test_csv_and_json_exclusive(self, capsys):
         assert main(["table1", "--csv", "--json"]) == 2
         err = capsys.readouterr().err
         assert "argument --json: not allowed with argument --csv" in err
 
 
+def _readme_cli_lines() -> list[str]:
+    # The treeirr lines of the README's CLI block.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("treeirr ")]
+
+
 class TestUsage:
+    @pytest.mark.parametrize("line", _readme_cli_lines())
+    def test_readme_examples_parse(self, line):
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "treeirr"
+        args = build_parser().parse_args(argv[1:])
+        assert args.command == argv[1]
+
+    def test_readme_lists_every_command(self):
+        commands = {line.split()[1] for line in _readme_cli_lines()}
+        assert commands == {
+            "compute", "enumerate", "realize", "extremal", "formula",
+            "verify", "report", "permsearch", "table1",
+        }
+
+
     def test_unknown_subcommand(self, capsys):
         assert main(["bogus"]) == 2
 

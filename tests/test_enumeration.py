@@ -202,19 +202,12 @@ class TestLevelReader:
         rows = list(enumeration._canonical_table(n))
         assert len(counted_readers) == len(levels_rows)
         assert rows[0] == first
-        assert [levels for _, levels, _, _ in rows] == [levels for _, levels in levels_rows]
-        assert all(code is None for code, _, _, _ in rows)
-        for (_, levels), (_, _, deg, parent) in zip(levels_rows, rows):
+        assert [levels for levels, _, _ in rows] == [levels for _, levels in levels_rows]
+        for (_, levels), (_, deg, parent) in zip(levels_rows, rows):
             want_deg, want_parent = enumeration._degrees_parents(levels)
             assert type(deg) is bytes and type(parent) is bytes
             assert list(deg) == want_deg
             assert list(parent) == [0] + want_parent[1:]
-        # The cold call of the order hands its codes on.
-        enumeration._CANONICAL_ORDERS.clear()
-        enumeration._DEGREES_PARENTS.clear()
-        cold = list(enumeration._canonical_table(n))
-        assert [row[0] for row in cold] == [canonical_code(t) for t in all_trees(n)]
-        assert [row[1:] for row in cold] == [row[1:] for row in rows]
 
 
 class TestEnumeratePath:
