@@ -4,10 +4,11 @@ Trees are passed in as ``Tree.edges``: a sequence of ``n - 1`` pairs
 ``(u, v)`` over dense vertex ids ``0..n-1``, except to ``level_code``, which
 takes a level sequence rooted at a center, as ``level_sequences`` yields
 them. ``level_code`` is the one canonical encoder: ``canon_code`` lays an
-edge list out as such a sequence and hands it over. Nothing here
-validates, callers do. Callers look the kernels up as ``_kernels.<name>``
-at call time, so a tracer or a test can replace one by setting the module
-attribute. ``BACKEND`` names this implementation in report metadata.
+edge list out as such a sequence and hands it over. Each kernel checks
+one thing, an order below 1, and raises ``ValueError`` on it; every
+other check of its input is its caller's. Callers look the kernels up as
+``_kernels.<name>`` at call time, so a tracer or a test can replace one
+by setting the module attribute. ``BACKEND`` names this implementation in report metadata.
 """
 
 BACKEND = "python"

@@ -17,7 +17,8 @@ actually checked.
 
 Each class of trees a statement ranges over (an order, a maximum degree, a
 degree sequence, caterpillars) is a :class:`TreeClass`, the one filter
-over an order's canonical table.
+over an order's canonical table: the degrees and parents of its trees, of
+which only the trees kept are built.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .enumeration import (
     EnumerationGuard,
     _canonical_table,
     _check_order,
-    _level_tree,
+    _parent_tree,
     all_trees,
     tree_degree_sequences,
 )
@@ -107,14 +108,14 @@ class TreeClass:
     def trees(self) -> Iterator[Tree]:
         """The trees of the class, in ``all_trees`` order (ascending canonical code).
 
-        Each row that :meth:`_rows` keeps is built from its level sequence,
-        so labels and order are those of ``all_trees``.
+        Each row that :meth:`_rows` keeps is built from its parents, so
+        labels and order are those of ``all_trees``.
         """
-        for levels, _, _ in self._rows():
-            yield _level_tree(levels)
+        for _, parent in self._rows():
+            yield _parent_tree(parent)
 
-    def _rows(self) -> Iterator[tuple[bytes, bytes, bytes]]:
-        """The class's rows of the order's table, ``(levels, degrees, parents)``.
+    def _rows(self) -> Iterator[tuple[bytes, bytes]]:
+        """The class's rows of the order's table, ``(degrees, parents)``.
 
         The one filter over the canonical order for every class query: each
         tree is decided on its degrees and parents in
@@ -127,7 +128,7 @@ class TreeClass:
         seq = None if self.degree_sequence is None else list(self.degree_sequence.values)
         caterpillar_only = self.caterpillar_only
         for row in _canonical_table(self.n):
-            _, deg, parent = row
+            deg, parent = row
             if delta is not None and max(deg) != delta:
                 continue
             if seq is not None and sorted(deg, reverse=True) != seq:
@@ -496,12 +497,12 @@ def _tree_relocations(
         yield y, lam, side, donors, deltas
 
 
-def _relocation_witnesses(levels, supports, value_key):
+def _relocation_witnesses(parent, supports, value_key):
     # The tree's violating moves in sweep order, per support ``(y, lam,
     # side, donors, hit)`` with ``hit`` mapping each violating recipient to
     # the index change. The tree, its edge list and its index value are
     # built once, when the tally draws the first witness.
-    t = _level_tree(levels)
+    t = _parent_tree(parent)
     tree = _edges_str(t)
     before = getattr(compute_indices(t), value_key)
     for y, lam, side, donors, hit in supports:
@@ -551,7 +552,7 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
     moves = dict.fromkeys(("strict", "tied", "unfiltered"), 0)
     violations = dict(moves)
     for n in _orders(lam_min + 1, params["n_max"]):
-        for levels, deg, parent in _canonical_table(n):
+        for deg, parent in _canonical_table(n):
             if max(deg) < lam_min:
                 continue
             tree_moves = tree_violations = 0
@@ -571,7 +572,7 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
             tally.add_class(
                 tree_moves,
                 tree_violations,
-                _relocation_witnesses(levels, witnessing, value_key),
+                _relocation_witnesses(parent, witnessing, value_key),
             )
     notes = [
         f"support below max degree: {moves['strict']} moves, {violations['strict']} violations",
@@ -873,24 +874,24 @@ def _check_table1(params, tally):
     n_max=14,
 )
 def _check_caterpillar_support(params, tally):
-    # (order, pendants) -> (largest irr, its caterpillars' level sequences).
+    # (order, pendants) -> (largest irr, its caterpillars' parents).
     # irr and the pendant count come off the caterpillar class's rows; only
     # the maxima are built as trees, in all_trees order.
     groups: dict[tuple[int, int], tuple[int, list]] = {}
     for n in _orders(2, params["n_max"]):
-        for levels, deg, parent in TreeClass(n, caterpillar_only=True)._rows():
+        for deg, parent in TreeClass(n, caterpillar_only=True)._rows():
             irr = sum(abs(deg[i] - deg[parent[i]]) for i in range(1, n))
             key = (n, deg.count(1))
             group = groups.get(key)
             if group is None or irr > group[0]:
-                groups[key] = (irr, [levels])
+                groups[key] = (irr, [parent])
             elif irr == group[0]:
-                group[1].append(levels)
+                group[1].append(parent)
     weak_violations = 0
     for (n, pendants), (best, maxima) in sorted(groups.items()):
         tally.checked += 1
-        for levels in maxima:
-            t = _level_tree(levels)
+        for parent in maxima:
+            t = _parent_tree(parent)
             if not strong_support_vertices(t, min_leaves=2):
                 tally.add(
                     {

@@ -277,9 +277,13 @@ def _cmd_table1(args) -> int:
     if args.json:
         print(json.dumps(rows, sort_keys=True, indent=2))
     elif args.csv:
-        print(",".join(header))
-        for r in rows:
-            print(",".join(str(r[k]) for k in header))
+        # Imported here: every CLI start pays for a top-level import, and
+        # only this verb writes CSV.
+        import csv
+
+        writer = csv.DictWriter(sys.stdout, header, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     else:
         widths = {k: max(len(k), *(len(str(r[k])) for r in rows)) for k in header}
         print("  ".join(k.ljust(widths[k]) for k in header))

@@ -1,16 +1,17 @@
 """Exhaustive tree streams.
 
-:func:`all_trees` is the one enumerator of unlabeled trees: it walks
-canonical level sequences (a recursive-generation scheme), read through
-:func:`_canonical_levels`, and its trees alone carry canonical codes.
-Callers that keep only some trees of an order (``claims.TreeClass`` and
-the relocation sweeps) read :func:`_canonical_table` instead: each tree's
-level sequence, degrees and parents, the last two kept per order as
-``bytes`` blobs. The first caller to reach an order fills its table
-through :func:`_degrees_parents`, once per tree; ``all_trees`` never
-fills it. They decide on degrees and parents and build only what they keep.
-Every tree of the canonical order is built by :func:`_level_tree`;
-it and :func:`_degrees_parents` hold the level-sequence parent rule.
+:func:`all_trees` is the one enumerator of unlabeled trees. It walks the
+canonical order of an order's level sequences (a recursive-generation
+scheme), kept once per order by :func:`_canonical_order` as the degrees
+and parents of its trees: the first caller to reach an order generates
+it, codes and sorts it, reads each tree through :func:`_degrees_parents`
+(the one home of the level-sequence parent rule) and drops the level
+sequences. Only the trees ``all_trees`` yields on that call carry
+canonical codes. Every tree of the canonical order is built from its
+parents by :func:`_parent_tree`. Callers that keep only some trees of an
+order (``claims.TreeClass`` and the relocation sweeps) read
+:func:`_canonical_table`, decide on degrees and parents, and build only
+what they keep.
 :func:`trees_with_degree_sequence` realizes one tree-graphical degree
 multiset through Prüfer codes and deduplicates by canonical code. The
 ``realize`` command is its only CLI user: ``extremal --seq`` and the claims
@@ -27,7 +28,7 @@ override. The realizer also refuses any sequence with more than
 from __future__ import annotations
 
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import _kernels
 from .degseq import DegreeSequence, prufer_decode, validate_tree_sequence
@@ -47,67 +48,24 @@ def _check_order(n: int) -> None:
         raise EnumerationGuard(f"order {n} outside guard range 1..{MAX_ORDER}")
 
 
-# Order -> the level sequences of all_trees(order), concatenated in
-# emission order: one byte per vertex, n bytes per tree.
-_CANONICAL_ORDERS: dict[int, bytes] = {}
-
-
-def _canonical_levels(n: int) -> Iterable[tuple[CanonicalCode | None, bytes]]:
-    """``(code, levels)`` for each tree of ``all_trees(n)``, in its order.
-
-    The one reader of the canonical order. The call that first reaches an
-    order generates its level sequences, sorts them by the canonical code
-    each one holds (``_kernels.level_code``) and keeps them, before it
-    returns, as one ``bytes`` blob of n bytes per tree (72 KB for all
-    orders up to 14, 0.5 MB up to 16) for the rest of the process; it
-    returns the sorted pairs with their codes. Later calls read the blob,
-    with no generation, coding or sort, and their codes are ``None``.
-    Callers that filter on :func:`_degrees_parents` build only the trees
-    they keep, by :func:`_level_tree` on the same slice.
-    """
-    _check_order(n)
-    blob = _CANONICAL_ORDERS.get(n)
-    if blob is not None:
-        return ((None, blob[start : start + n]) for start in range(0, len(blob), n))
-    seqs = map(bytes, _kernels.level_sequences(n))
-    keyed = sorted((_kernels.level_code(seq), seq) for seq in seqs)
-    _CANONICAL_ORDERS[n] = b"".join(seq for _, seq in keyed)
-    return keyed
-
-
-def _level_tree(levels: Sequence[int], code: CanonicalCode | None = None) -> Tree:
-    """The tree of a preorder level sequence (a tuple or ``bytes``), unvalidated.
-
-    ``levels[0] == 0`` and ``1 <= levels[i] <= levels[i - 1] + 1``; vertex
-    ``i > 0`` hangs from the latest earlier vertex one level up. Each
-    parent id is below its child and children come in ascending id, so
-    every adjacency list is sorted as built, in the same pass as the
-    edges, and goes to ``Tree._unchecked`` with them. ``code``, when
-    known, is the canonical code.
-    """
-    n = len(levels)
-    last = [0] * n  # last[d]: the latest vertex seen at level d
-    edges = []
-    adj: list[list[int]] = [[]]
-    for i in range(1, n):
-        lv = levels[i]
-        p = last[lv - 1]
-        last[lv] = i
-        edges.append((p, i))
-        adj[p].append(i)
-        adj.append([p])
-    return Tree._unchecked(n, edges, tuple(map(tuple, adj)), code)
+# Order -> the degrees and the parents of each tree of all_trees(order), in
+# its order: two blobs of n bytes per tree (144 KB for all orders up to 14,
+# about 1 MB up to 16). The root's parent byte is 0.
+_TABLES: dict[int, tuple[bytes, bytes]] = {}
 
 
 def _degrees_parents(levels: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Degrees and parents of the tree of a level sequence, in one pass.
+    """Degrees and parents of the tree of a preorder level sequence, in one pass.
 
-    The parent rule of :func:`_level_tree`. The root's parent is ``-1``.
+    ``levels[0] == 0`` and ``1 <= levels[i] <= levels[i - 1] + 1``; vertex
+    ``i > 0`` hangs from the latest earlier vertex one level up, so each
+    parent id is below its child. The one home of that rule. The root's
+    parent is ``0``.
     """
     n = len(levels)
     last = [0] * n  # last[d]: the latest vertex seen at level d
     deg = [1] * n
-    parent = [-1] * n
+    parent = [0] * n
     deg[0] = 0
     for i in range(1, n):
         lv = levels[i]
@@ -118,38 +76,66 @@ def _degrees_parents(levels: Sequence[int]) -> tuple[list[int], list[int]]:
     return deg, parent
 
 
-# Order -> the degrees and the parents of each tree of _CANONICAL_ORDERS[order],
-# laid out like it: two blobs of n bytes per tree (144 KB for all orders up
-# to 14). The root's parent byte is 0.
-_DEGREES_PARENTS: dict[int, tuple[bytes, bytes]] = {}
+def _canonical_order(n: int) -> tuple[list[CanonicalCode] | None, bytes, bytes]:
+    """``(codes, degrees, parents)`` of the trees of ``all_trees(n)``, in its order.
+
+    The one store of the canonical order. The call that first reaches an
+    order generates its level sequences, sorts them by the canonical code
+    each one holds (``_kernels.level_code``), runs :func:`_degrees_parents`
+    once per tree and keeps the two blobs in ``_TABLES`` for the rest of
+    the process; the level sequences are dropped. That call alone returns
+    the codes, in order; later calls read the blobs and their codes are
+    ``None``.
+    """
+    _check_order(n)
+    table = _TABLES.get(n)
+    if table is not None:
+        return None, *table
+    seqs = map(bytes, _kernels.level_sequences(n))
+    keyed = sorted((_kernels.level_code(seq), seq) for seq in seqs)
+    degs = bytearray()
+    parents = bytearray()
+    for _, levels in keyed:
+        deg, parent = _degrees_parents(levels)
+        degs += bytes(deg)
+        parents += bytes(parent)
+    table = _TABLES[n] = (bytes(degs), bytes(parents))
+    return [code for code, _ in keyed], *table
 
 
-def _canonical_table(n: int) -> Iterator[tuple[bytes, bytes, bytes]]:
-    """``(levels, degrees, parents)`` for each tree of ``all_trees(n)``, in its order.
+def _canonical_table(n: int) -> Iterator[tuple[bytes, bytes]]:
+    """``(degrees, parents)`` for each tree of ``all_trees(n)``, in its order.
 
     The reader for callers that decide on degrees and parents before they
-    build (``claims.TreeClass`` and the relocation sweeps). The first call
-    for an order runs :func:`_degrees_parents` once per tree of
-    :func:`_canonical_levels` and keeps the result, before it yields, in
-    ``_DEGREES_PARENTS``; later calls read the blobs. All three are
-    ``bytes`` slices, the root's parent being ``0``. Rows carry no code;
-    ``canonical_code`` of a built tree gives it.
+    build (``claims.TreeClass`` and the relocation sweeps): ``bytes``
+    slices of the order's table, the root's parent being ``0``, filled
+    before the first row if no caller has reached the order yet. Rows
+    carry no code; ``canonical_code`` of a built tree gives it.
     """
-    rows = _canonical_levels(n)
-    table = _DEGREES_PARENTS.get(n)
-    if table is None:
-        rows = list(rows)
-        degs = bytearray()
-        parents = bytearray()
-        for _, levels in rows:
-            deg, parent = _degrees_parents(levels)
-            parent[0] = 0
-            degs += bytes(deg)
-            parents += bytes(parent)
-        table = _DEGREES_PARENTS[n] = (bytes(degs), bytes(parents))
-    deg_blob, parent_blob = table
-    for start, (_, levels) in zip(range(0, len(deg_blob), n), rows):
-        yield levels, deg_blob[start : start + n], parent_blob[start : start + n]
+    _, deg_blob, parent_blob = _canonical_order(n)
+    for start in range(0, len(deg_blob), n):
+        yield deg_blob[start : start + n], parent_blob[start : start + n]
+
+
+def _parent_tree(parent: Sequence[int], code: CanonicalCode | None = None) -> Tree:
+    """The tree of a parent list (a list or ``bytes``), unvalidated.
+
+    ``parent[i] < i`` is vertex ``i``'s parent for ``i > 0``; ``parent[0]``
+    is not read. A vertex's neighbours in ascending id are its parent,
+    then its children in ascending id, so every adjacency list is sorted
+    as built, in the same pass as the edges, and goes to
+    ``Tree._unchecked`` with them. ``code``, when known, is the canonical
+    code.
+    """
+    n = len(parent)
+    adj = [[p] for p in parent]
+    adj[0] = []
+    edges = []
+    for i in range(1, n):
+        p = parent[i]
+        edges.append((p, i))
+        adj[p].append(i)
+    return Tree._unchecked(n, edges, tuple(map(tuple, adj)), code)
 
 
 def all_trees(n: int) -> Iterator[Tree]:
@@ -157,14 +143,15 @@ def all_trees(n: int) -> Iterator[Tree]:
 
     Deterministic emission: ascending canonical code.
 
-    Each tree is built in one unvalidated pass over its slice of
-    :func:`_canonical_levels` (:func:`_level_tree`), so every call gives
-    the same labeled trees in the same order. On the call that generates
-    the order, each tree carries its canonical code; later calls skip the
+    Each tree is built in one unvalidated pass over its parents in the
+    order's table (:func:`_parent_tree`), so every call gives the same
+    labeled trees in the same order. On the call that generates the
+    order, each tree carries its canonical code; later calls skip the
     generation, coding and sort, and their trees have no code cached yet.
     """
-    for code, levels in _canonical_levels(n):
-        yield _level_tree(levels, code)
+    codes, _, parent_blob = _canonical_order(n)
+    for i, start in enumerate(range(0, len(parent_blob), n)):
+        yield _parent_tree(parent_blob[start : start + n], None if codes is None else codes[i])
 
 
 def tree_degree_sequences(n: int) -> Iterator[DegreeSequence]:

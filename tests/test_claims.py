@@ -37,15 +37,20 @@ from treeirr.claims import (
 from treeirr.claims import _caterpillar_levels, _move_change, _seq_extremes, _tree_relocations
 from treeirr.enumeration import (
     EnumerationGuard,
-    _canonical_levels,
     _canonical_table,
     _degrees_parents,
-    _level_tree,
+    _parent_tree,
     tree_degree_sequences,
     trees_with_degree_sequence,
 )
 
-from _brute import brute_indices, levels_to_edges, relocate_leaf, spanning_trees
+from _brute import (
+    brute_indices,
+    levels_to_edges,
+    relocate_leaf,
+    spanning_trees,
+    unlabeled_tree_count,
+)
 
 TABLE1_SHA256 = "acaa463bf17fd9ca3b3c19c6c425e8d0dbba0bc1cc9eb08e7676b4c4e4395185"
 FIG2_SHA256 = "5ec994fc7dd151bb8105ebcdfc48befd0b6e8b2ed42801f5c6494294649c0204"
@@ -342,15 +347,16 @@ def _admissible_moves(t):
     ]
 
 
-def _class_moves(levels, deg, parent, support_filter=False):
+def _class_moves(deg, parent, support_filter=False):
     """The moves of the per-support records of a layout, expanded in sweep order.
 
-    ``deg`` and ``parent`` describe the layout ``levels``; every support of
-    degree >= 3 is admissible. The records are held to the validated tree
-    of ``_brute.levels_to_edges``, which the function returns with the
-    moves ``(y, donor, recipient, side, change)``.
+    ``deg`` and ``parent`` describe a level-sequence layout; every support
+    of degree >= 3 is admissible. The records are held to the tree of the
+    parent edges, built by the validating constructor, which the function
+    returns with the moves ``(y, donor, recipient, side, change)``.
     """
-    t = Tree(len(levels), levels_to_edges(levels))
+    n = len(deg)
+    t = Tree(n, [(parent[i], i) for i in range(1, n)])
     top = max(deg)
     ties = deg.count(top)
     moves = []
@@ -438,7 +444,7 @@ class TestEnumerationOnce:
             decodes.append(n)
             return prufer(code, n)
 
-        monkeypatch.setattr(enumeration, "_CANONICAL_ORDERS", {})
+        monkeypatch.setattr(enumeration, "_TABLES", {})
         monkeypatch.setattr(_kernels, "level_sequences", counted_levels)
         for module in (degseq, enumeration):
             monkeypatch.setattr(module, "prufer_decode", counted_decode)
@@ -479,17 +485,15 @@ class TestEnumerationOnce:
             orders.append(n)
             return level_sequences(n)
 
-        monkeypatch.setattr(enumeration, "_CANONICAL_ORDERS", {})
-        monkeypatch.setattr(enumeration, "_DEGREES_PARENTS", {})
+        monkeypatch.setattr(enumeration, "_TABLES", {})
         monkeypatch.setattr(_kernels, "level_sequences", counted_levels)
         with pytest.raises(EnumerationGuard, match="order 17 outside guard range 1..16"):
             verify(claim_id, {"n_max": 17})
         assert orders == []
 
     def test_report_reads_each_tree_once(self, monkeypatch):
-        # A cold default report reads each tree of the orders its filtering
-        # claims reach through _degrees_parents once: at most the 5,447
-        # trees of orders 1-14.
+        # A cold default report reads each tree of orders 1-14, the orders
+        # it reaches, through _degrees_parents exactly once: 5,447 trees.
         from treeirr import enumeration
 
         calls = []
@@ -499,15 +503,13 @@ class TestEnumerationOnce:
             calls.append(len(levels))
             return reader(levels)
 
-        monkeypatch.setattr(enumeration, "_CANONICAL_ORDERS", {})
-        monkeypatch.setattr(enumeration, "_DEGREES_PARENTS", {})
+        monkeypatch.setattr(enumeration, "_TABLES", {})
         monkeypatch.setattr(enumeration, "_degrees_parents", counted)
         report = run_report(ReportConfig())
         assert report.errors == ()
-        tables = enumeration._DEGREES_PARENTS
-        assert Counter(calls) == {n: len(degs) // n for n, (degs, _) in tables.items()}
-        assert max(tables) == 14
-        assert len(calls) <= 5447
+        assert Counter(calls) == {n: unlabeled_tree_count(n) for n in range(1, 15)}
+        assert sorted(enumeration._TABLES) == list(range(1, 15))
+        assert len(calls) == 5447
 
     def test_extremal_seq_decodes_nothing(self, monkeypatch, capsys):
         # extremal --seq filters all_trees; it never runs the Prüfer realizer.
@@ -552,12 +554,12 @@ class TestEnumerationOnce:
             calls.append("canon_code")
             return canon(n, flat)
 
-        monkeypatch.setattr(enumeration, "_CANONICAL_ORDERS", {})
+        monkeypatch.setattr(enumeration, "_TABLES", {})
         monkeypatch.setattr(Tree, "__init__", counted_init)
         monkeypatch.setattr(tree, "_sorted_adjacency", counted_adjacency)
         monkeypatch.setattr(_kernels, "canon_code", counted_canon)
         cold = list(all_trees(10))
-        assert 10 in enumeration._CANONICAL_ORDERS
+        assert 10 in enumeration._TABLES
         warm = list(all_trees(10))
         assert [t.adjacency for t in warm] == [t.adjacency for t in cold]
         assert calls == []
@@ -571,8 +573,8 @@ class TestEnumerationOnce:
 
 class TestRelocationDeltas:
     # _tree_relocations reads a level-sequence layout's degrees and parents:
-    # as lists from _degrees_parents (root parent -1) and as the bytes
-    # slices of the order's table (root parent 0).
+    # as lists from _degrees_parents and as the bytes slices of the order's
+    # table, the root's parent being 0 in both.
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -582,22 +584,23 @@ class TestRelocationDeltas:
         code = data.draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
         root = data.draw(st.integers(0, n - 1))
         levels = _preorder_levels(prufer_decode(code, n), root, data.draw(st.randoms()))
-        t, moves = _class_moves(levels, *_degrees_parents(levels))
+        t, moves = _class_moves(*_degrees_parents(levels))
+        assert t == Tree(n, levels_to_edges(levels))
         assert [m[:3] for m in moves] == _admissible_moves(t)
         _assert_matches_recompute(t, moves)
 
     def test_every_move_up_to_order_nine(self):
         for n in range(2, 10):
-            for levels, deg, parent in _canonical_table(n):
-                t, moves = _class_moves(levels, deg, parent)
+            for deg, parent in _canonical_table(n):
+                t, moves = _class_moves(deg, parent)
                 assert [m[:3] for m in moves] == _admissible_moves(t)
                 _assert_matches_recompute(t, moves)
                 # The support filter drops exactly the moves off a support alone
                 # at the maximum degree.
-                _, kept = _class_moves(levels, deg, parent, support_filter=True)
+                _, kept = _class_moves(deg, parent, support_filter=True)
                 assert kept == [m for m in moves if m[3] != "unfiltered"]
-                # The lists of _degrees_parents give the same records.
-                assert _class_moves(levels, *_degrees_parents(levels)) == (t, moves)
+                # Lists give the same records as the table's bytes.
+                assert _class_moves(list(deg), list(parent)) == (t, moves)
 
     def test_lone_donor_is_not_a_recipient(self):
         # Support 0 has one leaf neighbor (1); its other neighbors 2 and 4
@@ -607,7 +610,8 @@ class TestRelocationDeltas:
         [(y, lam, side, donors, deltas)] = _tree_relocations(deg, parent, 3, 3, False)
         assert (y, lam, side, donors) == (0, 3, "unfiltered", [1])
         assert list(deltas) == [2, 4]
-        t, moves = _class_moves(levels, deg, parent)
+        t, moves = _class_moves(deg, parent)
+        assert t == Tree(len(levels), levels_to_edges(levels))
         assert t.edges == ((0, 1), (0, 2), (0, 4), (2, 3), (4, 5))
         assert [m[:3] for m in moves] == [(0, 1, 2), (0, 1, 4)]
         _assert_matches_recompute(t, moves)
@@ -627,7 +631,8 @@ class TestRelocationDeltas:
         t = Tree(len(levels), levels_to_edges(levels))
         moved = relocate_leaf(t, 0, 1, 11)[0]
         assert (compute_indices(t).sigma, compute_indices(moved).sigma) == (2162, 1846)
-        _assert_matches_recompute(t, _class_moves(levels, deg, parent)[1])
+        assert _class_moves(deg, parent)[0] == t
+        _assert_matches_recompute(t, _class_moves(deg, parent)[1])
 
     def test_witnesses_built_only_while_kept(self, monkeypatch):
         from treeirr import claims
@@ -789,9 +794,9 @@ class TestLevelFilters:
 
         seen = {True: 0, False: 0}
         for n in range(1, 15):
-            for _, levels in _canonical_levels(n):
-                got = _caterpillar_levels(*_degrees_parents(levels))
-                assert got == is_caterpillar(_level_tree(levels)), levels
+            for deg, parent in _canonical_table(n):
+                got = _caterpillar_levels(deg, parent)
+                assert got == is_caterpillar(_parent_tree(parent)), parent
                 seen[got] += 1
         assert seen == {True: 2144, False: 3303}
 
@@ -886,15 +891,15 @@ class TestLevelFilters:
         from treeirr import claims, enumeration
 
         builds_seen = []
-        level_tree = enumeration._level_tree
+        parent_tree = enumeration._parent_tree
 
-        def counted(levels, code=None):
-            builds_seen.append(len(levels))
-            return level_tree(levels, code)
+        def counted(parent, code=None):
+            builds_seen.append(len(parent))
+            return parent_tree(parent, code)
 
         verify(claim_id)
-        monkeypatch.setattr(claims, "_level_tree", counted)
-        monkeypatch.setattr(enumeration, "_level_tree", counted)
+        monkeypatch.setattr(claims, "_parent_tree", counted)
+        monkeypatch.setattr(enumeration, "_parent_tree", counted)
         verify(claim_id)
         assert len(builds_seen) == builds
 

@@ -22,6 +22,7 @@ from treeirr.enumeration import realization_count
 from _brute import (
     brute_canonical,
     edge_rooted_code,
+    levels_to_edges,
     relocate_leaf,
     spanning_trees,
     tree_graphical,
@@ -31,14 +32,12 @@ from _brute import (
 
 @pytest.fixture
 def cold_orders():
-    # all_trees keeps each order's canonical order for the process, and the
-    # filtering claims its degree/parent table; start and end empty so that
-    # test order cannot decide which path runs.
-    enumeration._CANONICAL_ORDERS.clear()
-    enumeration._DEGREES_PARENTS.clear()
+    # The first caller to reach an order keeps its degree/parent table for
+    # the process; start and end empty so that test order cannot decide
+    # which path runs.
+    enumeration._TABLES.clear()
     yield
-    enumeration._CANONICAL_ORDERS.clear()
-    enumeration._DEGREES_PARENTS.clear()
+    enumeration._TABLES.clear()
 
 
 @pytest.fixture
@@ -82,14 +81,14 @@ class TestAllTrees:
     def test_networkx_oracle_warm(self, n, cold_orders):
         # The same oracle on a later call, rebuilt from the kept order.
         list(all_trees(n))
-        assert n in enumeration._CANONICAL_ORDERS
+        assert n in enumeration._TABLES
         assert_networkx_trees(n, list(all_trees(n)))
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_warm_call_repeats_cold_call(self, n, cold_orders):
         cold = list(all_trees(n))
-        blob = enumeration._CANONICAL_ORDERS[n]
-        assert len(blob) == n * len(cold)
+        degs, parents = enumeration._TABLES[n]
+        assert len(degs) == len(parents) == n * len(cold)
         warm = list(all_trees(n))
         assert [t.edges for t in warm] == [t.edges for t in cold]
         assert all(t._code is None for t in warm)
@@ -119,7 +118,7 @@ class TestAllTrees:
         # The order is kept before the first tree is yielded, so a caller
         # that stops early still leaves all of it.
         first = next(all_trees(9))
-        assert len(enumeration._CANONICAL_ORDERS[9]) == 9 * unlabeled_tree_count(9)
+        assert len(enumeration._TABLES[9][1]) == 9 * unlabeled_tree_count(9)
         assert next(all_trees(9)) == first
 
     def test_no_duplicates_and_sorted_emission(self):
@@ -146,14 +145,20 @@ class TestAllTrees:
 
 
 def assert_degrees_parents(levels):
-    # The one-pass reader against the tree _level_tree builds: a parent id
-    # is below its child and adjacency lists are sorted, so a non-root
-    # vertex's parent is its first neighbour.
+    # The one-pass reader against the validated tree of the stack-scan
+    # oracle: a parent id is below its child and adjacency lists are
+    # sorted, so a non-root vertex's parent is its first neighbour.
     deg, parent = enumeration._degrees_parents(levels)
-    t = enumeration._level_tree(levels)
+    t = Tree(len(levels), levels_to_edges(levels))
     assert tuple(deg) == degrees(t)
-    assert parent[0] == -1
+    assert parent[0] == 0
     assert parent[1:] == [t.adjacency[i][0] for i in range(1, t.n)]
+
+
+def canonical_layouts(n):
+    # The order's level sequences in all_trees order, sorted here by the
+    # code each one holds.
+    return sorted(map(bytes, _kernels.level_sequences(n)), key=_kernels.level_code)
 
 
 class TestLevelReader:
@@ -174,19 +179,24 @@ class TestLevelReader:
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_reader_is_all_trees(self, n, cold_orders):
-        # Cold and warm, the reader yields all_trees(n)'s slices: codes on
-        # the generating call, none later.
-        cold = list(enumeration._canonical_levels(n))
-        assert [enumeration._level_tree(levels) for _, levels in cold] == list(all_trees(n))
-        assert [code for code, _ in cold] == [canonical_code(t) for t in all_trees(n)]
-        warm = list(enumeration._canonical_levels(n))
-        assert [levels for _, levels in warm] == [levels for _, levels in cold]
-        assert all(code is None for code, _ in warm)
+        # Whichever caller fills the order, the table's parents build
+        # all_trees(n) and its degrees are theirs; codes come only with the
+        # trees of the generating all_trees call.
+        cold = list(all_trees(n))
+        assert all(t._code is not None for t in cold)
+        rows = list(enumeration._canonical_table(n))
+        assert [enumeration._parent_tree(parent) for _, parent in rows] == cold
+        assert [tuple(deg) for deg, _ in rows] == [degrees(t) for t in cold]
+        enumeration._TABLES.clear()
+        assert list(enumeration._canonical_table(n)) == rows
+        warm = list(all_trees(n))
+        assert warm == cold
+        assert all(t._code is None for t in warm)
 
     def test_guard(self):
         for n in (0, 17):
             with pytest.raises(EnumerationGuard):
-                enumeration._canonical_levels(n)
+                enumeration._canonical_order(n)
             with pytest.raises(EnumerationGuard):
                 next(enumeration._canonical_table(n))
 
@@ -194,46 +204,76 @@ class TestLevelReader:
     def test_table_is_degrees_parents(self, n, cold_orders, counted_readers):
         # The table's first call reads every tree of the order once, keeps
         # the whole table before it yields, and later calls read it alone.
-        levels_rows = list(enumeration._canonical_levels(n))
+        layouts = canonical_layouts(n)
         first = next(enumeration._canonical_table(n))
-        assert counted_readers == ["_degrees_parents"] * len(levels_rows)
-        degs, parents = enumeration._DEGREES_PARENTS[n]
-        assert len(degs) == len(parents) == n * len(levels_rows)
+        assert counted_readers == ["_degrees_parents"] * len(layouts)
+        degs, parents = enumeration._TABLES[n]
+        assert len(degs) == len(parents) == n * len(layouts)
         rows = list(enumeration._canonical_table(n))
-        assert len(counted_readers) == len(levels_rows)
+        assert len(counted_readers) == len(layouts)
         assert rows[0] == first
-        assert [levels for levels, _, _ in rows] == [levels for _, levels in levels_rows]
-        for (_, levels), (_, deg, parent) in zip(levels_rows, rows):
-            want_deg, want_parent = enumeration._degrees_parents(levels)
+        assert len(rows) == len(layouts)
+        for levels, (deg, parent) in zip(layouts, rows):
             assert type(deg) is bytes and type(parent) is bytes
-            assert list(deg) == want_deg
-            assert list(parent) == [0] + want_parent[1:]
+            assert (list(deg), list(parent)) == enumeration._degrees_parents(levels)
+
+
+class TestOneFill:
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_one_fill_per_order(self, n, cold_orders, monkeypatch):
+        # all_trees and the table share one fill: whichever reaches the
+        # order second generates nothing and reads no level sequence.
+        calls = []
+        generate, reader = _kernels.level_sequences, enumeration._degrees_parents
+
+        def counted_generate(order):
+            calls.append("level_sequences")
+            return generate(order)
+
+        def counted_reader(levels):
+            calls.append("_degrees_parents")
+            return reader(levels)
+
+        monkeypatch.setattr(_kernels, "level_sequences", counted_generate)
+        monkeypatch.setattr(enumeration, "_degrees_parents", counted_reader)
+        count = unlabeled_tree_count(n)
+        fill = ["level_sequences"] + ["_degrees_parents"] * count
+        for first, second in [
+            (lambda: list(all_trees(n)), lambda: next(enumeration._canonical_table(n))),
+            (lambda: next(enumeration._canonical_table(n)), lambda: list(all_trees(n))),
+        ]:
+            enumeration._TABLES.clear()
+            calls.clear()
+            first()
+            assert calls == fill
+            second()
+            assert calls == fill
 
 
 class TestEnumeratePath:
     @pytest.mark.parametrize("n", [1, 2, 9, 12])
     def test_no_table_and_no_lazy_adjacency(self, n, cold_orders, counted_readers, capsys):
-        # Cold and warm, all_trees and enumerate --json neither fill the
-        # degree/parent table nor read it, and every tree's adjacency,
-        # which the records read, is the one _level_tree built.
+        # all_trees fills the order's one table on its cold call, and
+        # enumerate --json and later calls fill no table again. Cold and
+        # warm, every tree's adjacency, which the records read, is the one
+        # _parent_tree built.
         from treeirr.cli import main
 
+        count = unlabeled_tree_count(n)
         for _ in ("cold", "warm"):
             trees = list(all_trees(n))
+            assert len(trees) == count
             assert all(type(t) is Tree for t in trees)
             assert [degrees(t) for t in trees]
-        enumeration._CANONICAL_ORDERS.clear()
+        enumeration._TABLES.clear()
         for _ in ("cold", "warm"):
             assert main(["enumerate", "--n", str(n), "--json"]) == 0
             assert len(capsys.readouterr().out) > 0
-        assert n in enumeration._CANONICAL_ORDERS
-        assert enumeration._DEGREES_PARENTS == {}
-        assert counted_readers == []
-        # The counters do see the reader and the lazy adjacency when they run.
-        next(enumeration._canonical_table(n))
+        assert list(enumeration._TABLES) == [n]
+        assert counted_readers == ["_degrees_parents"] * (2 * count)
+        # The counter does see the lazy adjacency when it runs.
         prufer_decode([], 2).adjacency
         assert counted_readers[-1] == "_sorted_adjacency"
-        assert counted_readers[:-1] == ["_degrees_parents"] * len(trees)
 
 
 class TestDegreeSequences:

@@ -20,7 +20,7 @@ from treeirr import (
 from treeirr import _kernels
 from treeirr.claims import TreeClass, load_fig2_tree
 from treeirr.edgelist import parse_edge_list
-from treeirr.enumeration import _level_tree, trees_with_degree_sequence
+from treeirr.enumeration import _degrees_parents, _parent_tree, trees_with_degree_sequence
 
 from _brute import brute_isomorphic, levels_to_edges
 
@@ -70,11 +70,15 @@ class TestTreeValidation:
 
 
 def assert_built_from_levels(levels):
-    # enumeration._level_tree skips validation; the stack-scan oracle's
-    # edges, rebuilt by the validating constructor, must give the same tree.
+    # enumeration._parent_tree skips validation; built from the parents
+    # _degrees_parents reads off the layout, as a list and as bytes, it
+    # must give the tree of the stack-scan oracle's edges, rebuilt by the
+    # validating constructor.
     n = len(levels)
     want = Tree(n, levels_to_edges(levels))
-    got = _level_tree(levels)
+    _, parent = _degrees_parents(levels)
+    assert _parent_tree(parent) == _parent_tree(bytes(parent))
+    got = _parent_tree(bytes(parent))
     assert got.n == n
     assert got.edges == want.edges
     assert got.adjacency == want.adjacency
@@ -148,16 +152,16 @@ class TestLazyAdjacency:
 
     def test_eager_builders(self):
         # The validating constructor builds the adjacency for its
-        # connectivity check, and the level decoder hands it over with the
+        # connectivity check, and the parent decoder hands it over with the
         # edges.
-        for t in [Tree(3, [(0, 1), (1, 2)]), _level_tree((0, 1, 1)), *all_trees(7)]:
+        for t in [Tree(3, [(0, 1), (1, 2)]), _parent_tree((0, 0, 0)), *all_trees(7)]:
             assert adjacency_built(t)
 
     def test_every_builder_returns_a_tree(self):
         built = [
             Tree(3, [(0, 1), (1, 2)]),
             Tree._unchecked(3, [(0, 1), (1, 2)]),
-            _level_tree((0, 1, 1)),
+            _parent_tree((0, 0, 0)),
             *all_trees(5),
             *TreeClass(6, delta=3).trees(),
             *trees_with_degree_sequence((3, 2, 2, 1, 1, 1)),
