@@ -200,16 +200,7 @@ def index_bundle(n, edges):
 
     irr sums |d(u)-d(v)| over edges, irr_T over all unordered vertex pairs,
     sigma the squared edge differences, M1 the squared degrees, M2 the
-    degree products over edges.
-
-    irr_T groups the vertices into degree classes: with ``c_d`` vertices of
-    degree ``d``, it is the sum of ``c_a * c_b * (b - a)`` over the pairs of
-    distinct degree values ``a < b`` that occur. Distinct degrees that sum
-    to at most ``2n - 2`` number fewer than ``2 * sqrt(n)``, so the pair
-    loop is O(n) and the kernel O(n + Delta). The sum stays a direct
-    reading of the pairwise definition, independent of the sorted-sequence
-    formula ``2(n+1)m - 2 * sum(i * d_i)`` that the ``irrT-seq-formula``
-    claim checks against it.
+    degree products over edges; irr_T and M1 come from :func:`degree_class_sums`.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -227,14 +218,26 @@ def index_bundle(n, edges):
         irr += d
         sigma += d * d
         m2 += du * dv
-    count = [0] * n
+    irr_t, m1 = degree_class_sums(deg)
+    return irr, irr_t, sigma, m1, m2
+
+
+def degree_class_sums(deg):
+    """(irr_T, M1) of a tree's degrees (a list or ``bytes``), over degree classes.
+
+    With ``c_d`` vertices of degree ``d``, irr_T sums ``c_a * c_b * (b - a)``
+    over the pairs of distinct degree values ``a < b`` that occur: fewer than
+    ``2 * sqrt(n)`` values, so O(n + Delta). It stays a direct reading of the
+    pairwise definition, independent of the sorted-sequence formula
+    ``2(n+1)m - 2 * sum(i * d_i)`` that the ``irrT-seq-formula`` claim checks.
+    """
+    count = [0] * len(deg)
     for d in deg:
         count[d] += 1
     classes = [(d, c) for d, c in enumerate(count) if c]
-    m1 = 0
-    irr_t = 0
+    m1 = irr_t = 0
     for i, (a, ca) in enumerate(classes):
         m1 += ca * a * a
         for b, cb in classes[i + 1:]:
             irr_t += ca * cb * (b - a)
-    return irr, irr_t, sigma, m1, m2
+    return irr_t, m1

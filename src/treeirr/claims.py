@@ -16,9 +16,9 @@ carry a documented discrepancy, with the notes spelling out what was
 actually checked.
 
 Each class of trees a statement ranges over (an order, a maximum degree, a
-degree sequence, caterpillars) is a :class:`TreeClass`, the one filter
-over an order's canonical table: the degrees and parents of its trees, of
-which only the trees kept are built.
+degree sequence, caterpillars) is a :class:`TreeClass`, the one filter over
+an order's canonical table of degrees and parents. Index values are read off
+its rows in one grouped pass (:func:`_extremes`); only output trees are built.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ import sys
 import time
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations_with_replacement, islice, permutations
+from itertools import chain, combinations_with_replacement, islice, permutations
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import __version__
-from ._kernels import BACKEND
+from ._kernels import BACKEND, degree_class_sums
 from .degseq import DegreeSequence, caterpillar_sigma, star
 from .edgelist import parse_edge_list
 from .enumeration import (
@@ -105,15 +105,6 @@ class TreeClass:
             parts.append("caterpillar")
         return " ".join(parts)
 
-    def trees(self) -> Iterator[Tree]:
-        """The trees of the class, in ``all_trees`` order (ascending canonical code).
-
-        Each row that :meth:`_rows` keeps is built from its parents, so
-        labels and order are those of ``all_trees``.
-        """
-        for _, parent in self._rows():
-            yield _parent_tree(parent)
-
     def _rows(self) -> Iterator[tuple[bytes, bytes]]:
         """The class's rows of the order's table, ``(degrees, parents)``.
 
@@ -133,12 +124,12 @@ class TreeClass:
                 continue
             if seq is not None and sorted(deg, reverse=True) != seq:
                 continue
-            if caterpillar_only and not _caterpillar_levels(deg, parent):
+            if caterpillar_only and not _caterpillar_row(deg, parent):
                 continue
             yield row
 
 
-def _caterpillar_levels(deg: Sequence[int], parent: Sequence[int]) -> bool:
+def _caterpillar_row(deg: Sequence[int], parent: Sequence[int]) -> bool:
     """``is_caterpillar`` of the tree with these degrees and parents.
 
     Removing the leaves leaves a path (or nothing) exactly when every
@@ -246,46 +237,74 @@ def load_fig2_tree() -> Tree:
 # searches shared by several claims
 
 
-_INDEX_KEYS = {"irr": "irr", "sigma": "sigma", "irr_T": "irr_t"}
-
-
 def _edges_str(t: Tree) -> str:
     return " ".join(f"{u}-{v}" for u, v in t.edges)
+
+
+def _row_index(deg: Sequence[int], parent: Sequence[int], index: str) -> int:
+    """``irr``, ``sigma`` or ``irr_T`` of a table row's tree, by definition, unbuilt.
+
+    ``|d_i - d_p|`` or its square summed over the edges ``(i, p = parent[i])``
+    (the root's parent ``0`` adds a zero term), or the degree-class sum.
+    """
+    if index == "irr":
+        return sum([abs(d - deg[p]) for d, p in zip(deg, parent)])
+    if index == "sigma":
+        return sum([(d - deg[p]) ** 2 for d, p in zip(deg, parent)])
+    return degree_class_sums(deg)[0]
+
+
+def _extremes(rows, key, index: str, objectives: Sequence[str] = ("min", "max")) -> dict:
+    """``{objective: {key: (value, parents)}}`` of ``index`` over table rows, in one pass.
+
+    Rows group by ``key(deg, parent)``, or all under ``None``; each extreme comes with
+    the parents of every row reaching it, in row order (ascending canonical code).
+    """
+    found: dict = {objective: {} for objective in objectives}
+    for deg, parent in rows:
+        value = _row_index(deg, parent, index)
+        k = None if key is None else key(deg, parent)
+        for objective, groups in found.items():
+            best = groups.get(k)
+            if best is None or (value > best[0] if objective == "max" else value < best[0]):
+                groups[k] = (value, [parent])
+            elif value == best[0]:
+                best[1].append(parent)
+    return found
+
+
+def _sequence_ranges(n: int, index: str) -> dict[tuple[int, ...], tuple[int, int]]:
+    """``(min, max)`` of ``index`` per degree sequence (largest first) of order ``n``."""
+    found = _extremes(_canonical_table(n), lambda deg, _: tuple(sorted(deg, reverse=True)), index)
+    return {k: (low, found["max"][k][0]) for k, (low, _) in found["min"].items()}
 
 
 def extremal_over_class(tree_class: TreeClass, index: str, objective: str) -> ExtremalResult:
     """Exact optimum of one index over the class, with every witness.
 
-    The class is enumerated outright by :meth:`TreeClass.trees`, under the
-    enumeration's order guard, so the result is certified rather than
-    heuristic. Witnesses come in ascending canonical code, each with the
-    edge list of its ``all_trees`` representative (level-sequence labels).
+    Every row of the class (:meth:`TreeClass._rows`) is read, under the
+    enumeration's order guard, so the result is certified, not heuristic;
+    only the witnesses are built. They come in ascending canonical code, each
+    with the edge list of its ``all_trees`` representative (level-sequence labels).
     """
-    if index not in _INDEX_KEYS:
+    if index not in ("irr", "sigma", "irr_T"):
         raise ValueError(f"unknown index {index!r} (expected irr, sigma or irr_T)")
     if objective not in ("min", "max"):
         raise ValueError(f"objective must be min or max, got {objective!r}")
     seq = tree_class.degree_sequence
     if seq is not None and seq.n != tree_class.n:
         raise ValueError("degree sequence length disagrees with class order")
-    attr = _INDEX_KEYS[index]
-    best: int | None = None
-    witnesses: list[tuple[str, str]] = []
-    for t in tree_class.trees():
-        value = getattr(compute_indices(t), attr)
-        if best is None or (value > best if objective == "max" else value < best):
-            best = value
-            witnesses = [(canonical_code(t).decode("ascii"), _edges_str(t))]
-        elif value == best:
-            witnesses.append((canonical_code(t).decode("ascii"), _edges_str(t)))
-    if best is None:
+    found = _extremes(tree_class._rows(), None, index, (objective,))[objective]
+    if not found:
         raise ValueError(f"empty tree class: {tree_class.describe()}")
+    best, parents = found[None]
+    trees = map(_parent_tree, parents)
     return ExtremalResult(
         class_description=tree_class.describe(),
         index=index,
         objective=objective,
         value=best,
-        witnesses=tuple(witnesses),
+        witnesses=tuple((canonical_code(t).decode("ascii"), _edges_str(t)) for t in trees),
     )
 
 
@@ -380,16 +399,6 @@ class _Tally:
             bad = check(case)
             if bad is not None:
                 self.add(bad)
-
-
-def _seq_extremes(seq: DegreeSequence, attr: str) -> tuple[int, int]:
-    # Min and max over the trees that realize the sequence; the Prüfer
-    # realizer stays out of this path as its test oracle.
-    values = [
-        getattr(compute_indices(t), attr)
-        for t in TreeClass(seq.n, degree_sequence=seq).trees()
-    ]
-    return min(values), max(values)
 
 
 def _move_change(lam: int, dr: int, sum_w: int, ge_w: int, sum_r: int, le_r: int):
@@ -497,21 +506,20 @@ def _tree_relocations(
         yield y, lam, side, donors, deltas
 
 
-def _relocation_witnesses(parent, supports, value_key):
+def _relocation_witnesses(deg, parent, supports, value_key):
     # The tree's violating moves in sweep order, per support ``(y, lam,
     # side, donors, hit)`` with ``hit`` mapping each violating recipient to
-    # the index change. The tree, its edge list and its index value are
-    # built once, when the tally draws the first witness.
-    t = _parent_tree(parent)
-    tree = _edges_str(t)
-    before = getattr(compute_indices(t), value_key)
+    # the index change. The tree and its edge list are built, and its index
+    # value read off the row, once, when the tally draws the first witness.
+    tree = _edges_str(_parent_tree(parent))
+    before = _row_index(deg, parent, value_key)
     for y, lam, side, donors, hit in supports:
         for donor in donors:
             for recipient, change in hit.items():
                 if recipient != donor:
                     yield {
                         "tree": tree,
-                        "n": t.n,
+                        "n": len(parent),
                         "y": y,
                         "donor": donor,
                         "recipient": recipient,
@@ -572,7 +580,7 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
             tally.add_class(
                 tree_moves,
                 tree_violations,
-                _relocation_witnesses(parent, witnessing, value_key),
+                _relocation_witnesses(deg, parent, witnessing, value_key),
             )
     notes = [
         f"support below max degree: {moves['strict']} moves, {violations['strict']} violations",
@@ -765,13 +773,14 @@ def _check_three_c(params, tally):
     # The closed form takes the three distinct degree values of a sequence.
     max_hits = min_hits = anomalies = 0
     for n in _orders(3, params["n_max"]):
+        ranges = _sequence_ranges(n, "irr")
         for seq in tree_degree_sequences(n):
             distinct = tuple(sorted(set(seq.values), reverse=True))
             if len(distinct) != 3:
                 continue
             tally.checked += 1
             fmx, fmn = three_c_values(distinct)
-            tmn, tmx = _seq_extremes(seq, "irr")
+            tmn, tmx = ranges[seq.values]
             if fmn > fmx:
                 anomalies += 1
             max_hits += fmx == tmx
@@ -802,11 +811,12 @@ def _check_three_c(params, tally):
 )
 def _check_hyp_four(params, tally):
     notes = []
+    ranges = _sequence_ranges(4, "irr")
     for seq in tree_degree_sequences(4):
         tally.checked += 1
         value = hyp_four_value(seq.values)
         bmx, bmn = hyp_four_bounds_values(seq.values)
-        tmn, tmx = _seq_extremes(seq, "irr")
+        tmn, tmx = ranges[seq.values]
         if not (tmn <= value <= tmx):
             tally.add(
                 {
@@ -874,21 +884,13 @@ def _check_table1(params, tally):
     n_max=14,
 )
 def _check_caterpillar_support(params, tally):
-    # (order, pendants) -> (largest irr, its caterpillars' parents).
-    # irr and the pendant count come off the caterpillar class's rows; only
-    # the maxima are built as trees, in all_trees order.
-    groups: dict[tuple[int, int], tuple[int, list]] = {}
-    for n in _orders(2, params["n_max"]):
-        for deg, parent in TreeClass(n, caterpillar_only=True)._rows():
-            irr = sum(abs(deg[i] - deg[parent[i]]) for i in range(1, n))
-            key = (n, deg.count(1))
-            group = groups.get(key)
-            if group is None or irr > group[0]:
-                groups[key] = (irr, [parent])
-            elif irr == group[0]:
-                group[1].append(parent)
+    # (order, pendants) -> (largest irr, its caterpillars' parents), off the
+    # caterpillar class's rows; only the maxima are built, in all_trees order.
+    classes = (TreeClass(n, caterpillar_only=True) for n in _orders(2, params["n_max"]))
+    rows = chain.from_iterable(klass._rows() for klass in classes)
+    groups = _extremes(rows, lambda deg, parent: (len(deg), deg.count(1)), "irr", ("max",))
     weak_violations = 0
-    for (n, pendants), (best, maxima) in sorted(groups.items()):
+    for (n, pendants), (best, maxima) in sorted(groups["max"].items()):
         tally.checked += 1
         for parent in maxima:
             t = _parent_tree(parent)
@@ -967,7 +969,7 @@ def _check_seq_monotonicity(params, tally):
     max_bad = min_bad = 0
     for n in _orders(3, params["n_max"]):
         seqs = list(tree_degree_sequences(n))
-        extremes = {seq.values: _seq_extremes(seq, "irr") for seq in seqs}
+        extremes = _sequence_ranges(n, "irr")
 
         def dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
             run_a = run_b = 0
@@ -1050,11 +1052,12 @@ def _check_resn1(params, tally):
 )
 def _check_sigma_five(params, tally):
     notes = []
+    ranges = _sequence_ranges(5, "sigma")
     for seq in tree_degree_sequences(5):
         tally.checked += 1
         ascending = tuple(reversed(seq.values))
         value = sigma_five_value(ascending)
-        tmn, tmx = _seq_extremes(seq, "sigma")
+        tmn, tmx = ranges[seq.values]
         if not (tmn <= value <= tmx):
             tally.add(
                 {
@@ -1153,10 +1156,9 @@ def _check_sigma_ordered(params, tally):
     tally.run((s for k in orders for s in combinations_with_replacement(degs, k)), check)
     direct_total = direct_agree = 0
     for n in orders:
-        for t in all_trees(n):
+        for deg, parent in _canonical_table(n):
             direct_total += 1
-            ascending = tuple(sorted(degrees(t)))
-            if sigma_ordered_value(ascending) == compute_indices(t).sigma:
+            if sigma_ordered_value(tuple(sorted(deg))) == _row_index(deg, parent, "sigma"):
                 direct_agree += 1
     agree = tally.checked - tally.violations
     return [

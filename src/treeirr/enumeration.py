@@ -9,13 +9,13 @@ it, codes and sorts it, reads each tree through :func:`_degrees_parents`
 sequences. Only the trees ``all_trees`` yields on that call carry
 canonical codes. Every tree of the canonical order is built from its
 parents by :func:`_parent_tree`. Callers that keep only some trees of an
-order (``claims.TreeClass`` and the relocation sweeps) read
-:func:`_canonical_table`, decide on degrees and parents, and build only
-what they keep.
+order (``claims.TreeClass``, the class extremes, the relocation sweeps)
+read :func:`_canonical_table`, decide and read index values on degrees
+and parents, and build only the trees they output.
 :func:`trees_with_degree_sequence` realizes one tree-graphical degree
 multiset through Prüfer codes and deduplicates by canonical code. The
 ``realize`` command is its only CLI user: ``extremal --seq`` and the claims
-filter the canonical order instead (``claims.TreeClass.trees``). The test
+filter the canonical order's rows instead (``claims.TreeClass._rows``). The test
 suite builds an independent twin of :func:`all_trees` from it, over every
 degree multiset of an order, and holds the two to agreement.
 

@@ -1,7 +1,8 @@
 """Independent brute-force oracles for the test suite.
 
-Apart from :func:`all_trees_by_realization` and :func:`relocate_leaf`
-(which builds a validated ``Tree``), nothing here imports the library:
+Apart from :func:`all_trees_by_realization`, :func:`class_trees` and
+:func:`relocate_leaf` (which builds a validated ``Tree``), nothing here
+imports the library:
 every other function works on a plain order ``n`` plus an edge list, or
 on a tuple of degrees, so the values these produce are computed along a
 second, unrelated path.
@@ -220,6 +221,13 @@ def all_trees_by_realization(n):
         for t in trees_with_degree_sequence(seq):
             found.setdefault(canonical_code(t), t)
     return [found[key] for key in sorted(found)]
+
+
+def class_trees(klass):
+    """The trees of a ``claims.TreeClass``: each row it keeps, built from its parents."""
+    from treeirr.enumeration import _parent_tree
+
+    return [_parent_tree(parent) for _, parent in klass._rows()]
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,14 @@ from treeirr.claims import (
     table1_text,
     verify,
 )
-from treeirr.claims import _caterpillar_levels, _move_change, _seq_extremes, _tree_relocations
+from treeirr.claims import (
+    _caterpillar_row,
+    _extremes,
+    _move_change,
+    _row_index,
+    _sequence_ranges,
+    _tree_relocations,
+)
 from treeirr.enumeration import (
     EnumerationGuard,
     _canonical_table,
@@ -46,6 +53,7 @@ from treeirr.enumeration import (
 
 from _brute import (
     brute_indices,
+    class_trees,
     levels_to_edges,
     relocate_leaf,
     spanning_trees,
@@ -400,14 +408,32 @@ def _assert_matches_recompute(t, moves):
         assert (after.irr - before.irr, after.sigma - before.sigma) == (d_irr, d_sigma)
 
 
+def _count_builds(monkeypatch):
+    # The order of every tree built through _parent_tree from here on.
+    from treeirr import claims, enumeration
+
+    builds = []
+    parent_tree = enumeration._parent_tree
+
+    def counted(parent, code=None):
+        builds.append(len(parent))
+        return parent_tree(parent, code)
+
+    monkeypatch.setattr(claims, "_parent_tree", counted)
+    monkeypatch.setattr(enumeration, "_parent_tree", counted)
+    return builds
+
+
 class TestEnumerationOnce:
     def test_sequence_extremes_match_realization(self):
-        # The claims and extremal take per-sequence classes from all_trees;
-        # the Prüfer realization enumerator stays their independent oracle.
+        # The claims' per-sequence extremes come from one grouped pass over
+        # each order's table rows, and extremal reads its class's rows; the
+        # Prüfer realization enumerator stays their independent oracle.
         # extremal_over_class must give the same optimum and the same
         # witness codes in ascending order, each witness edge list a tree
         # of its code.
-        for n in range(1, 10):
+        for n in range(1, 11):
+            ranges = {index: _sequence_ranges(n, index) for index in ("irr", "sigma")}
             for seq in tree_degree_sequences(n):
                 oracle = [
                     (canonical_code(t).decode("ascii"), compute_indices(t))
@@ -415,7 +441,7 @@ class TestEnumerationOnce:
                 ]
                 for attr in ("irr", "sigma"):
                     values = [getattr(b, attr) for _, b in oracle]
-                    assert _seq_extremes(seq, attr) == (min(values), max(values)), (seq, attr)
+                    assert ranges[attr][seq.values] == (min(values), max(values)), (seq, attr)
                 klass = TreeClass(n, degree_sequence=seq)
                 for index, attr in (("irr", "irr"), ("sigma", "sigma"), ("irr_T", "irr_t")):
                     for objective, pick in (("min", min), ("max", max)):
@@ -429,6 +455,7 @@ class TestEnumerationOnce:
                             t = Tree(n, edges)
                             assert canonical_code(t).decode("ascii") == code
                             assert tuple(sorted(degrees(t), reverse=True)) == seq.values
+            assert set(ranges["irr"]) == {seq.values for seq in tree_degree_sequences(n)}
 
     def test_report_generates_each_order_once(self, monkeypatch):
         from treeirr import _kernels, degseq, enumeration
@@ -571,6 +598,44 @@ class TestEnumerationOnce:
         assert calls == ["__init__", "_sorted_adjacency", "_sorted_adjacency", "canon_code"]
 
 
+# The row reader's index names and the bundle attributes they read.
+ROW_INDICES = (("irr", "irr"), ("sigma", "sigma"), ("irr_T", "irr_t"))
+
+
+class TestRowReaders:
+    # _row_index applies the definitions to a table row's degrees and
+    # parents; compute_indices of the built tree and the brute-force
+    # definitions are its oracles. _extremes groups those values in one
+    # pass; the per-sequence class filter plus compute_indices is its.
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_row_index_is_the_bundle(self, n):
+        for deg, parent in _canonical_table(n):
+            t = _parent_tree(parent)
+            bundle, brute = compute_indices(t), brute_indices(n, t.edges)
+            for index, attr in ROW_INDICES:
+                got = _row_index(deg, parent, index)
+                assert got == getattr(bundle, attr) == brute[index], (parent, index)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_grouped_extremes_match_per_sequence_filter(self, n):
+        by_seq = {}
+        for seq in tree_degree_sequences(n):
+            rows = TreeClass(n, degree_sequence=seq)._rows()
+            by_seq[seq.values] = [(p, compute_indices(_parent_tree(p))) for _, p in rows]
+        sorted_degrees = lambda deg, parent: tuple(sorted(deg, reverse=True))
+        for index, attr in ROW_INDICES:
+            found = _extremes(_canonical_table(n), sorted_degrees, index)
+            assert set(found["min"]) == set(found["max"]) == set(by_seq)
+            for values, rows in by_seq.items():
+                for objective, pick in (("min", min), ("max", max)):
+                    best = pick(getattr(b, attr) for _, b in rows)
+                    want = (best, [p for p, b in rows if getattr(b, attr) == best])
+                    assert found[objective][values] == want, (values, index, objective)
+            assert _sequence_ranges(n, index) == {
+                values: (found["min"][values][0], found["max"][values][0]) for values in by_seq
+            }
+
+
 class TestRelocationDeltas:
     # _tree_relocations reads a level-sequence layout's degrees and parents:
     # as lists from _degrees_parents and as the bytes slices of the order's
@@ -635,16 +700,7 @@ class TestRelocationDeltas:
         _assert_matches_recompute(t, _class_moves(deg, parent)[1])
 
     def test_witnesses_built_only_while_kept(self, monkeypatch):
-        from treeirr import claims
-
-        calls = []
-        bundle = claims.compute_indices
-
-        def counted(t):
-            calls.append(t.n)
-            return bundle(t)
-
-        monkeypatch.setattr(claims, "compute_indices", counted)
+        calls = _count_builds(monkeypatch)
         r = verify("irr-decrease", {"n_max": 10})
         assert r.violations > 2 * DEFAULT_WITNESS_CAP
         assert len(r.witnesses) == DEFAULT_WITNESS_CAP
@@ -795,7 +851,7 @@ class TestLevelFilters:
         seen = {True: 0, False: 0}
         for n in range(1, 15):
             for deg, parent in _canonical_table(n):
-                got = _caterpillar_levels(deg, parent)
+                got = _caterpillar_row(deg, parent)
                 assert got == is_caterpillar(_parent_tree(parent)), parent
                 seen[got] += 1
         assert seen == {True: 2144, False: 3303}
@@ -808,7 +864,7 @@ class TestLevelFilters:
         delta_of = {t: max(degrees(t)) for t in every}
 
         def assert_class(klass, keep):
-            got = list(klass.trees())
+            got = class_trees(klass)
             want = [t for t in every if keep(t)]
             assert got == want, klass.describe()
             assert [canonical_code(t) for t in got] == [canonical_code(t) for t in want]
@@ -838,7 +894,7 @@ class TestLevelFilters:
             raise AssertionError(f"TreeClass({order}) read all_trees")
 
         monkeypatch.setattr(claims, "all_trees", no_all_trees)
-        assert [t.edges for t in TreeClass(n).trees()] == want
+        assert [t.edges for t in class_trees(TreeClass(n))] == want
 
     @pytest.mark.parametrize("claim_id", sorted(RELOCATION_CLAIMS))
     def test_relocation_tallies_match_unfiltered_sweep(self, claim_id):
@@ -876,7 +932,9 @@ class TestLevelFilters:
     # caterpillar-support builds each (order, pendants) group's irr maxima
     # alone, of the 2,143 caterpillars of orders 2-14. The relocation
     # sweeps build each tree that the tally draws a witness from (25 kept
-    # each) once, never a tree they only count.
+    # each) once, never a tree they only count. The per-sequence extremes
+    # and sigma-ordered's direct reading read their values off the rows
+    # and build nothing.
     @pytest.mark.parametrize(
         "claim_id, builds",
         [
@@ -885,23 +943,25 @@ class TestLevelFilters:
             ("irr-decrease-bound", 10),
             ("sigma-decrease", 7),
             ("sigma-increase", 1),
+            ("three-c", 0),
+            ("seq-monotonicity", 0),
+            ("hyp-four", 0),
+            ("sigma-five", 0),
+            ("sigma-ordered", 0),
         ],
     )
     def test_warm_claim_builds_only_kept_trees(self, claim_id, builds, monkeypatch):
-        from treeirr import claims, enumeration
-
-        builds_seen = []
-        parent_tree = enumeration._parent_tree
-
-        def counted(parent, code=None):
-            builds_seen.append(len(parent))
-            return parent_tree(parent, code)
-
         verify(claim_id)
-        monkeypatch.setattr(claims, "_parent_tree", counted)
-        monkeypatch.setattr(enumeration, "_parent_tree", counted)
+        builds_seen = _count_builds(monkeypatch)
         verify(claim_id)
         assert len(builds_seen) == builds
+
+    def test_warm_extremal_builds_only_its_witnesses(self, monkeypatch):
+        # Of the 3,159 trees of order 14, extremal builds the witnesses alone.
+        extremal_over_class(TreeClass(14), "irr", "max")
+        builds_seen = _count_builds(monkeypatch)
+        result = extremal_over_class(TreeClass(14), "irr", "max")
+        assert len(builds_seen) == len(result.witnesses) >= 1
 
 
 class TestPermSearch:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -19,6 +20,10 @@ from treeirr.degseq import parse_degree_sequence
 from treeirr.edgelist import ParseError, parse_edge_list
 
 from _brute import brute_indices, edge_list_text
+
+# sha256 of the concatenated `extremal --json` outputs of
+# test_extremal_digest: irr, sigma and irr_T, min and max, at four classes.
+EXTREMAL_SHA256 = "1666c07366dcbff3d16af26982f88c377f29ad8415cfdcee50572d793fd55232"
 
 
 @pytest.fixture()
@@ -304,6 +309,25 @@ class TestStreams:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == f"max sigma over {result.class_description}: {result.value}"
         assert lines[1:] == [f"witness: {e}" for _, e in result.witnesses]
+
+    def test_extremal_digest(self, capsys):
+        # Pinned bytes: every value, witness code and witness edge list of
+        # 24 queries, in order, including order 16 and a sequence whose
+        # Prüfer count the realizer would still accept.
+        classes = [
+            ["--n", "14"],
+            ["--n", "16", "--delta", "5"],
+            ["--seq", "3 3 3 3 2 2 1 1 1 1 1 1"],
+            ["--n", "13", "--caterpillar"],
+        ]
+        digest = hashlib.sha256()
+        for flags in classes:
+            for index in ("irr", "sigma", "irr_T"):
+                for objective in ("min", "max"):
+                    argv = ["extremal", *flags, "--index", index, "--objective", objective]
+                    assert main([*argv, "--json"]) == 0
+                    digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == EXTREMAL_SHA256
 
     def test_extremal_needs_an_order(self, capsys):
         assert main(["extremal", "--index", "irr", "--objective", "max"]) == 2

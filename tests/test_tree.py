@@ -22,7 +22,7 @@ from treeirr.claims import TreeClass, load_fig2_tree
 from treeirr.edgelist import parse_edge_list
 from treeirr.enumeration import _degrees_parents, _parent_tree, trees_with_degree_sequence
 
-from _brute import brute_isomorphic, levels_to_edges
+from _brute import brute_isomorphic, class_trees, levels_to_edges
 
 
 def relabeled(t, perm):
@@ -163,7 +163,7 @@ class TestLazyAdjacency:
             Tree._unchecked(3, [(0, 1), (1, 2)]),
             _parent_tree((0, 0, 0)),
             *all_trees(5),
-            *TreeClass(6, delta=3).trees(),
+            *class_trees(TreeClass(6, delta=3)),
             *trees_with_degree_sequence((3, 2, 2, 1, 1, 1)),
             prufer_decode([0, 0], 4),
             star(3),
