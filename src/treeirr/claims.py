@@ -18,7 +18,8 @@ actually checked.
 Each class of trees a statement ranges over (an order, a maximum degree, a
 degree sequence, caterpillars) is a :class:`TreeClass`, the one filter over
 an order's canonical table of degrees and parents. Index values are read off
-its rows in one grouped pass (:func:`_extremes`); only output trees are built.
+its rows in one grouped pass (:func:`_extremes`), whatever the row order;
+only output trees are coded, sorted by code and built.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .enumeration import (
     _canonical_table,
     _check_order,
     _parent_tree,
+    _row_code,
     all_trees,
     tree_degree_sequences,
 )
@@ -53,9 +55,11 @@ from .formulas import (
     three_c_values,
 )
 from .indices import compute_indices, total_irregularity_by_sequence
-from .tree import Tree, canonical_code, degrees, strong_support_vertices
+from .tree import Tree, degrees, strong_support_vertices
 
 DEFAULT_WITNESS_CAP = 25
+# The star claims' n_max counts leaves; a sweep to k leaves does O(k^2) work.
+STAR_LEAF_MAX = 1000
 
 REFERENCE_PERM_TUPLE = (4, 8, 10, 14, 18, 20)
 REFERENCE_PERM_MAX = 14802
@@ -258,7 +262,7 @@ def _extremes(rows, key, index: str, objectives: Sequence[str] = ("min", "max"))
     """``{objective: {key: (value, parents)}}`` of ``index`` over table rows, in one pass.
 
     Rows group by ``key(deg, parent)``, or all under ``None``; each extreme comes with
-    the parents of every row reaching it, in row order (ascending canonical code).
+    the parents of every row reaching it, in the table's row order.
     """
     found: dict = {objective: {} for objective in objectives}
     for deg, parent in rows:
@@ -284,8 +288,9 @@ def extremal_over_class(tree_class: TreeClass, index: str, objective: str) -> Ex
 
     Every row of the class (:meth:`TreeClass._rows`) is read, under the
     enumeration's order guard, so the result is certified, not heuristic;
-    only the witnesses are built. They come in ascending canonical code, each
-    with the edge list of its ``all_trees`` representative (level-sequence labels).
+    only the witnesses are coded and built. They come in ascending canonical
+    code, each with the edge list of its ``all_trees`` representative
+    (level-sequence labels).
     """
     if index not in ("irr", "sigma", "irr_T"):
         raise ValueError(f"unknown index {index!r} (expected irr, sigma or irr_T)")
@@ -298,13 +303,15 @@ def extremal_over_class(tree_class: TreeClass, index: str, objective: str) -> Ex
     if not found:
         raise ValueError(f"empty tree class: {tree_class.describe()}")
     best, parents = found[None]
-    trees = map(_parent_tree, parents)
+    coded = sorted((_row_code(parent), parent) for parent in parents)
     return ExtremalResult(
         class_description=tree_class.describe(),
         index=index,
         objective=objective,
         value=best,
-        witnesses=tuple((canonical_code(t).decode("ascii"), _edges_str(t)) for t in trees),
+        witnesses=tuple(
+            (code.decode("ascii"), _edges_str(_parent_tree(parent))) for code, parent in coded
+        ),
     )
 
 
@@ -365,6 +372,13 @@ def _orders(lo: int, n_max: int) -> range:
     return range(lo, n_max + 1)
 
 
+def _leaf_counts(n_max: int) -> range:
+    """Leaf counts ``3..n_max`` of a star claim, refused above the guard before any work."""
+    if n_max > STAR_LEAF_MAX:
+        raise EnumerationGuard(f"leaf count {n_max} above guard {STAR_LEAF_MAX}")
+    return range(3, n_max + 1)
+
+
 class _Tally:
     """Cases checked and violations of one claim run, with the first ``cap`` witnesses."""
 
@@ -374,9 +388,14 @@ class _Tally:
         self.violations = 0
         self.witnesses: list[dict] = []
 
+    @property
+    def full(self) -> bool:
+        """Whether the cap keeps no further witness."""
+        return self.cap is not None and len(self.witnesses) >= self.cap
+
     def add(self, witness: dict) -> None:
         self.violations += 1
-        if self.cap is None or len(self.witnesses) < self.cap:
+        if not self.full:
             self.witnesses.append(witness)
 
     def add_class(self, checked: int, violations: int, witnesses: Iterator[dict]) -> None:
@@ -510,7 +529,7 @@ def _relocation_witnesses(deg, parent, supports, value_key):
     # The tree's violating moves in sweep order, per support ``(y, lam,
     # side, donors, hit)`` with ``hit`` mapping each violating recipient to
     # the index change. The tree and its edge list are built, and its index
-    # value read off the row, once, when the tally draws the first witness.
+    # value read off the row, once, when the tally draws its first witness.
     tree = _edges_str(_parent_tree(parent))
     before = _row_index(deg, parent, value_key)
     for y, lam, side, donors, hit in supports:
@@ -538,8 +557,12 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
     ``lam`` needs ``lam + 1`` vertices, so orders below ``lam_min + 1`` are
     skipped, and so is a tree whose maximum degree in its order's table
     (``enumeration._canonical_table``) is below ``lam_min``. The rest are
-    swept on their degrees and parents by :func:`_tree_relocations`; a
-    tree is built, once, only when the tally keeps a witness from it.
+    swept on their degrees and parents by :func:`_tree_relocations`, in the
+    table's row order, and each order is counted at once. While the tally
+    has room, the order's violating rows are kept, coded and sorted by code
+    (``enumeration._row_code``), so witnesses come in ascending canonical
+    code and in sweep order within a tree; a tree is built, once, only when
+    the tally keeps a witness from it.
 
     ``bad(change, lam)`` decides whether a move that changes the index
     ``value_key`` by ``change`` violates the claim. It is decided once per
@@ -560,10 +583,12 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
     moves = dict.fromkeys(("strict", "tied", "unfiltered"), 0)
     violations = dict(moves)
     for n in _orders(lam_min + 1, params["n_max"]):
+        order_moves = order_violations = 0
+        keep = not tally.full
+        witnessing_rows = []
         for deg, parent in _canonical_table(n):
             if max(deg) < lam_min:
                 continue
-            tree_moves = tree_violations = 0
             witnessing = []
             for y, lam, side, donors, deltas in _tree_relocations(
                 deg, parent, lam_min, lam_max, apply_support_filter
@@ -573,15 +598,20 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
                 bad_count = len(donors) * len(hit) - sum(d in hit for d in donors)
                 moves[side] += count
                 violations[side] += bad_count
-                tree_moves += count
-                tree_violations += bad_count
-                if bad_count:
+                order_moves += count
+                order_violations += bad_count
+                if bad_count and keep:
                     witnessing.append((y, lam, side, donors, hit))
-            tally.add_class(
-                tree_moves,
-                tree_violations,
-                _relocation_witnesses(deg, parent, witnessing, value_key),
-            )
+            if witnessing:
+                witnessing_rows.append((deg, parent, witnessing))
+        witnessing_rows.sort(key=lambda row: _row_code(row[1]))
+        tally.add_class(
+            order_moves,
+            order_violations,
+            chain.from_iterable(
+                _relocation_witnesses(*row, value_key) for row in witnessing_rows
+            ),
+        )
     notes = [
         f"support below max degree: {moves['strict']} moves, {violations['strict']} violations",
         f"support tying max degree with another vertex: {moves['tied']} moves, "
@@ -667,7 +697,7 @@ def _check_star_albertson(params, tally):
         if got != k * (k - 1):
             return {"leaves": k, "got": got, "want": k * (k - 1)}
 
-    tally.run(range(3, params["n_max"] + 1), check)
+    tally.run(_leaf_counts(params["n_max"]), check)
     return []
 
 
@@ -686,7 +716,7 @@ def _check_star_iso_sum(params, tally):
         if one + other != 2 * k * (k - 1):
             return {"leaves": k, "got": one + other, "want": 2 * k * (k - 1)}
 
-    tally.run(range(3, params["n_max"] + 1), check)
+    tally.run(_leaf_counts(params["n_max"]), check)
     return []
 
 
@@ -885,26 +915,24 @@ def _check_table1(params, tally):
 )
 def _check_caterpillar_support(params, tally):
     # (order, pendants) -> (largest irr, its caterpillars' parents), off the
-    # caterpillar class's rows; only the maxima are built, in all_trees order.
+    # caterpillar class's rows. Only the maxima are built; a group's
+    # violating maxima are coded and sorted while the tally has room, so
+    # witnesses come in ascending canonical code within a group.
     classes = (TreeClass(n, caterpillar_only=True) for n in _orders(2, params["n_max"]))
     rows = chain.from_iterable(klass._rows() for klass in classes)
     groups = _extremes(rows, lambda deg, parent: (len(deg), deg.count(1)), "irr", ("max",))
     weak_violations = 0
     for (n, pendants), (best, maxima) in sorted(groups["max"].items()):
-        tally.checked += 1
-        for parent in maxima:
-            t = _parent_tree(parent)
-            if not strong_support_vertices(t, min_leaves=2):
-                tally.add(
-                    {
-                        "n": n,
-                        "pendants": pendants,
-                        "irr": best,
-                        "tree": _edges_str(t),
-                    }
-                )
-            if not strong_support_vertices(t, min_leaves=1):
-                weak_violations += 1
+        trees = [(parent, _parent_tree(parent)) for parent in maxima]
+        weak_violations += sum(not strong_support_vertices(t, min_leaves=1) for _, t in trees)
+        bad = [(parent, t) for parent, t in trees if not strong_support_vertices(t, min_leaves=2)]
+        if not tally.full:
+            bad.sort(key=lambda row: _row_code(row[0]))
+        tally.add_class(
+            1,
+            len(bad),
+            ({"n": n, "pendants": pendants, "irr": best, "tree": _edges_str(t)} for _, t in bad),
+        )
     return [
         "operative reading: a strong support vertex needs two pendant neighbors",
         f"under the one-pendant-neighbor reading the violations drop to {weak_violations}",

@@ -4,14 +4,19 @@
 canonical order of an order's level sequences (a recursive-generation
 scheme), kept once per order by :func:`_canonical_order` as the degrees
 and parents of its trees: the first caller to reach an order generates
-it, codes and sorts it, reads each tree through :func:`_degrees_parents`
-(the one home of the level-sequence parent rule) and drops the level
-sequences. Only the trees ``all_trees`` yields on that call carry
-canonical codes. Every tree of the canonical order is built from its
-parents by :func:`_parent_tree`. Callers that keep only some trees of an
-order (``claims.TreeClass``, the class extremes, the relocation sweeps)
-read :func:`_canonical_table`, decide and read index values on degrees
-and parents, and build only the trees they output.
+it, reads each tree through :func:`_degrees_parents` (the one home of the
+level-sequence parent rule) and drops the level sequences. ``all_trees``
+needs its rows in ascending canonical code, so when it fills an order it
+codes and sorts the sequences first, and when a filtering caller filled the
+order before, it codes each row once from its parents (:func:`_row_code`)
+and rewrites the table in code order. Only the trees ``all_trees`` yields
+on the call that codes the order carry canonical codes. Every tree of the
+canonical order is built from its parents by :func:`_parent_tree`. Callers
+that keep only some trees of an order (``claims.TreeClass``, the class
+extremes, the relocation sweeps) read :func:`_canonical_table`: the first
+of them to reach an order fills it in generation order and codes nothing.
+They decide and read index values on degrees and parents, whatever the
+row order, and code, sort and build only the trees they output.
 :func:`trees_with_degree_sequence` realizes one tree-graphical degree
 multiset through Prüfer codes and deduplicates by canonical code. The
 ``realize`` command is its only CLI user: ``extremal --seq`` and the claims
@@ -48,10 +53,11 @@ def _check_order(n: int) -> None:
         raise EnumerationGuard(f"order {n} outside guard range 1..{MAX_ORDER}")
 
 
-# Order -> the degrees and the parents of each tree of all_trees(order), in
-# its order: two blobs of n bytes per tree (144 KB for all orders up to 14,
-# about 1 MB up to 16). The root's parent byte is 0.
-_TABLES: dict[int, tuple[bytes, bytes]] = {}
+# Order -> the degrees and the parents of each tree of the order: two blobs of
+# n bytes per tree (144 KB for all orders up to 14, about 1 MB up to 16), and
+# whether the rows are in ascending canonical code (``all_trees`` order) or
+# in generation order. The root's parent byte is 0.
+_TABLES: dict[int, tuple[bytes, bytes, bool]] = {}
 
 
 def _degrees_parents(levels: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -76,43 +82,74 @@ def _degrees_parents(levels: Sequence[int]) -> tuple[list[int], list[int]]:
     return deg, parent
 
 
-def _canonical_order(n: int) -> tuple[list[CanonicalCode] | None, bytes, bytes]:
-    """``(codes, degrees, parents)`` of the trees of ``all_trees(n)``, in its order.
+def _row_code(parent: Sequence[int]) -> CanonicalCode:
+    """Canonical code of a table row's tree, from its parents alone.
 
-    The one store of the canonical order. The call that first reaches an
-    order generates its level sequences, sorts them by the canonical code
-    each one holds (``_kernels.level_code``), runs :func:`_degrees_parents`
-    once per tree and keeps the two blobs in ``_TABLES`` for the rest of
-    the process; the level sequences are dropped. That call alone returns
-    the codes, in order; later calls read the blobs and their codes are
-    ``None``.
+    A row's vertices are its level sequence's, in preorder, so each level
+    is one more than its parent's; the sequence is rooted at a center, as
+    generated, and goes to ``_kernels.level_code`` as is.
+    """
+    levels = bytearray(len(parent))
+    for i in range(1, len(parent)):
+        levels[i] = levels[parent[i]] + 1
+    return _kernels.level_code(levels)
+
+
+def _canonical_order(
+    n: int, coded: bool = True
+) -> tuple[list[CanonicalCode] | None, bytes, bytes]:
+    """``(codes, degrees, parents)`` of the trees of order ``n``, kept once per order.
+
+    The one store of the order. The call that first reaches an order
+    generates its level sequences, runs :func:`_degrees_parents` once per
+    tree and keeps the two blobs in ``_TABLES`` for the rest of the
+    process; the level sequences are dropped. With ``coded`` (``all_trees``)
+    the rows are in ascending canonical code: a first fill sorts the
+    sequences by the code each one holds (``_kernels.level_code``), and a
+    table filled uncoded before is recoded from its parents
+    (:func:`_row_code`, once per row) and rewritten in that order. Without
+    it (the filtering callers) a first fill keeps generation order and codes
+    nothing. Only a call that codes returns the codes, in row order; the
+    others return ``None``.
     """
     _check_order(n)
     table = _TABLES.get(n)
-    if table is not None:
-        return None, *table
-    seqs = map(bytes, _kernels.level_sequences(n))
-    keyed = sorted((_kernels.level_code(seq), seq) for seq in seqs)
+    if table is not None and (table[2] or not coded):
+        return None, table[0], table[1]
     degs = bytearray()
     parents = bytearray()
-    for _, levels in keyed:
-        deg, parent = _degrees_parents(levels)
-        degs += bytes(deg)
-        parents += bytes(parent)
-    table = _TABLES[n] = (bytes(degs), bytes(parents))
-    return [code for code, _ in keyed], *table
+    if table is None:
+        seqs = map(bytes, _kernels.level_sequences(n))
+        if coded:
+            keyed = sorted((_kernels.level_code(seq), seq) for seq in seqs)
+            seqs = (seq for _, seq in keyed)
+        for levels in seqs:
+            deg, parent = _degrees_parents(levels)
+            degs += bytes(deg)
+            parents += bytes(parent)
+    else:
+        deg_blob, parent_blob, _ = table
+        starts = range(0, len(parent_blob), n)
+        keyed = sorted((_row_code(parent_blob[start : start + n]), start) for start in starts)
+        for _, start in keyed:
+            degs += deg_blob[start : start + n]
+            parents += parent_blob[start : start + n]
+    table = _TABLES[n] = (bytes(degs), bytes(parents), coded)
+    return [code for code, _ in keyed] if coded else None, table[0], table[1]
 
 
 def _canonical_table(n: int) -> Iterator[tuple[bytes, bytes]]:
-    """``(degrees, parents)`` for each tree of ``all_trees(n)``, in its order.
+    """``(degrees, parents)`` for each tree of order ``n``, in the table's order.
 
     The reader for callers that decide on degrees and parents before they
-    build (``claims.TreeClass`` and the relocation sweeps): ``bytes``
-    slices of the order's table, the root's parent being ``0``, filled
-    before the first row if no caller has reached the order yet. Rows
-    carry no code; ``canonical_code`` of a built tree gives it.
+    build (``claims.TreeClass``, the class extremes and the relocation
+    sweeps): ``bytes`` slices of the order's table, the root's parent being
+    ``0``, filled uncoded before the first row if no caller has reached the
+    order yet. Rows come in ascending canonical code once ``all_trees`` has
+    reached the order, else in generation order, so a caller that outputs
+    rows codes them (:func:`_row_code`) and sorts them itself.
     """
-    _, deg_blob, parent_blob = _canonical_order(n)
+    _, deg_blob, parent_blob = _canonical_order(n, coded=False)
     for start in range(0, len(deg_blob), n):
         yield deg_blob[start : start + n], parent_blob[start : start + n]
 
@@ -145,9 +182,10 @@ def all_trees(n: int) -> Iterator[Tree]:
 
     Each tree is built in one unvalidated pass over its parents in the
     order's table (:func:`_parent_tree`), so every call gives the same
-    labeled trees in the same order. On the call that generates the
-    order, each tree carries its canonical code; later calls skip the
-    generation, coding and sort, and their trees have no code cached yet.
+    labeled trees in the same order, whichever caller filled the table. On
+    the call that codes the order (its first ``all_trees`` call), each tree
+    carries its canonical code; later calls skip the generation, coding and
+    sort, and their trees have no code cached yet.
     """
     codes, _, parent_blob = _canonical_order(n)
     for i, start in enumerate(range(0, len(parent_blob), n)):

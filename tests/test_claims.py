@@ -20,6 +20,7 @@ from treeirr.claims import (
     CATALOG,
     CLAIM_IDS,
     DEFAULT_WITNESS_CAP,
+    STAR_LEAF_MAX,
     ReportConfig,
     TreeClass,
     exit_status,
@@ -145,6 +146,29 @@ class TestArithmeticClaims:
     def test_star_iso_sum_holds(self):
         r = verify("star-iso-sum")
         assert (r.verdict, r.violations) == ("holds", 0)
+
+    @pytest.mark.parametrize("claim_id", ["star-albertson", "star-iso-sum"])
+    def test_leaf_guard_before_any_star(self, claim_id, monkeypatch):
+        # A sweep to k leaves does O(k^2) work, so a leaf count above the
+        # guard is refused before the first star is built; the guard itself
+        # is checked at once.
+        from treeirr import claims
+
+        stars = []
+        build = claims.star
+
+        def counted_star(k):
+            stars.append(k)
+            return build(k)
+
+        monkeypatch.setattr(claims, "star", counted_star)
+        for n_max in (STAR_LEAF_MAX + 1, 100_000_000):
+            with pytest.raises(EnumerationGuard, match=f"leaf count {n_max} above guard 1000"):
+                verify(claim_id, {"n_max": n_max})
+        assert stars == []
+        r = verify(claim_id, {"n_max": STAR_LEAF_MAX})
+        assert (r.verdict, r.checked) == ("holds", STAR_LEAF_MAX - 2)
+        assert stars[0] == 3 and stars[-1] == STAR_LEAF_MAX
 
     def test_cor3_part1_holds(self):
         r = verify("cor3-part1", {"d_max": 40})
@@ -538,6 +562,32 @@ class TestEnumerationOnce:
         assert sorted(enumeration._TABLES) == list(range(1, 15))
         assert len(calls) == 5447
 
+    def test_cold_report_codes_only_output_trees(self, monkeypatch):
+        # A cold default report codes the 201 trees of orders 1-10, which
+        # sandwich reaches first through all_trees, and the 62 rows whose
+        # witnesses it may keep: 26 caterpillar-support maxima, 13 + 13 + 9
+        # + 1 relocation rows. The filtering claims fill orders 11-14
+        # uncoded and code 10 of their 5,246 trees.
+        from treeirr import _kernels, enumeration
+
+        calls = []
+        level_code = _kernels.level_code
+
+        def counted(levels):
+            calls.append(len(levels))
+            return level_code(levels)
+
+        monkeypatch.setattr(enumeration, "_TABLES", {})
+        monkeypatch.setattr(_kernels, "level_code", counted)
+        report = run_report(ReportConfig())
+        assert report.errors == ()
+        coded = {n: table[2] for n, table in enumeration._TABLES.items()}
+        assert coded == {n: n <= 10 for n in range(1, 15)}
+        fill = Counter({n: unlabeled_tree_count(n) for n in range(1, 11)})
+        rows = Counter({2: 1, 4: 1, 5: 1, 6: 3, 7: 6, 8: 18, 9: 18, 10: 4, 11: 4, 12: 6})
+        assert Counter(calls) == fill + rows
+        assert len(calls) == 201 + 62 == 263
+
     def test_extremal_seq_decodes_nothing(self, monkeypatch, capsys):
         # extremal --seq filters all_trees; it never runs the Prüfer realizer.
         from treeirr import degseq, enumeration
@@ -596,6 +646,101 @@ class TestEnumerationOnce:
         Tree._unchecked(2, [(0, 1)]).adjacency
         canonical_code(warm[0])
         assert calls == ["__init__", "_sorted_adjacency", "_sorted_adjacency", "canon_code"]
+
+
+def _fill(orders, how):
+    # Empty the order tables, then fill each order the way its first caller
+    # would: all_trees ("coded") codes and sorts it, the table reader
+    # ("uncoded") keeps generation order. "reversed" is an uncoded table
+    # with its rows reversed, an order no caller makes: the filtering
+    # callers may not depend on row order at all. Returns the trees of the
+    # filling all_trees calls.
+    from treeirr import enumeration
+
+    enumeration._TABLES.clear()
+    trees = {}
+    for n in orders:
+        if how == "coded":
+            trees[n] = list(all_trees(n))
+        else:
+            rows = list(_canonical_table(n))
+            if how == "reversed":
+                rows.reverse()
+                degs, parents = (b"".join(blobs) for blobs in zip(*rows))
+                enumeration._TABLES[n] = (degs, parents, False)
+    assert all(enumeration._TABLES[n][2] is (how == "coded") for n in orders)
+    return trees
+
+
+class TestFillOrder:
+    # Filtering outputs must not depend on which caller filled an order:
+    # each is computed after a coded fill (all_trees first), after an
+    # uncoded one (the table reader first) and on the uncoded rows
+    # reversed, the tables emptied for each, and all must be identical.
+
+    @pytest.fixture(autouse=True)
+    def own_tables(self, monkeypatch):
+        from treeirr import enumeration
+
+        monkeypatch.setattr(enumeration, "_TABLES", {})
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_extremes_and_ranges(self, n):
+        from treeirr import enumeration
+
+        classes = [TreeClass(n), TreeClass(n, caterpillar_only=True)]
+        classes += [TreeClass(n, delta=delta) for delta in range(2, n)]
+        classes += [TreeClass(n, degree_sequence=seq) for seq in tree_degree_sequences(n)]
+
+        def outputs():
+            found = [
+                extremal_over_class(klass, index, objective)
+                for klass in classes
+                for index in ("irr", "sigma", "irr_T")
+                for objective in ("min", "max")
+            ]
+            ranges = [_sequence_ranges(n, index) for index in ("irr", "sigma", "irr_T")]
+            return found, ranges
+
+        cold = [(t.edges, t._code) for t in _fill([n], "coded")[n]]
+        coded_parents = enumeration._TABLES[n][1]
+        want = outputs()
+        _fill([n], "reversed")
+        assert outputs() == want
+        _fill([n], "uncoded")
+        assert outputs() == want
+        # The filtering callers left the table uncoded, and from order 5 on
+        # generation order is not code order.
+        assert enumeration._TABLES[n][2] is False
+        assert (enumeration._TABLES[n][1] != coded_parents) is (n >= 5)
+        # all_trees recodes the uncoded table: the same trees, in the same
+        # order, with the same preset codes as its cold coded fill.
+        assert [(t.edges, t._code) for t in all_trees(n)] == cold
+        assert enumeration._TABLES[n][1] == coded_parents
+
+    @pytest.mark.parametrize(
+        "claim_id",
+        [
+            "caterpillar-support",
+            "irr-decrease",
+            "irr-decrease-bound",
+            "sigma-decrease",
+            "sigma-increase",
+        ],
+    )
+    def test_witness_claims(self, claim_id):
+        def outputs():
+            return [
+                result_to_text(verify(claim_id, {"n_max": 12}, witness_cap=cap))
+                for cap in (None, 5, DEFAULT_WITNESS_CAP)
+            ]
+
+        _fill(range(1, 13), "coded")
+        want = outputs()
+        for how in ("uncoded", "reversed"):
+            _fill(range(1, 13), how)
+            assert outputs() == want, how
+        assert "witness: " in want[0]
 
 
 # The row reader's index names and the bundle attributes they read.

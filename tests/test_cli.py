@@ -494,6 +494,13 @@ class TestVerifyAndReport:
         assert main(["verify", "--claim", "resn1", "--n-max", "17"]) == 2
         assert "order 17 outside guard range 1..16" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("claim_id", ["star-albertson", "star-iso-sum"])
+    def test_star_leaf_count_obeys_its_guard(self, claim_id, capsys):
+        assert main(["verify", "--claim", claim_id, "--n-max", "100000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "leaf count 100000000 above guard 1000" in captured.err
+
     def test_verify_json_matches_report_record(self, capsys):
         assert main(["verify", "--claim", "star-albertson", "--n-max", "6", "--json"]) == 0
         alone = capsys.readouterr().out

@@ -87,8 +87,9 @@ class TestAllTrees:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_warm_call_repeats_cold_call(self, n, cold_orders):
         cold = list(all_trees(n))
-        degs, parents = enumeration._TABLES[n]
+        degs, parents, coded = enumeration._TABLES[n]
         assert len(degs) == len(parents) == n * len(cold)
+        assert coded
         warm = list(all_trees(n))
         assert [t.edges for t in warm] == [t.edges for t in cold]
         assert all(t._code is None for t in warm)
@@ -179,15 +180,21 @@ class TestLevelReader:
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_reader_is_all_trees(self, n, cold_orders):
-        # Whichever caller fills the order, the table's parents build
-        # all_trees(n) and its degrees are theirs; codes come only with the
-        # trees of the generating all_trees call.
+        # Whichever caller fills the order, the table holds the same rows:
+        # their parents build all_trees(n) and its degrees are theirs. A
+        # table filled by the reader is in generation order until all_trees
+        # codes it; codes come only with the trees of the coding call.
         cold = list(all_trees(n))
         assert all(t._code is not None for t in cold)
         rows = list(enumeration._canonical_table(n))
         assert [enumeration._parent_tree(parent) for _, parent in rows] == cold
         assert [tuple(deg) for deg, _ in rows] == [degrees(t) for t in cold]
         enumeration._TABLES.clear()
+        uncoded = list(enumeration._canonical_table(n))
+        assert sorted(uncoded) == sorted(rows)
+        recoded = list(all_trees(n))
+        assert recoded == cold
+        assert [t._code for t in recoded] == [t._code for t in cold]
         assert list(enumeration._canonical_table(n)) == rows
         warm = list(all_trees(n))
         assert warm == cold
@@ -204,11 +211,14 @@ class TestLevelReader:
     def test_table_is_degrees_parents(self, n, cold_orders, counted_readers):
         # The table's first call reads every tree of the order once, keeps
         # the whole table before it yields, and later calls read it alone.
-        layouts = canonical_layouts(n)
+        # Its rows are the level sequences' in generation order; all_trees
+        # puts them in code order, reading no sequence again.
+        layouts = [bytes(seq) for seq in _kernels.level_sequences(n)]
         first = next(enumeration._canonical_table(n))
         assert counted_readers == ["_degrees_parents"] * len(layouts)
-        degs, parents = enumeration._TABLES[n]
+        degs, parents, coded = enumeration._TABLES[n]
         assert len(degs) == len(parents) == n * len(layouts)
+        assert not coded
         rows = list(enumeration._canonical_table(n))
         assert len(counted_readers) == len(layouts)
         assert rows[0] == first
@@ -216,6 +226,27 @@ class TestLevelReader:
         for levels, (deg, parent) in zip(layouts, rows):
             assert type(deg) is bytes and type(parent) is bytes
             assert (list(deg), list(parent)) == enumeration._degrees_parents(levels)
+        read = len(counted_readers)
+        list(all_trees(n))
+        rows = list(enumeration._canonical_table(n))
+        assert len(counted_readers) == read
+        for levels, (deg, parent) in zip(canonical_layouts(n), rows, strict=True):
+            assert (list(deg), list(parent)) == enumeration._degrees_parents(levels)
+
+
+class TestRowCode:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_row_code_is_the_tree_code(self, n, cold_orders):
+        # Every row's code from its parents alone is the code of its built
+        # tree and the edge-rooted oracle's, whichever caller filled the
+        # table (code order or generation order).
+        for fill in (lambda: list(all_trees(n)), lambda: next(enumeration._canonical_table(n))):
+            enumeration._TABLES.clear()
+            fill()
+            for _, parent in enumeration._canonical_table(n):
+                t = enumeration._parent_tree(parent)
+                assert enumeration._row_code(parent) == canonical_code(t)
+                assert enumeration._row_code(parent) == edge_rooted_code(n, t.edges)
 
 
 class TestOneFill:
