@@ -527,12 +527,13 @@ def _tree_relocations(
 
 def _relocation_witnesses(deg, parent, supports, value_key):
     # The tree's violating moves in sweep order, per support ``(y, lam,
-    # side, donors, hit)`` with ``hit`` mapping each violating recipient to
-    # the index change. The tree and its edge list are built, and its index
-    # value read off the row, once, when the tally draws its first witness.
+    # side, donors, hit)`` of ``supports(deg, parent)``, ``hit`` mapping
+    # each violating recipient to the index change. The supports are swept
+    # again, the tree and its edge list are built, and its index value read
+    # off the row, once, when the tally draws its first witness.
     tree = _edges_str(_parent_tree(parent))
     before = _row_index(deg, parent, value_key)
-    for y, lam, side, donors, hit in supports:
+    for y, lam, side, donors, hit in supports(deg, parent):
         for donor in donors:
             for recipient, change in hit.items():
                 if recipient != donor:
@@ -559,18 +560,19 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
     (``enumeration._canonical_table``) is below ``lam_min``. The rest are
     swept on their degrees and parents by :func:`_tree_relocations`, in the
     table's row order, and each order is counted at once. While the tally
-    has room, the order's violating rows are kept, coded and sorted by code
-    (``enumeration._row_code``), so witnesses come in ascending canonical
-    code and in sweep order within a tree; a tree is built, once, only when
-    the tally keeps a witness from it.
+    has room, the degrees and parents of the order's violating rows are
+    kept, coded and sorted by code (``enumeration._row_code``), so
+    witnesses come in ascending canonical code and in sweep order within a
+    tree; a row is swept again and its tree built, once, only when the
+    tally draws a witness from it.
 
     ``bad(change, lam)`` decides whether a move that changes the index
     ``value_key`` by ``change`` violates the claim. It is decided once per
-    recipient of each support of :func:`_tree_relocations`, and the
-    support is counted arithmetically: with ``D`` donors and ``B`` bad
-    recipients it holds ``D * (lam - 1)`` moves and ``D * B`` violations,
-    less the bad recipients that are donors themselves (no leaf moves onto
-    itself).
+    recipient of each support of :func:`_tree_relocations` (again for a
+    row the tally draws), and the support is counted arithmetically: with
+    ``D`` donors and ``B`` bad recipients it holds ``D * (lam - 1)`` moves
+    and ``D * B`` violations, less the bad recipients that are donors
+    themselves (no leaf moves onto itself).
 
     With ``apply_support_filter`` the sweep keeps only supports that do not
     hold the maximum degree alone (both readings of that side condition
@@ -582,6 +584,13 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
         lam_max = params["n_max"]
     moves = dict.fromkeys(("strict", "tied", "unfiltered"), 0)
     violations = dict(moves)
+
+    def supports(deg, parent):
+        for y, lam, side, donors, deltas in _tree_relocations(
+            deg, parent, lam_min, lam_max, apply_support_filter
+        ):
+            yield y, lam, side, donors, {r: c[pos] for r, c in deltas.items() if bad(c[pos], lam)}
+
     for n in _orders(lam_min + 1, params["n_max"]):
         order_moves = order_violations = 0
         keep = not tally.full
@@ -589,27 +598,23 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
         for deg, parent in _canonical_table(n):
             if max(deg) < lam_min:
                 continue
-            witnessing = []
-            for y, lam, side, donors, deltas in _tree_relocations(
-                deg, parent, lam_min, lam_max, apply_support_filter
-            ):
-                hit = {r: c[pos] for r, c in deltas.items() if bad(c[pos], lam)}
+            row_violations = 0
+            for y, lam, side, donors, hit in supports(deg, parent):
                 count = len(donors) * (lam - 1)
                 bad_count = len(donors) * len(hit) - sum(d in hit for d in donors)
                 moves[side] += count
                 violations[side] += bad_count
                 order_moves += count
-                order_violations += bad_count
-                if bad_count and keep:
-                    witnessing.append((y, lam, side, donors, hit))
-            if witnessing:
-                witnessing_rows.append((deg, parent, witnessing))
+                row_violations += bad_count
+            order_violations += row_violations
+            if row_violations and keep:
+                witnessing_rows.append((deg, parent))
         witnessing_rows.sort(key=lambda row: _row_code(row[1]))
         tally.add_class(
             order_moves,
             order_violations,
             chain.from_iterable(
-                _relocation_witnesses(*row, value_key) for row in witnessing_rows
+                _relocation_witnesses(*row, supports, value_key) for row in witnessing_rows
             ),
         )
     notes = [

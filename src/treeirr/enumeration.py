@@ -5,18 +5,17 @@ canonical order of an order's level sequences (a recursive-generation
 scheme), kept once per order by :func:`_canonical_order` as the degrees
 and parents of its trees: the first caller to reach an order generates
 it, reads each tree through :func:`_degrees_parents` (the one home of the
-level-sequence parent rule) and drops the level sequences. ``all_trees``
-needs its rows in ascending canonical code, so when it fills an order it
-codes and sorts the sequences first, and when a filtering caller filled the
-order before, it codes each row once from its parents (:func:`_row_code`)
-and rewrites the table in code order. Only the trees ``all_trees`` yields
-on the call that codes the order carry canonical codes. Every tree of the
-canonical order is built from its parents by :func:`_parent_tree`. Callers
-that keep only some trees of an order (``claims.TreeClass``, the class
-extremes, the relocation sweeps) read :func:`_canonical_table`: the first
-of them to reach an order fills it in generation order and codes nothing.
-They decide and read index values on degrees and parents, whatever the
-row order, and code, sort and build only the trees they output.
+level-sequence parent rule), keeps the rows in generation order, codes
+nothing and drops the level sequences. ``all_trees`` needs its rows in
+ascending canonical code, so the first time it reaches an order it codes
+each row once from its parents (:func:`_row_code`) and rewrites the table
+in code order. Only the trees ``all_trees`` yields on the call that codes
+the order carry canonical codes. Every tree of the canonical order is
+built from its parents by :func:`_parent_tree`. Callers that keep only
+some trees of an order (``claims.TreeClass``, the class extremes, the
+relocation sweeps) read :func:`_canonical_table`, which never codes. They
+decide and read index values on degrees and parents, whatever the row
+order, and code, sort and build only the trees they output.
 :func:`trees_with_degree_sequence` realizes one tree-graphical degree
 multiset through Prüfer codes and deduplicates by canonical code. The
 ``realize`` command is its only CLI user: ``extremal --seq`` and the claims
@@ -89,9 +88,9 @@ def _row_code(parent: Sequence[int]) -> CanonicalCode:
     is one more than its parent's; the sequence is rooted at a center, as
     generated, and goes to ``_kernels.level_code`` as is.
     """
-    levels = bytearray(len(parent))
-    for i in range(1, len(parent)):
-        levels[i] = levels[parent[i]] + 1
+    levels = [0]
+    for p in parent[1:]:
+        levels.append(levels[p] + 1)
     return _kernels.level_code(levels)
 
 
@@ -102,40 +101,32 @@ def _canonical_order(
 
     The one store of the order. The call that first reaches an order
     generates its level sequences, runs :func:`_degrees_parents` once per
-    tree and keeps the two blobs in ``_TABLES`` for the rest of the
-    process; the level sequences are dropped. With ``coded`` (``all_trees``)
-    the rows are in ascending canonical code: a first fill sorts the
-    sequences by the code each one holds (``_kernels.level_code``), and a
-    table filled uncoded before is recoded from its parents
-    (:func:`_row_code`, once per row) and rewritten in that order. Without
-    it (the filtering callers) a first fill keeps generation order and codes
-    nothing. Only a call that codes returns the codes, in row order; the
-    others return ``None``.
+    tree and keeps the two blobs in ``_TABLES``, in generation order, for
+    the rest of the process; the level sequences are dropped and nothing is
+    coded. With ``coded`` (``all_trees``) an order whose rows are not yet in
+    ascending canonical code is coded once from its parents
+    (:func:`_row_code`, once per row) and rewritten in that order; that call
+    alone returns the codes, in row order, and every other call ``None``.
     """
     _check_order(n)
     table = _TABLES.get(n)
-    if table is not None and (table[2] or not coded):
-        return None, table[0], table[1]
-    degs = bytearray()
-    parents = bytearray()
     if table is None:
-        seqs = map(bytes, _kernels.level_sequences(n))
-        if coded:
-            keyed = sorted((_kernels.level_code(seq), seq) for seq in seqs)
-            seqs = (seq for _, seq in keyed)
-        for levels in seqs:
+        degs = bytearray()
+        parents = bytearray()
+        for levels in _kernels.level_sequences(n):
             deg, parent = _degrees_parents(levels)
             degs += bytes(deg)
             parents += bytes(parent)
-    else:
-        deg_blob, parent_blob, _ = table
-        starts = range(0, len(parent_blob), n)
-        keyed = sorted((_row_code(parent_blob[start : start + n]), start) for start in starts)
-        for _, start in keyed:
-            degs += deg_blob[start : start + n]
-            parents += parent_blob[start : start + n]
-    table = _TABLES[n] = (bytes(degs), bytes(parents), coded)
-    return [code for code, _ in keyed] if coded else None, table[0], table[1]
+        table = _TABLES[n] = (bytes(degs), bytes(parents), False)
+    deg_blob, parent_blob, in_code_order = table
+    if in_code_order or not coded:
+        return None, deg_blob, parent_blob
+    starts = range(0, len(parent_blob), n)
+    keyed = sorted((_row_code(parent_blob[start : start + n]), start) for start in starts)
+    deg_blob = b"".join(deg_blob[start : start + n] for _, start in keyed)
+    parent_blob = b"".join(parent_blob[start : start + n] for _, start in keyed)
+    _TABLES[n] = (deg_blob, parent_blob, True)
+    return [code for code, _ in keyed], deg_blob, parent_blob
 
 
 def _canonical_table(n: int) -> Iterator[tuple[bytes, bytes]]:

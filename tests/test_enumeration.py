@@ -97,8 +97,9 @@ class TestAllTrees:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_cold_call_presets_codes(self, n, cold_orders):
-        # The first call codes level sequences, not trees: each tree's
-        # preset code must be the one the edge-rooted oracle gives its edges.
+        # The first call codes table rows from their parents, not trees:
+        # each tree's preset code must be the one the edge-rooted oracle
+        # gives its edges.
         trees = list(all_trees(n))
         for t in trees:
             assert t._code is not None
@@ -253,9 +254,12 @@ class TestOneFill:
     @pytest.mark.parametrize("n", range(1, 12))
     def test_one_fill_per_order(self, n, cold_orders, monkeypatch):
         # all_trees and the table share one fill: whichever reaches the
-        # order second generates nothing and reads no level sequence.
+        # order second generates nothing and reads no level sequence. The
+        # fill codes nothing; all_trees then codes each row once, whichever
+        # caller came first.
         calls = []
         generate, reader = _kernels.level_sequences, enumeration._degrees_parents
+        level_code = _kernels.level_code
 
         def counted_generate(order):
             calls.append("level_sequences")
@@ -265,20 +269,30 @@ class TestOneFill:
             calls.append("_degrees_parents")
             return reader(levels)
 
+        def counted_code(levels):
+            calls.append("level_code")
+            return level_code(levels)
+
         monkeypatch.setattr(_kernels, "level_sequences", counted_generate)
         monkeypatch.setattr(enumeration, "_degrees_parents", counted_reader)
+        monkeypatch.setattr(_kernels, "level_code", counted_code)
         count = unlabeled_tree_count(n)
         fill = ["level_sequences"] + ["_degrees_parents"] * count
-        for first, second in [
-            (lambda: list(all_trees(n)), lambda: next(enumeration._canonical_table(n))),
-            (lambda: next(enumeration._canonical_table(n)), lambda: list(all_trees(n))),
-        ]:
+        coding = ["level_code"] * count
+
+        def trees():
+            list(all_trees(n))
+
+        def table():
+            next(enumeration._canonical_table(n))
+
+        for first, second, first_calls in [(trees, table, fill + coding), (table, trees, fill)]:
             enumeration._TABLES.clear()
             calls.clear()
             first()
-            assert calls == fill
+            assert calls == first_calls
             second()
-            assert calls == fill
+            assert calls == fill + coding
 
 
 class TestEnumeratePath:
