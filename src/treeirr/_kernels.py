@@ -1,90 +1,145 @@
 """The hot loops: free-tree generation, canonical codes and index sums.
 
-Trees are passed in as ``Tree.edges``: a sequence of ``n - 1`` pairs
-``(u, v)`` over dense vertex ids ``0..n-1``, except to ``level_code``, which
-takes a level sequence rooted at a center, as ``level_sequences`` yields
-them. ``level_code`` is the one canonical encoder: ``canon_code`` lays an
-edge list out as such a sequence and hands it over. Each kernel checks
-one thing, an order below 1, and raises ``ValueError`` on it; every
-other check of its input is its caller's. Callers look the kernels up as
-``_kernels.<name>`` at call time, so a tracer or a test can replace one
-by setting the module attribute. ``BACKEND`` names this implementation in report metadata.
+``order_rows`` is the one generator: it gives every free tree of an order
+as a row of degrees and parents, stepped in place with the level-sequence
+successor; ``level_sequences`` reads each row's level sequence back.
+Other trees are passed in as ``Tree.edges``: a sequence of ``n - 1`` pairs
+``(u, v)`` over dense vertex ids ``0..n-1``, except to ``level_code``,
+which takes a level sequence rooted at a center, as every row's is.
+``level_code`` is the one canonical encoder: ``canon_code`` lays an edge
+list out as such a sequence and hands it over. Each kernel checks one
+thing, an order below 1, and raises ``ValueError`` on it; every other
+check of its input is its caller's. Callers look the kernels up as ``_kernels.<name>``
+at call time, so a tracer or a test can replace one by setting the module
+attribute. ``BACKEND`` names this implementation in report metadata.
 """
 
 BACKEND = "python"
 
+# Byte value minus one: a root subtree's levels, relative to its top vertex.
+_DOWN = bytes((x - 1) % 256 for x in range(256))
 
-def level_sequences(n):
-    """Canonical level sequences of all free trees on ``n`` vertices.
 
-    A level sequence lists, vertex by vertex in preorder, the depth in a
-    rooted layout. Iteration uses the Wright-Richmond-Odlyzko-McKay
-    successor scheme over Beyer-Hedetniemi rooted sequences, so every
-    isomorphism class of free trees appears exactly once.
+def order_rows(n):
+    """``(degrees, parents)`` of every free tree on ``n`` vertices, as two blobs.
+
+    Row ``k`` of each blob is bytes ``k * n .. k * n + n - 1``: the degrees,
+    then the parents, of the ``k``-th tree's vertices in the preorder of its
+    canonical level sequence, rooted at a center; the root's parent byte is
+    ``0`` and every other parent id is below its child's. Trees come in the
+    order of the Wright-Richmond-Odlyzko-McKay successor scheme over
+    Beyer-Hedetniemi rooted sequences, so every isomorphism class of free
+    trees appears exactly once.
+
+    The layout, the parents and the degrees are stepped together in place.
+    A successor step at ``p`` copies the period ``d = p - q`` (``q`` being
+    ``p``'s parent) over the suffix from ``p``; a rewritten vertex ``i`` at
+    ``q``'s level hangs from ``q``'s parent, any other from ``parent[i -
+    d] + d``. Only the suffix edges come and go, so the degrees change only
+    at their ends; the jump past a layout that is no free tree's rewrites a
+    tail the same way. Each layout is appended as it stands, with no level
+    tuple built and no per-tree reread.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
     if n == 1:
-        return [(0,)]
+        return b"\0", b"\0"
+    # Two paths from the root, of n // 2 and (n - 1) // 2 vertices.
+    level = bytearray(range(n // 2 + 1)) + bytearray(range(1, (n + 1) // 2))
+    parent = bytearray(n)
+    deg = bytearray(n)
+    for i in range(1, n):
+        parent[i] = i - 1 if level[i] > 1 else 0
+        deg[i] += 1
+        deg[parent[i]] += 1
+    degs = bytearray()
+    parents = bytearray()
+    while True:
+        # A rooted layout encodes a free tree iff its first root subtree
+        # (levels 1..m-1, one less each) is no higher than the rest, the
+        # root with the other subtrees; ties go to the smaller size, then
+        # to the lexicographically smaller. Any other layout jumps straight
+        # to the next candidate, which is a free tree's.
+        m = level.find(1, 2)
+        if m < 0:
+            m = n
+        left_h = max(level[1:m]) - 1
+        rest_h = max(level[m:]) if m < n else 0
+        free = rest_h > left_h or rest_h == left_h and (
+            m - 1 < n - m + 1
+            or m - 1 == n - m + 1 and level[1:m].translate(_DOWN) <= b"\0" + level[m:]
+        )
+        if not free:
+            tall = level[m - 1] > 2
+            _successor(level, parent, deg, m - 1)
+            if tall:
+                # The tail becomes a path from the root as high as the new
+                # first subtree.
+                m = level.find(1, 2)
+                if m < 0:
+                    m = n
+                h = max(level[1:m])
+                t = n - h
+                for i in range(t, n):
+                    deg[parent[i]] -= 1
+                level[t:] = bytes(range(1, h + 1))
+                parent[t:] = bytes(1) + bytes(range(t, n - 1))
+                deg[t:] = b"\2" * (h - 1) + b"\1"
+                deg[0] += 1
+        degs += deg
+        parents += parent
+        # The successor steps at the last vertex off level 1; none is left
+        # past the last layout.
+        p = len(level.rstrip(b"\1")) - 1
+        if p == 0:
+            return bytes(degs), bytes(parents)
+        _successor(level, parent, deg, p)
+
+
+def _successor(level, parent, deg, p):
+    # Beyer-Hedetniemi successor at p, in place: the suffix from p repeats
+    # the period q..p-1, q being p's parent, with its parents and degrees.
+    # p is a leaf, the last of its root subtree, so the only suffix edges
+    # that leave the suffix are p's to q and those of the level-1 vertices
+    # after p to the root.
+    n = len(level)
+    q = parent[p]
+    d = p - q
+    deg[q] -= 1
+    deg[0] -= level.count(1, p + 1)
+    lq = level[q]
+    pq = parent[q]
+    if p == n - 1:
+        # Half the steps: p alone moves up, to q's level and parent.
+        level[p] = lq
+        parent[p] = pq
+        deg[pq] += 1
+        return
+    for i in range(p, n):
+        j = i - d
+        lv = level[j]
+        level[i] = lv
+        pa = pq if lv == lq else parent[j] + d
+        parent[i] = pa
+        deg[i] = 1
+        deg[pa] += 1
+
+
+def level_sequences(n):
+    """Canonical level sequences of all free trees on ``n`` vertices, as tuples.
+
+    A level sequence lists, vertex by vertex in preorder, the depth in a
+    rooted layout. Read off the rows of :func:`order_rows`, in its order:
+    each level is one more than the parent's.
+    """
+    _, parents = order_rows(n)
     out = []
-    layout = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    while layout is not None:
-        layout = _skip_to_free(layout)
-        if layout is not None:
-            out.append(tuple(layout))
-            layout = _successor(layout)
+    for start in range(0, len(parents), n):
+        levels = [0]
+        for p in parents[start + 1 : start + n]:
+            levels.append(levels[p] + 1)
+        out.append(tuple(levels))
     return out
-
-
-def _successor(layout, p=None):
-    # Beyer-Hedetniemi successor of a rooted level sequence; None past the end.
-    if p is None:
-        p = len(layout) - 1
-        while layout[p] == 1:
-            p -= 1
-    if p == 0:
-        return None
-    q = p - 1
-    while layout[q] != layout[p] - 1:
-        q -= 1
-    nxt = list(layout)
-    for i in range(p, len(nxt)):
-        nxt[i] = nxt[i - p + q]
-    return nxt
-
-
-def _split_first_subtree(layout):
-    # Portion rooted at the root's first child vs. the remainder of the tree.
-    m = len(layout)
-    for i in range(2, len(layout)):
-        if layout[i] == 1:
-            m = i
-            break
-    left = [layout[i] - 1 for i in range(1, m)]
-    rest = [0] + layout[m:]
-    return left, rest
-
-
-def _skip_to_free(layout):
-    # A rooted sequence encodes a free tree iff the first root subtree is
-    # no higher than the rest, with size then lexicographic tie-breaks.
-    # Invalid layouts jump straight to the next candidate.
-    left, rest = _split_first_subtree(layout)
-    lh = max(left)
-    rh = max(rest)
-    good = rh > lh or (
-        rh == lh
-        and (len(left) < len(rest) or (len(left) == len(rest) and left <= rest))
-    )
-    if good:
-        return layout
-    p = len(left)
-    nxt = _successor(layout, p)
-    if layout[p] > 2:
-        new_left, _ = _split_first_subtree(nxt)
-        tail = list(range(1, max(new_left) + 2))
-        nxt[len(nxt) - len(tail):] = tail
-    return nxt
 
 
 def level_code(levels):

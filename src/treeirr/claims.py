@@ -153,6 +153,29 @@ def _caterpillar_row(deg: Sequence[int], parent: Sequence[int]) -> bool:
     return True
 
 
+def _pendant_neighbours(parent: Sequence[int]) -> list[int]:
+    """Leaf neighbours of each vertex of a table row's tree, off its parents.
+
+    The degrees are counted over the parent edges. A vertex's leaf
+    neighbours are its leaf children, plus its parent when that is a leaf,
+    which happens only at order 2. A vertex with at least ``m`` of them is
+    in ``strong_support_vertices(t, m)``.
+    """
+    n = len(parent)
+    deg = [1] * n
+    deg[0] = 0
+    for p in parent[1:]:
+        deg[p] += 1
+    count = [0] * n
+    for i in range(1, n):
+        p = parent[i]
+        if deg[i] == 1:
+            count[p] += 1
+        if deg[p] == 1:
+            count[i] += 1
+    return count
+
+
 @dataclass(frozen=True)
 class ExtremalResult:
     class_description: str
@@ -479,8 +502,9 @@ def _tree_relocations(
     a leaf, so the change does not depend on which one moves; a lone donor
     is not a recipient. Each vertex's children come from one pass over the
     parent edges, and the sums over ``W`` and ``R`` are read off the parent
-    and children of ``y`` and ``r``. No tree, moved or not, and no index
-    bundle is built.
+    and children of ``y`` and ``r``; a leaf recipient has no ``R``, so
+    every leaf recipient of a support shares one change, computed once. No
+    tree, moved or not, and no index bundle is built.
     """
     n = len(deg)
     kids: list[list[int]] = [[] for _ in range(n)]
@@ -509,12 +533,19 @@ def _tree_relocations(
             dw = deg[w]
             sum_y += dw
             ge_y += dw >= lam
-        lone = donors[0] if len(donors) == 1 else -1
+        if len(donors) == 1:
+            lone, leaf_change = donors[0], None
+        else:
+            # Every donor is then a leaf recipient too, with R empty: one change.
+            lone, leaf_change = -1, _move_change(lam, 1, sum_y - 1, ge_y, 0, 0)
         deltas = {}
         for r in nbrs:
             if r == lone:
                 continue
             dr = deg[r]
+            if dr == 1:
+                deltas[r] = leaf_change
+                continue
             sum_r = -lam  # over R = N(r) less y
             le_r = -(lam <= dr)
             for w in [parent[r], *kids[r]] if r else kids[r]:
@@ -920,23 +951,26 @@ def _check_table1(params, tally):
 )
 def _check_caterpillar_support(params, tally):
     # (order, pendants) -> (largest irr, its caterpillars' parents), off the
-    # caterpillar class's rows. Only the maxima are built; a group's
-    # violating maxima are coded and sorted while the tally has room, so
-    # witnesses come in ascending canonical code within a group.
+    # caterpillar class's rows. Both readings of a strong support vertex are
+    # decided on each maximum's leaf-neighbour counts, with no tree built; a
+    # group's violating maxima are coded and sorted while the tally has
+    # room, so witnesses come in ascending canonical code within a group,
+    # and only the kept ones are built, for their edge lists.
     classes = (TreeClass(n, caterpillar_only=True) for n in _orders(2, params["n_max"]))
     rows = chain.from_iterable(klass._rows() for klass in classes)
     groups = _extremes(rows, lambda deg, parent: (len(deg), deg.count(1)), "irr", ("max",))
     weak_violations = 0
     for (n, pendants), (best, maxima) in sorted(groups["max"].items()):
-        trees = [(parent, _parent_tree(parent)) for parent in maxima]
-        weak_violations += sum(not strong_support_vertices(t, min_leaves=1) for _, t in trees)
-        bad = [(parent, t) for parent, t in trees if not strong_support_vertices(t, min_leaves=2)]
+        most = [max(_pendant_neighbours(parent)) for parent in maxima]
+        weak_violations += sum(leaves < 1 for leaves in most)
+        bad = [parent for parent, leaves in zip(maxima, most) if leaves < 2]
         if not tally.full:
-            bad.sort(key=lambda row: _row_code(row[0]))
+            bad.sort(key=_row_code)
+        witness = {"n": n, "pendants": pendants, "irr": best}
         tally.add_class(
             1,
             len(bad),
-            ({"n": n, "pendants": pendants, "irr": best, "tree": _edges_str(t)} for _, t in bad),
+            ({**witness, "tree": _edges_str(_parent_tree(parent))} for parent in bad),
         )
     return [
         "operative reading: a strong support vertex needs two pendant neighbors",

@@ -4,9 +4,9 @@
 canonical order of an order's level sequences (a recursive-generation
 scheme), kept once per order by :func:`_canonical_order` as the degrees
 and parents of its trees: the first caller to reach an order generates
-it, reads each tree through :func:`_degrees_parents` (the one home of the
-level-sequence parent rule), keeps the rows in generation order, codes
-nothing and drops the level sequences. ``all_trees`` needs its rows in
+its rows (``_kernels.order_rows``, which steps the degrees and parents
+with the successor and builds no level sequence), keeps them in
+generation order and codes nothing. ``all_trees`` needs its rows in
 ascending canonical code, so the first time it reaches an order it codes
 each row once from its parents (:func:`_row_code`) and rewrites the table
 in code order. Only the trees ``all_trees`` yields on the call that codes
@@ -59,28 +59,6 @@ def _check_order(n: int) -> None:
 _TABLES: dict[int, tuple[bytes, bytes, bool]] = {}
 
 
-def _degrees_parents(levels: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Degrees and parents of the tree of a preorder level sequence, in one pass.
-
-    ``levels[0] == 0`` and ``1 <= levels[i] <= levels[i - 1] + 1``; vertex
-    ``i > 0`` hangs from the latest earlier vertex one level up, so each
-    parent id is below its child. The one home of that rule. The root's
-    parent is ``0``.
-    """
-    n = len(levels)
-    last = [0] * n  # last[d]: the latest vertex seen at level d
-    deg = [1] * n
-    parent = [0] * n
-    deg[0] = 0
-    for i in range(1, n):
-        lv = levels[i]
-        p = last[lv - 1]
-        last[lv] = i
-        parent[i] = p
-        deg[p] += 1
-    return deg, parent
-
-
 def _row_code(parent: Sequence[int]) -> CanonicalCode:
     """Canonical code of a table row's tree, from its parents alone.
 
@@ -100,24 +78,19 @@ def _canonical_order(
     """``(codes, degrees, parents)`` of the trees of order ``n``, kept once per order.
 
     The one store of the order. The call that first reaches an order
-    generates its level sequences, runs :func:`_degrees_parents` once per
-    tree and keeps the two blobs in ``_TABLES``, in generation order, for
-    the rest of the process; the level sequences are dropped and nothing is
-    coded. With ``coded`` (``all_trees``) an order whose rows are not yet in
-    ascending canonical code is coded once from its parents
-    (:func:`_row_code`, once per row) and rewritten in that order; that call
-    alone returns the codes, in row order, and every other call ``None``.
+    generates its rows once (``_kernels.order_rows``, which steps each
+    tree's degrees and parents with the level-sequence successor) and keeps
+    the two blobs in ``_TABLES`` as they come, in generation order, for the
+    rest of the process; nothing is coded. With ``coded`` (``all_trees``)
+    an order whose rows are not yet in ascending canonical code is coded
+    once from its parents (:func:`_row_code`, once per row) and rewritten
+    in that order; that call alone returns the codes, in row order, and
+    every other call ``None``.
     """
     _check_order(n)
     table = _TABLES.get(n)
     if table is None:
-        degs = bytearray()
-        parents = bytearray()
-        for levels in _kernels.level_sequences(n):
-            deg, parent = _degrees_parents(levels)
-            degs += bytes(deg)
-            parents += bytes(parent)
-        table = _TABLES[n] = (bytes(degs), bytes(parents), False)
+        table = _TABLES[n] = (*_kernels.order_rows(n), False)
     deg_blob, parent_blob, in_code_order = table
     if in_code_order or not coded:
         return None, deg_blob, parent_blob

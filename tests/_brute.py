@@ -88,6 +88,99 @@ def levels_to_edges(levels):
     return edges
 
 
+def level_sequences(n):
+    """Canonical level sequences of all free trees on ``n`` vertices, as tuples.
+
+    The Wright-Richmond-Odlyzko-McKay successor scheme over Beyer-Hedetniemi
+    rooted sequences, run on whole layouts: each step copies the layout,
+    and each free-tree test splits off the first root subtree. Read through
+    :func:`_degrees_parents`, it is the oracle of ``_kernels.order_rows``,
+    which steps the degrees and parents in place instead.
+    """
+    if n == 1:
+        return [(0,)]
+    out = []
+    layout = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while layout is not None:
+        layout = _skip_to_free(layout)
+        if layout is not None:
+            out.append(tuple(layout))
+            layout = _successor(layout)
+    return out
+
+
+def _successor(layout, p=None):
+    # Beyer-Hedetniemi successor of a rooted level sequence; None past the end.
+    if p is None:
+        p = len(layout) - 1
+        while layout[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while layout[q] != layout[p] - 1:
+        q -= 1
+    nxt = list(layout)
+    for i in range(p, len(nxt)):
+        nxt[i] = nxt[i - p + q]
+    return nxt
+
+
+def _split_first_subtree(layout):
+    # Portion rooted at the root's first child vs. the remainder of the tree.
+    m = len(layout)
+    for i in range(2, len(layout)):
+        if layout[i] == 1:
+            m = i
+            break
+    left = [layout[i] - 1 for i in range(1, m)]
+    rest = [0] + layout[m:]
+    return left, rest
+
+
+def _skip_to_free(layout):
+    # A rooted sequence encodes a free tree iff the first root subtree is
+    # no higher than the rest, with size then lexicographic tie-breaks.
+    # Invalid layouts jump straight to the next candidate.
+    left, rest = _split_first_subtree(layout)
+    lh = max(left)
+    rh = max(rest)
+    good = rh > lh or (
+        rh == lh
+        and (len(left) < len(rest) or (len(left) == len(rest) and left <= rest))
+    )
+    if good:
+        return layout
+    p = len(left)
+    nxt = _successor(layout, p)
+    if layout[p] > 2:
+        new_left, _ = _split_first_subtree(nxt)
+        tail = list(range(1, max(new_left) + 2))
+        nxt[len(nxt) - len(tail):] = tail
+    return nxt
+
+
+def _degrees_parents(levels):
+    """Degrees and parents of the tree of a preorder level sequence, in one pass.
+
+    ``levels[0] == 0`` and ``1 <= levels[i] <= levels[i - 1] + 1``; vertex
+    ``i > 0`` hangs from the latest earlier vertex one level up, so each
+    parent id is below its child. The root's parent is ``0``.
+    """
+    n = len(levels)
+    last = [0] * n  # last[d]: the latest vertex seen at level d
+    deg = [1] * n
+    parent = [0] * n
+    deg[0] = 0
+    for i in range(1, n):
+        lv = levels[i]
+        p = last[lv - 1]
+        last[lv] = i
+        parent[i] = p
+        deg[p] += 1
+    return deg, parent
+
+
 def spanning_trees(n):
     """Every labeled tree on n vertices, enumerated from edge subsets."""
     if n == 1:

@@ -15,6 +15,7 @@ from treeirr import (
     degrees,
     prufer_decode,
     star,
+    strong_support_vertices,
 )
 from treeirr.claims import (
     CATALOG,
@@ -39,6 +40,7 @@ from treeirr.claims import (
     _caterpillar_row,
     _extremes,
     _move_change,
+    _pendant_neighbours,
     _row_index,
     _sequence_ranges,
     _tree_relocations,
@@ -46,13 +48,13 @@ from treeirr.claims import (
 from treeirr.enumeration import (
     EnumerationGuard,
     _canonical_table,
-    _degrees_parents,
     _parent_tree,
     tree_degree_sequences,
     trees_with_degree_sequence,
 )
 
 from _brute import (
+    _degrees_parents,
     brute_indices,
     class_trees,
     levels_to_edges,
@@ -485,23 +487,24 @@ class TestEnumerationOnce:
         from treeirr import _kernels, degseq, enumeration
 
         orders, decodes = [], []
-        level_sequences, prufer = _kernels.level_sequences, degseq.prufer_decode
+        order_rows, prufer = _kernels.order_rows, degseq.prufer_decode
 
-        def counted_levels(n):
-            orders.append(n)
-            return level_sequences(n)
+        def counted_rows(n):
+            degs, parents = order_rows(n)
+            orders.append((n, len(parents) // n))
+            return degs, parents
 
         def counted_decode(code, n):
             decodes.append(n)
             return prufer(code, n)
 
         monkeypatch.setattr(enumeration, "_TABLES", {})
-        monkeypatch.setattr(_kernels, "level_sequences", counted_levels)
+        monkeypatch.setattr(_kernels, "order_rows", counted_rows)
         for module in (degseq, enumeration):
             monkeypatch.setattr(module, "prufer_decode", counted_decode)
         report = run_report(ReportConfig(n_max=10))
         assert report.errors == ()
-        assert sorted(orders) == list(range(1, 11))
+        assert sorted(orders) == [(n, unlabeled_tree_count(n)) for n in range(1, 11)]
         assert decodes == []
         # The counters do see the realization path when it runs.
         list(trees_with_degree_sequence((2, 2, 1, 1)))
@@ -530,32 +533,34 @@ class TestEnumerationOnce:
         from treeirr import _kernels, enumeration
 
         orders = []
-        level_sequences = _kernels.level_sequences
+        order_rows = _kernels.order_rows
 
-        def counted_levels(n):
-            orders.append(n)
-            return level_sequences(n)
+        def counted_rows(n):
+            degs, parents = order_rows(n)
+            orders.append((n, len(parents) // n))
+            return degs, parents
 
         monkeypatch.setattr(enumeration, "_TABLES", {})
-        monkeypatch.setattr(_kernels, "level_sequences", counted_levels)
+        monkeypatch.setattr(_kernels, "order_rows", counted_rows)
         with pytest.raises(EnumerationGuard, match="order 17 outside guard range 1..16"):
             verify(claim_id, {"n_max": 17})
         assert orders == []
 
     def test_report_reads_each_tree_once(self, monkeypatch):
-        # A cold default report reads each tree of orders 1-14, the orders
-        # it reaches, through _degrees_parents exactly once: 5,447 trees.
-        from treeirr import enumeration
+        # A cold default report generates each tree of orders 1-14, the
+        # orders it reaches, through order_rows exactly once: 5,447 rows.
+        from treeirr import _kernels, enumeration
 
         calls = []
-        reader = enumeration._degrees_parents
+        order_rows = _kernels.order_rows
 
-        def counted(levels):
-            calls.append(len(levels))
-            return reader(levels)
+        def counted(n):
+            degs, parents = order_rows(n)
+            calls.extend([n] * (len(parents) // n))
+            return degs, parents
 
         monkeypatch.setattr(enumeration, "_TABLES", {})
-        monkeypatch.setattr(enumeration, "_degrees_parents", counted)
+        monkeypatch.setattr(_kernels, "order_rows", counted)
         report = run_report(ReportConfig())
         assert report.errors == ()
         assert Counter(calls) == {n: unlabeled_tree_count(n) for n in range(1, 15)}
@@ -762,6 +767,17 @@ class TestRowReaders:
                 assert got == getattr(bundle, attr) == brute[index], (parent, index)
 
     @pytest.mark.parametrize("n", range(1, 13))
+    def test_pendant_neighbours_give_strong_supports(self, n):
+        # Both readings of a strong support vertex, off a row's parents,
+        # against strong_support_vertices of the built tree.
+        for _, parent in _canonical_table(n):
+            count = _pendant_neighbours(parent)
+            t = _parent_tree(parent)
+            for m in (1, 2):
+                got = frozenset(v for v, c in enumerate(count) if c >= m)
+                assert got == strong_support_vertices(t, min_leaves=m), (parent, m)
+
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_grouped_extremes_match_per_sequence_filter(self, n):
         by_seq = {}
         for seq in tree_degree_sequences(n):
@@ -783,8 +799,8 @@ class TestRowReaders:
 
 class TestRelocationDeltas:
     # _tree_relocations reads a level-sequence layout's degrees and parents:
-    # as lists from _degrees_parents and as the bytes slices of the order's
-    # table, the root's parent being 0 in both.
+    # as lists from the brute reader _degrees_parents and as the bytes
+    # slices of the order's table, the root's parent being 0 in both.
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -1074,8 +1090,9 @@ class TestLevelFilters:
         degseq.caterpillar((2, 2))
         assert calls == [(2, 2)]
 
-    # caterpillar-support builds each (order, pendants) group's irr maxima
-    # alone, of the 2,143 caterpillars of orders 2-14. The relocation
+    # caterpillar-support decides each (order, pendants) group's irr maxima,
+    # of the 2,143 caterpillars of orders 2-14, on their rows and builds
+    # only the 25 violating ones it keeps as witnesses. The relocation
     # sweeps build each tree that the tally draws a witness from (25 kept
     # each) once, never a tree they only count. The per-sequence extremes
     # and sigma-ordered's direct reading read their values off the rows
@@ -1083,7 +1100,7 @@ class TestLevelFilters:
     @pytest.mark.parametrize(
         "claim_id, builds",
         [
-            ("caterpillar-support", 174),
+            ("caterpillar-support", 25),
             ("irr-decrease", 8),
             ("irr-decrease-bound", 10),
             ("sigma-decrease", 7),

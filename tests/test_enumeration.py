@@ -20,8 +20,10 @@ from treeirr import _kernels, enumeration
 from treeirr.enumeration import realization_count
 
 from _brute import (
+    _degrees_parents,
     brute_canonical,
     edge_rooted_code,
+    level_sequences,
     levels_to_edges,
     relocate_leaf,
     spanning_trees,
@@ -40,24 +42,34 @@ def cold_orders():
     enumeration._TABLES.clear()
 
 
+def counted_order_rows(monkeypatch, calls):
+    # Each call of the generator, then each row it returns.
+    generate = _kernels.order_rows
+
+    def counted(n):
+        degs, parents = generate(n)
+        calls.append("order_rows")
+        calls.extend(["row"] * (len(parents) // n))
+        return degs, parents
+
+    monkeypatch.setattr(_kernels, "order_rows", counted)
+
+
 @pytest.fixture
 def counted_readers(monkeypatch):
-    # Calls of the degree/parent reader and of the adjacency builder that a
-    # tree runs when no builder handed its adjacency over.
+    # Calls of the row generator, the rows it returns, and calls of the
+    # adjacency builder that a tree runs when no builder handed its
+    # adjacency over.
     from treeirr import tree
 
     calls = []
-    reader, builder = enumeration._degrees_parents, tree._sorted_adjacency
-
-    def counted_reader(levels):
-        calls.append("_degrees_parents")
-        return reader(levels)
+    builder = tree._sorted_adjacency
 
     def counted_builder(n, edges):
         calls.append("_sorted_adjacency")
         return builder(n, edges)
 
-    monkeypatch.setattr(enumeration, "_degrees_parents", counted_reader)
+    counted_order_rows(monkeypatch, calls)
     monkeypatch.setattr(tree, "_sorted_adjacency", counted_builder)
     return calls
 
@@ -146,28 +158,33 @@ class TestAllTrees:
                 list(tree_degree_sequences(n))
 
 
-def assert_degrees_parents(levels):
-    # The one-pass reader against the validated tree of the stack-scan
-    # oracle: a parent id is below its child and adjacency lists are
-    # sorted, so a non-root vertex's parent is its first neighbour.
-    deg, parent = enumeration._degrees_parents(levels)
+def assert_degrees_parents(levels, deg, parent):
+    # A layout's degrees and parents against the validated tree of the
+    # stack-scan oracle: a parent id is below its child and adjacency lists
+    # are sorted, so a non-root vertex's parent is its first neighbour.
     t = Tree(len(levels), levels_to_edges(levels))
     assert tuple(deg) == degrees(t)
     assert parent[0] == 0
-    assert parent[1:] == [t.adjacency[i][0] for i in range(1, t.n)]
+    assert list(parent[1:]) == [t.adjacency[i][0] for i in range(1, t.n)]
 
 
 def canonical_layouts(n):
     # The order's level sequences in all_trees order, sorted here by the
     # code each one holds.
-    return sorted(map(bytes, _kernels.level_sequences(n)), key=_kernels.level_code)
+    return sorted(map(bytes, level_sequences(n)), key=_kernels.level_code)
 
 
 class TestLevelReader:
     @pytest.mark.parametrize("n", range(1, 15))
     def test_every_layout(self, n):
-        for seq in _kernels.level_sequences(n):
-            assert_degrees_parents(bytes(seq))
+        # Each row order_rows steps to, against its layout in the brute
+        # generator's order.
+        degs, parents = _kernels.order_rows(n)
+        layouts = level_sequences(n)
+        assert len(degs) == len(parents) == n * len(layouts)
+        for k, levels in enumerate(layouts):
+            row = slice(k * n, k * n + n)
+            assert_degrees_parents(levels, degs[row], parents[row])
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(1, 200), max_size=199))
@@ -176,8 +193,9 @@ class TestLevelReader:
         levels = [0]
         for x in picks:
             levels.append(min(x, levels[-1] + 1))
-        assert_degrees_parents(tuple(levels))
-        assert_degrees_parents(bytes(levels))
+        # The brute reader, the oracle of order_rows, on any layout.
+        for layout in (tuple(levels), bytes(levels)):
+            assert_degrees_parents(layout, *_degrees_parents(layout))
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_reader_is_all_trees(self, n, cold_orders):
@@ -210,29 +228,30 @@ class TestLevelReader:
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_table_is_degrees_parents(self, n, cold_orders, counted_readers):
-        # The table's first call reads every tree of the order once, keeps
-        # the whole table before it yields, and later calls read it alone.
-        # Its rows are the level sequences' in generation order; all_trees
-        # puts them in code order, reading no sequence again.
-        layouts = [bytes(seq) for seq in _kernels.level_sequences(n)]
+        # The table's first call generates every row of the order once,
+        # keeps the whole table before it yields, and later calls read it
+        # alone. Its rows are the brute generator's layouts, read through
+        # the brute reader, in generation order; all_trees puts them in
+        # code order, generating nothing again.
+        layouts = [bytes(seq) for seq in level_sequences(n)]
         first = next(enumeration._canonical_table(n))
-        assert counted_readers == ["_degrees_parents"] * len(layouts)
+        assert counted_readers == ["order_rows"] + ["row"] * len(layouts)
         degs, parents, coded = enumeration._TABLES[n]
         assert len(degs) == len(parents) == n * len(layouts)
         assert not coded
         rows = list(enumeration._canonical_table(n))
-        assert len(counted_readers) == len(layouts)
+        assert len(counted_readers) == 1 + len(layouts)
         assert rows[0] == first
         assert len(rows) == len(layouts)
         for levels, (deg, parent) in zip(layouts, rows):
             assert type(deg) is bytes and type(parent) is bytes
-            assert (list(deg), list(parent)) == enumeration._degrees_parents(levels)
+            assert (list(deg), list(parent)) == _degrees_parents(levels)
         read = len(counted_readers)
         list(all_trees(n))
         rows = list(enumeration._canonical_table(n))
         assert len(counted_readers) == read
         for levels, (deg, parent) in zip(canonical_layouts(n), rows, strict=True):
-            assert (list(deg), list(parent)) == enumeration._degrees_parents(levels)
+            assert (list(deg), list(parent)) == _degrees_parents(levels)
 
 
 class TestRowCode:
@@ -254,30 +273,19 @@ class TestOneFill:
     @pytest.mark.parametrize("n", range(1, 12))
     def test_one_fill_per_order(self, n, cold_orders, monkeypatch):
         # all_trees and the table share one fill: whichever reaches the
-        # order second generates nothing and reads no level sequence. The
-        # fill codes nothing; all_trees then codes each row once, whichever
-        # caller came first.
+        # order second generates no row. The fill codes nothing; all_trees
+        # then codes each row once, whichever caller came first.
         calls = []
-        generate, reader = _kernels.level_sequences, enumeration._degrees_parents
         level_code = _kernels.level_code
-
-        def counted_generate(order):
-            calls.append("level_sequences")
-            return generate(order)
-
-        def counted_reader(levels):
-            calls.append("_degrees_parents")
-            return reader(levels)
 
         def counted_code(levels):
             calls.append("level_code")
             return level_code(levels)
 
-        monkeypatch.setattr(_kernels, "level_sequences", counted_generate)
-        monkeypatch.setattr(enumeration, "_degrees_parents", counted_reader)
+        counted_order_rows(monkeypatch, calls)
         monkeypatch.setattr(_kernels, "level_code", counted_code)
         count = unlabeled_tree_count(n)
-        fill = ["level_sequences"] + ["_degrees_parents"] * count
+        fill = ["order_rows"] + ["row"] * count
         coding = ["level_code"] * count
 
         def trees():
@@ -315,7 +323,7 @@ class TestEnumeratePath:
             assert main(["enumerate", "--n", str(n), "--json"]) == 0
             assert len(capsys.readouterr().out) > 0
         assert list(enumeration._TABLES) == [n]
-        assert counted_readers == ["_degrees_parents"] * (2 * count)
+        assert counted_readers == (["order_rows"] + ["row"] * count) * 2
         # The counter does see the lazy adjacency when it runs.
         prufer_decode([], 2).adjacency
         assert counted_readers[-1] == "_sorted_adjacency"

@@ -1,4 +1,4 @@
-"""The kernels' order guards, the canonical codes, and the backend name."""
+"""The kernels' order guards, the row generator, the canonical codes, and the backend name."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +7,18 @@ import treeirr
 from treeirr import _kernels, prufer_decode
 from treeirr.claims import ReportConfig, run_report
 
-from _brute import centers, edge_rooted_code, farthest, levels_to_edges
+from _brute import (
+    _degrees_parents,
+    centers,
+    edge_rooted_code,
+    farthest,
+    level_sequences,
+    levels_to_edges,
+    unlabeled_tree_count,
+)
+
+# OEIS A000055: free trees on n = 1..16 vertices.
+A000055 = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320)
 
 
 def test_backend_is_python():
@@ -19,16 +30,32 @@ def test_backend_is_python():
 @pytest.mark.parametrize(
     "call",
     [
+        lambda: _kernels.order_rows(0),
         lambda: _kernels.level_sequences(0),
         lambda: _kernels.level_code(()),
         lambda: _kernels.canon_code(0, []),
         lambda: _kernels.index_bundle(0, []),
     ],
-    ids=["level_sequences", "level_code", "canon_code", "index_bundle"],
+    ids=["order_rows", "level_sequences", "level_code", "canon_code", "index_bundle"],
 )
 def test_order_guards(call):
     with pytest.raises(ValueError, match="order must be >= 1"):
         call()
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_order_rows_match_brute_generator(n):
+    # Byte for byte and in order: the rows order_rows steps to, against the
+    # brute generator's whole layouts read through the brute reader, and
+    # the level sequences read back off the rows.
+    layouts = level_sequences(n)
+    assert len(layouts) == A000055[n - 1] == unlabeled_tree_count(n)
+    rows = [_degrees_parents(levels) for levels in layouts]
+    degs, parents = _kernels.order_rows(n)
+    assert type(degs) is bytes and type(parents) is bytes
+    assert degs == b"".join(bytes(deg) for deg, _ in rows)
+    assert parents == b"".join(bytes(parent) for _, parent in rows)
+    assert _kernels.level_sequences(n) == layouts
 
 
 @pytest.mark.parametrize("n", range(1, 16))

@@ -20,9 +20,9 @@ from treeirr import (
 from treeirr import _kernels
 from treeirr.claims import TreeClass, load_fig2_tree
 from treeirr.edgelist import parse_edge_list
-from treeirr.enumeration import _degrees_parents, _parent_tree, trees_with_degree_sequence
+from treeirr.enumeration import _parent_tree, trees_with_degree_sequence
 
-from _brute import brute_isomorphic, class_trees, levels_to_edges
+from _brute import _degrees_parents, brute_isomorphic, class_trees, levels_to_edges
 
 
 def relabeled(t, perm):
