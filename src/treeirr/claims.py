@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, combinations_with_replacement, islice, permutations
+from math import comb
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import __version__
@@ -37,6 +38,7 @@ from ._kernels import BACKEND, degree_class_sums
 from .degseq import DegreeSequence, caterpillar_sigma, star
 from .edgelist import parse_edge_list
 from .enumeration import (
+    CODE_CAP,
     EnumerationGuard,
     _canonical_table,
     _check_order,
@@ -442,6 +444,19 @@ class _Tally:
             if bad is not None:
                 self.add(bad)
 
+    def count(self, cases, bad: Callable[..., bool], witness: Callable[..., dict]) -> None:
+        """Each case through ``bad``, which decides whether it violates.
+
+        ``witness(case)`` builds a violation's dict only while the cap
+        keeps it, so a claim with many violations builds no more than that.
+        """
+        for case in cases:
+            self.checked += 1
+            if bad(case):
+                self.violations += 1
+                if not self.full:
+                    self.witnesses.append(witness(case))
+
 
 def _move_change(lam: int, dr: int, sum_w: int, ge_w: int, sum_r: int, le_r: int):
     """The change ``(irr, sigma)`` of moving a leaf off support ``y`` onto ``r``.
@@ -478,95 +493,112 @@ def _move_change(lam: int, dr: int, sum_w: int, ge_w: int, sum_r: int, le_r: int
     return irr, sigma
 
 
-def _tree_relocations(
-    deg: Sequence[int], parent: Sequence[int], lam_min: int, lam_max: int, support_filter: bool
-):
-    """Every leaf relocation off a support of degree ``lam_min..lam_max``, by support.
+def _tree_relocations(rows, lam_min: int, lam_max: int, support_filter: bool):
+    """Every leaf relocation off a support of degree ``lam_min..lam_max``, by row and support.
 
-    The tree is a level-sequence layout, given by its degrees and parents
-    (``enumeration._canonical_table``; the root's parent is never read).
-    A parent's id is below its children's, so a vertex's neighbours in
-    ascending id are its parent, then its children in ascending id.
+    ``rows`` are level-sequence layouts of one order, each given by its
+    degrees and parents (``enumeration._canonical_table``; the root's
+    parent is never read). A parent's id is below its children's, so a
+    vertex's neighbours in ascending id are its parent, then its children
+    in ascending id. One children list per vertex is filled again for each
+    row.
 
-    Yields one record ``(y, lam, side, donors, deltas)`` per support vertex
-    ``y``: degree ``lam`` with ``3 <= lam_min <= lam <= lam_max`` and at
-    least one leaf neighbor. ``side`` is ``"strict"`` when ``y`` sits below
-    the maximum degree, ``"tied"`` when it holds it with another vertex and
-    ``"unfiltered"`` when it holds it alone; ``support_filter`` skips the
-    last. ``donors`` are the leaf neighbors of ``y``. Each may move to every
-    other neighbor of ``y``, so the support holds ``len(donors) * (lam -
-    1)`` moves, donor first, then recipient, both ascending.
+    Yields ``(deg, parent, records)`` for each row with a record, in row
+    order, and one record ``(y, lam, side, donors, leaf_change, inner)``
+    per support vertex ``y``: degree ``lam`` with ``3 <= lam_min <= lam <=
+    lam_max`` and at least one leaf neighbour. ``side`` is ``"strict"``
+    when ``y`` sits below the maximum degree, ``"tied"`` when it holds it
+    with another vertex and ``"unfiltered"`` when it holds it alone;
+    ``support_filter`` skips the last. ``donors`` are the leaf neighbours
+    of ``y`` in ascending id. Each may move to every other neighbour of
+    ``y``, so the support holds ``len(donors) * (lam - 1)`` moves.
 
-    ``deltas`` maps each recipient ``r``, in ascending id, to the change
-    ``(irr, sigma)`` of a move onto it (:func:`_move_change`). The donor is
-    a leaf, so the change does not depend on which one moves; a lone donor
-    is not a recipient. Each vertex's children come from one pass over the
-    parent edges, and the sums over ``W`` and ``R`` are read off the parent
-    and children of ``y`` and ``r``; a leaf recipient has no ``R``, so
-    every leaf recipient of a support shares one change, computed once. No
-    tree, moved or not, and no index bundle is built.
+    The change ``(irr, sigma)`` of a move (:func:`_move_change`) depends on
+    the recipient, not on which leaf moves. A leaf recipient has no other
+    neighbour, so with two donors or more every donor is a recipient of the
+    others and ``leaf_change`` is their one shared change; a lone donor is
+    not a recipient and ``leaf_change`` is ``None``. ``inner`` lists
+    ``(r, change)`` for each non-leaf neighbour ``r`` of ``y`` in ascending
+    id, its sums over ``W`` and ``R`` read off the parent and children of
+    ``y`` and ``r``. No tree, moved or not, and no index bundle is built.
     """
-    n = len(deg)
-    kids: list[list[int]] = [[] for _ in range(n)]
-    for i in range(1, n):
-        kids[parent[i]].append(i)
-    supports = []
-    for y in range(n):
-        lam = deg[y]
-        if lam_min <= lam <= lam_max:
-            nbrs = [parent[y], *kids[y]] if y else kids[y]
-            donors = [w for w in nbrs if deg[w] == 1]
-            if donors:
-                supports.append((y, lam, nbrs, donors))
-    if not supports:
-        return
-    delta = max(deg)
-    alone = deg.count(delta) == 1
-    for y, lam, nbrs, donors in supports:
-        side = "strict" if lam < delta else ("unfiltered" if alone else "tied")
-        if support_filter and side == "unfiltered":
+    kids: list[list[int]] = []
+    for deg, parent in rows:
+        delta = max(deg)
+        if delta < lam_min:
             continue
-        # Degree sum and count at >= lam over N(y) less one donor leaf.
-        sum_y = -1
-        ge_y = 0
-        for w in nbrs:
-            dw = deg[w]
-            sum_y += dw
-            ge_y += dw >= lam
-        if len(donors) == 1:
-            lone, leaf_change = donors[0], None
+        n = len(deg)
+        if len(kids) == n:
+            for k in kids:
+                k.clear()
         else:
-            # Every donor is then a leaf recipient too, with R empty: one change.
-            lone, leaf_change = -1, _move_change(lam, 1, sum_y - 1, ge_y, 0, 0)
-        deltas = {}
-        for r in nbrs:
-            if r == lone:
+            kids = [[] for _ in range(n)]
+        for i in range(1, n):
+            kids[parent[i]].append(i)
+        alone = deg.count(delta) == 1
+        records = []
+        for y in range(n):
+            lam = deg[y]
+            if not lam_min <= lam <= lam_max:
                 continue
-            dr = deg[r]
-            if dr == 1:
-                deltas[r] = leaf_change
+            side = "strict" if lam < delta else ("unfiltered" if alone else "tied")
+            if support_filter and side == "unfiltered":
                 continue
-            sum_r = -lam  # over R = N(r) less y
-            le_r = -(lam <= dr)
-            for w in [parent[r], *kids[r]] if r else kids[r]:
+            nbrs = [parent[y], *kids[y]] if y else kids[y]
+            donors = []
+            # Degree sum and count at >= lam over N(y) less one donor leaf.
+            sum_y = -1
+            ge_y = 0
+            for w in nbrs:
                 dw = deg[w]
-                sum_r += dw
-                le_r += dw <= dr
-            deltas[r] = _move_change(lam, dr, sum_y - dr, ge_y - (dr >= lam), sum_r, le_r)
-        yield y, lam, side, donors, deltas
+                if dw == 1:
+                    donors.append(w)
+                sum_y += dw
+                ge_y += dw >= lam
+            if not donors:
+                continue
+            leaf_change = None
+            if len(donors) > 1:
+                leaf_change = _move_change(lam, 1, sum_y - 1, ge_y, 0, 0)
+            inner = []
+            for r in nbrs:
+                dr = deg[r]
+                if dr == 1:
+                    continue
+                # Degree sum and count at <= dr over R = N(r) less y.
+                sum_r = -lam
+                le_r = -(lam <= dr)
+                if r:
+                    dw = deg[parent[r]]
+                    sum_r += dw
+                    le_r += dw <= dr
+                for w in kids[r]:
+                    dw = deg[w]
+                    sum_r += dw
+                    le_r += dw <= dr
+                inner.append((r, _move_change(lam, dr, sum_y - dr, ge_y - (dr >= lam), sum_r, le_r)))
+            records.append((y, lam, side, donors, leaf_change, inner))
+        if records:
+            yield deg, parent, records
 
 
-def _relocation_witnesses(deg, parent, supports, value_key):
-    # The tree's violating moves in sweep order, per support ``(y, lam,
-    # side, donors, hit)`` of ``supports(deg, parent)``, ``hit`` mapping
-    # each violating recipient to the index change. The supports are swept
-    # again, the tree and its edge list are built, and its index value read
-    # off the row, once, when the tally draws its first witness.
+def _relocation_witnesses(deg, parent, walk, bad, value_key):
+    # The row's violating moves in sweep order, from its records, which
+    # ``walk`` (_tree_relocations with the claim's bounds) gives again: per
+    # support, each donor in ascending id onto each recipient in ascending
+    # id whose change ``bad`` rejects, bar itself. The row is walked, its
+    # tree and edge list built and its index value read once, when the
+    # tally draws the row's first witness.
+    pos = ("irr", "sigma").index(value_key)
     tree = _edges_str(_parent_tree(parent))
     before = _row_index(deg, parent, value_key)
-    for y, lam, side, donors, hit in supports(deg, parent):
+    [(_, _, records)] = walk([(deg, parent)])
+    for y, lam, side, donors, leaf_change, inner in records:
+        hit = [(r, change[pos]) for r, change in inner if bad(change[pos], lam)]
+        if leaf_change is not None and bad(leaf_change[pos], lam):
+            hit = sorted(hit + [(d, leaf_change[pos]) for d in donors])
         for donor in donors:
-            for recipient, change in hit.items():
+            for recipient, change in hit:
                 if recipient != donor:
                     yield {
                         "tree": tree,
@@ -587,23 +619,23 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
     Supports of degree ``lam_min`` to ``lam_max`` (``None``: no upper
     bound) are admissible, with ``lam_min >= 3``. A support of degree
     ``lam`` needs ``lam + 1`` vertices, so orders below ``lam_min + 1`` are
-    skipped, and so is a tree whose maximum degree in its order's table
-    (``enumeration._canonical_table``) is below ``lam_min``. The rest are
-    swept on their degrees and parents by :func:`_tree_relocations`, in the
-    table's row order, and each order is counted at once. While the tally
-    has room, the degrees and parents of the order's violating rows are
-    kept, coded and sorted by code (``enumeration._row_code``), so
-    witnesses come in ascending canonical code and in sweep order within a
-    tree; a row is swept again and its tree built, once, only when the
-    tally draws a witness from it.
+    skipped. Each order's table rows (``enumeration._canonical_table``) are
+    swept on their degrees and parents by :func:`_tree_relocations`, which
+    passes over a row whose maximum degree is below ``lam_min``, and each
+    order is counted at once. While the tally has room, the degrees and
+    parents of the order's violating rows are kept (their records are not,
+    to bound the memory of an uncapped run), coded and sorted by code
+    (``enumeration._row_code``), so witnesses come in ascending canonical
+    code and in sweep order within a tree; a row is walked again and its
+    tree built, once, only when the tally draws a witness from it
+    (:func:`_relocation_witnesses`).
 
     ``bad(change, lam)`` decides whether a move that changes the index
     ``value_key`` by ``change`` violates the claim. It is decided once per
-    recipient of each support of :func:`_tree_relocations` (again for a
-    row the tally draws), and the support is counted arithmetically: with
-    ``D`` donors and ``B`` bad recipients it holds ``D * (lam - 1)`` moves
-    and ``D * B`` violations, less the bad recipients that are donors
-    themselves (no leaf moves onto itself).
+    support for its leaf recipients and once per non-leaf recipient, and
+    the support is counted in integers: with ``D`` donors it holds ``D *
+    (lam - 1)`` moves, and each donor violates once per bad non-leaf
+    recipient and ``D - 1`` times more when the leaf change is bad.
 
     With ``apply_support_filter`` the sweep keeps only supports that do not
     hold the maximum degree alone (both readings of that side condition
@@ -616,23 +648,24 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
     moves = dict.fromkeys(("strict", "tied", "unfiltered"), 0)
     violations = dict(moves)
 
-    def supports(deg, parent):
-        for y, lam, side, donors, deltas in _tree_relocations(
-            deg, parent, lam_min, lam_max, apply_support_filter
-        ):
-            yield y, lam, side, donors, {r: c[pos] for r, c in deltas.items() if bad(c[pos], lam)}
+    def walk(rows):
+        return _tree_relocations(rows, lam_min, lam_max, apply_support_filter)
 
     for n in _orders(lam_min + 1, params["n_max"]):
         order_moves = order_violations = 0
         keep = not tally.full
         witnessing_rows = []
-        for deg, parent in _canonical_table(n):
-            if max(deg) < lam_min:
-                continue
+        for deg, parent, records in walk(_canonical_table(n)):
             row_violations = 0
-            for y, lam, side, donors, hit in supports(deg, parent):
-                count = len(donors) * (lam - 1)
-                bad_count = len(donors) * len(hit) - sum(d in hit for d in donors)
+            for _, lam, side, donors, leaf_change, inner in records:
+                bad_recipients = 0
+                for _, change in inner:
+                    bad_recipients += bad(change[pos], lam)
+                d = len(donors)
+                if leaf_change is not None and bad(leaf_change[pos], lam):
+                    bad_recipients += d - 1
+                count = d * (lam - 1)
+                bad_count = d * bad_recipients
                 moves[side] += count
                 violations[side] += bad_count
                 order_moves += count
@@ -645,7 +678,7 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
             order_moves,
             order_violations,
             chain.from_iterable(
-                _relocation_witnesses(*row, supports, value_key) for row in witnessing_rows
+                _relocation_witnesses(*row, walk, bad, value_key) for row in witnessing_rows
             ),
         )
     notes = [
@@ -1191,6 +1224,10 @@ def _check_sigma_increase(params, tally):
 )
 def _check_cor3_part1(params, tally):
     d_max = params["d_max"]
+    span = max(d_max - 3, 0)  # the values 4..d_max
+    count = span * (span + 1) // 2
+    if count > CODE_CAP:
+        raise EnumerationGuard(f"{count} pairs above the cap of {CODE_CAP}")
     pairs = ((d3, d4) for d3 in range(4, d_max + 1) for d4 in range(d3, d_max + 1))
     tally.run(pairs, lambda p: None if log_bound_holds(*p) else {"d3": p[0], "d4": p[1]})
     return []
@@ -1208,19 +1245,25 @@ def _check_cor3_part1(params, tally):
 def _check_sigma_ordered(params, tally):
     orders = _orders(2, params["n_max"])  # also the spine lengths
     degs = range(2, params["deg_max"] + 1)
+    # combinations_with_replacement(degs, k) yields comb(len(degs) + k - 1, k) spines.
+    spines = sum(comb(len(degs) + k - 1, k) for k in orders)
+    if spines > CODE_CAP:
+        raise EnumerationGuard(f"{spines} spines above the cap of {CODE_CAP}")
 
-    def check(spine):
+    def witness(spine):
         true_sigma, order = caterpillar_sigma(spine)
-        value = sigma_ordered_value(spine)
-        if value != true_sigma:
-            return {
-                "spine": str(spine),
-                "formula": value,
-                "sigma": true_sigma,
-                "order": order,
-            }
+        return {
+            "spine": str(spine),
+            "formula": sigma_ordered_value(spine),
+            "sigma": true_sigma,
+            "order": order,
+        }
 
-    tally.run((s for k in orders for s in combinations_with_replacement(degs, k)), check)
+    tally.count(
+        (s for k in orders for s in combinations_with_replacement(degs, k)),
+        lambda spine: sigma_ordered_value(spine) != caterpillar_sigma(spine)[0],
+        witness,
+    )
     direct_total = direct_agree = 0
     for n in orders:
         for deg, parent in _canonical_table(n):

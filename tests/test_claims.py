@@ -1,7 +1,9 @@
 import hashlib
 import json
 import re
+import time
 from collections import Counter
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -45,13 +47,16 @@ from treeirr.claims import (
     _sequence_ranges,
     _tree_relocations,
 )
+from treeirr.degseq import caterpillar
 from treeirr.enumeration import (
+    CODE_CAP,
     EnumerationGuard,
     _canonical_table,
     _parent_tree,
     tree_degree_sequences,
     trees_with_degree_sequence,
 )
+from treeirr.formulas import sigma_ordered_value
 
 from _brute import (
     _degrees_parents,
@@ -177,6 +182,22 @@ class TestArithmeticClaims:
         assert r.verdict == "holds"
         assert r.checked == sum(1 for a in range(4, 41) for _ in range(a, 41))
 
+    @pytest.mark.parametrize(
+        "claim_id, params, message",
+        [
+            ("sigma-ordered", {"deg_max": 30}, "38607990 spines"),
+            ("cor3-part1", {"d_max": 20_000}, "199950003 pairs"),
+        ],
+        ids=["sigma-ordered", "cor3-part1"],
+    )
+    def test_arithmetic_sweep_guarded(self, claim_id, params, message):
+        # The case count is computed up front and refused above CODE_CAP
+        # before the first case is checked.
+        start = time.perf_counter()
+        with pytest.raises(EnumerationGuard, match=f"{message} above the cap of {CODE_CAP}"):
+            verify(claim_id, params)
+        assert time.perf_counter() - start < 1
+
     def test_resn1_reading(self):
         r = verify("resn1")
         assert r.verdict == "holds-with-notes"
@@ -281,6 +302,55 @@ class TestExhaustiveClaims:
         assert r.verdict == "fails"
         assert any("spine reading" in n for n in r.notes)
         assert any("direct reading" in n for n in r.notes)
+
+    def test_sigma_ordered_witnesses_match_eager_sweep(self):
+        # Every violation counted, every witness in spine order uncapped,
+        # the first cap of them capped.
+        checked, witnesses = _eager_sigma_ordered(8, 7)
+        assert checked == 2996 and len(witnesses) > DEFAULT_WITNESS_CAP
+        uncapped = verify("sigma-ordered", witness_cap=None)
+        assert (uncapped.checked, uncapped.violations) == (checked, len(witnesses))
+        assert list(uncapped.witnesses) == witnesses
+        capped = verify("sigma-ordered")
+        assert (capped.checked, capped.violations) == (checked, len(witnesses))
+        assert list(capped.witnesses) == witnesses[:DEFAULT_WITNESS_CAP]
+
+    def test_sigma_ordered_builds_only_kept_witnesses(self, monkeypatch):
+        # Each spine's sigma is read once, and once more for each witness
+        # the cap keeps.
+        from treeirr import claims
+
+        calls = []
+        sigma = claims.caterpillar_sigma
+
+        def counted(spine):
+            calls.append(spine)
+            return sigma(spine)
+
+        monkeypatch.setattr(claims, "caterpillar_sigma", counted)
+        r = verify("sigma-ordered")
+        assert r.violations > DEFAULT_WITNESS_CAP
+        assert len(calls) == r.checked + DEFAULT_WITNESS_CAP
+
+
+def _eager_sigma_ordered(n_max, deg_max):
+    """Test-local rerun of sigma-ordered on built caterpillars.
+
+    Builds each non-decreasing spine's caterpillar and reads its sigma with
+    ``compute_indices``. Returns the number of spines and the claim's
+    witness dicts of the failing ones, in spine order.
+    """
+    checked = 0
+    witnesses = []
+    for k in range(2, n_max + 1):
+        for spine in combinations_with_replacement(range(2, deg_max + 1), k):
+            checked += 1
+            t = caterpillar(spine)
+            sigma = compute_indices(t).sigma
+            value = sigma_ordered_value(spine)
+            if value != sigma:
+                witnesses.append({"spine": str(spine), "formula": value, "sigma": sigma, "order": t.n})
+    return checked, witnesses
 
 
 def _labeled_tree_classes(n):
@@ -394,9 +464,19 @@ def _class_moves(deg, parent, support_filter=False):
     top = max(deg)
     ties = deg.count(top)
     moves = []
-    for y, lam, side, donors, deltas in _tree_relocations(deg, parent, 3, top, support_filter):
+    records = [
+        record
+        for _, _, row_records in _tree_relocations([(deg, parent)], 3, top, support_filter)
+        for record in row_records
+    ]
+    for y, lam, side, donors, leaf_change, inner in records:
         assert lam == len(t.adjacency[y])
         assert donors == [w for w in t.adjacency[y] if len(t.adjacency[w]) == 1]
+        # Only two donors or more share a leaf change; a lone donor is no recipient.
+        assert (leaf_change is None) == (len(donors) == 1)
+        assert [r for r, _ in inner] == [r for r in t.adjacency[y] if len(t.adjacency[r]) > 1]
+        leaves = [] if leaf_change is None else [(d, leaf_change) for d in donors]
+        deltas = dict(sorted(leaves + inner))
         assert list(deltas) == [r for r in t.adjacency[y] if donors != [r]]
         assert side == ("strict" if lam < top else "tied" if ties > 1 else "unfiltered")
         class_moves = [
@@ -833,9 +913,11 @@ class TestRelocationDeltas:
         # are inner vertices, so the leaf can only move to 2 or 4.
         levels = (0, 1, 1, 2, 1, 2)
         deg, parent = _degrees_parents(levels)
-        [(y, lam, side, donors, deltas)] = _tree_relocations(deg, parent, 3, 3, False)
+        [(_, _, records)] = _tree_relocations([(deg, parent)], 3, 3, False)
+        [(y, lam, side, donors, leaf_change, inner)] = records
         assert (y, lam, side, donors) == (0, 3, "unfiltered", [1])
-        assert list(deltas) == [2, 4]
+        assert leaf_change is None
+        assert [r for r, _ in inner] == [2, 4]
         t, moves = _class_moves(deg, parent)
         assert t == Tree(len(levels), levels_to_edges(levels))
         assert t.edges == ((0, 1), (0, 2), (0, 4), (2, 3), (4, 5))
@@ -848,11 +930,11 @@ class TestRelocationDeltas:
         # the support tied at the maximum degree.
         levels = (0,) + (1,) * 10 + (1, 2) + (3,) * 10
         deg, parent = _degrees_parents(levels)
-        records = list(_tree_relocations(deg, parent, 11, 11, True))
-        supports = [(y, lam, side) for y, lam, side, _, _ in records]
+        [(_, _, records)] = _tree_relocations([(deg, parent)], 11, 11, True)
+        supports = [(y, lam, side) for y, lam, side, _, _, _ in records]
         assert supports == [(0, 11, "tied"), (12, 11, "tied")]
-        for _, _, _, _, deltas in records:
-            assert deltas[11] == (-20, -316)
+        for _, _, _, _, _, inner in records:
+            assert dict(inner)[11] == (-20, -316)
         assert _move_change(11, 2, 9, 0, 11, 0) == (-20, -316)
         t = Tree(len(levels), levels_to_edges(levels))
         moved = relocate_leaf(t, 0, 1, 11)[0]
