@@ -44,7 +44,6 @@ from .enumeration import (
     _check_order,
     _parent_tree,
     _row_code,
-    all_trees,
     tree_degree_sequences,
 )
 from .formulas import (
@@ -56,7 +55,7 @@ from .formulas import (
     sigma_ordered_value,
     three_c_values,
 )
-from .indices import compute_indices, total_irregularity_by_sequence
+from .indices import compute_indices, total_irregularity_by_degrees
 from .tree import Tree, degrees, strong_support_vertices
 
 DEFAULT_WITNESS_CAP = 25
@@ -271,16 +270,20 @@ def _edges_str(t: Tree) -> str:
 
 
 def _row_index(deg: Sequence[int], parent: Sequence[int], index: str) -> int:
-    """``irr``, ``sigma`` or ``irr_T`` of a table row's tree, by definition, unbuilt.
+    """An index of a table row's tree, by definition, unbuilt.
 
-    ``|d_i - d_p|`` or its square summed over the edges ``(i, p = parent[i])``
-    (the root's parent ``0`` adds a zero term), or the degree-class sum.
+    ``irr`` and ``sigma`` sum ``|d_i - d_p|`` or its square over the edges
+    ``(i, p = parent[i])`` (the root's parent ``0`` adds a zero term), and
+    ``edge_sum`` sums ``d_i + d_p`` over them; ``irr_T`` and ``m1`` are the
+    degree-class sums.
     """
     if index == "irr":
         return sum([abs(d - deg[p]) for d, p in zip(deg, parent)])
     if index == "sigma":
         return sum([(d - deg[p]) ** 2 for d, p in zip(deg, parent)])
-    return degree_class_sums(deg)[0]
+    if index == "edge_sum":
+        return sum([deg[i] + deg[parent[i]] for i in range(1, len(deg))])
+    return degree_class_sums(deg)[("irr_T", "m1").index(index)]
 
 
 def _extremes(rows, key, index: str, objectives: Sequence[str] = ("min", "max")) -> dict:
@@ -789,6 +792,30 @@ def _check_star_iso_sum(params, tally):
     return []
 
 
+def _identity_claim(params, tally, lo, check):
+    """Shared engine for the claims checked on every tree of orders ``lo..n_max``.
+
+    ``check(deg, parent)`` returns a table row's violation values or
+    ``None``. Each order is counted at once; while the tally has room, its
+    violating rows are coded and sorted (``enumeration._row_code``), so
+    witnesses come in ``all_trees`` order, and a tree is built only for a
+    witness the tally draws. The claims have no notes.
+    """
+    for n in _orders(lo, params["n_max"]):
+        checked = 0
+        bad = []
+        for deg, parent in _canonical_table(n):
+            checked += 1
+            values = check(deg, parent)
+            if values is not None:
+                bad.append((parent, values))
+        if not tally.full:
+            bad.sort(key=lambda row: _row_code(row[0]))
+        witnesses = ({"tree": _edges_str(_parent_tree(p)), **values} for p, values in bad)
+        tally.add_class(checked, len(bad), witnesses)
+    return []
+
+
 @_claim(
     "sandwich",
     "sigma <= irr^2 and irr^2 <= m * sigma on every tree",
@@ -797,13 +824,12 @@ def _check_star_iso_sum(params, tally):
     n_max=10,
 )
 def _check_sandwich(params, tally):
-    def check(t):
-        b = compute_indices(t)
-        if not (b.sigma <= b.irr ** 2 and b.irr ** 2 <= (t.n - 1) * b.sigma):
-            return {"tree": _edges_str(t), "irr": b.irr, "sigma": b.sigma}
+    def check(deg, parent):
+        irr, sigma = _row_index(deg, parent, "irr"), _row_index(deg, parent, "sigma")
+        if not (sigma <= irr ** 2 and irr ** 2 <= (len(deg) - 1) * sigma):
+            return {"irr": irr, "sigma": sigma}
 
-    tally.run((t for n in _orders(1, params["n_max"]) for t in all_trees(n)), check)
-    return []
+    return _identity_claim(params, tally, 1, check)
 
 
 @_claim(
@@ -814,13 +840,12 @@ def _check_sandwich(params, tally):
     n_max=10,
 )
 def _check_irr_upper(params, tally):
-    def check(t):
-        got, bound = compute_indices(t).irr, (t.n - 1) * (t.n - 2)
+    def check(deg, parent):
+        got, bound = _row_index(deg, parent, "irr"), (len(deg) - 1) * (len(deg) - 2)
         if got > bound:
-            return {"tree": _edges_str(t), "irr": got, "bound": bound}
+            return {"irr": got, "bound": bound}
 
-    tally.run((t for n in _orders(2, params["n_max"]) for t in all_trees(n)), check)
-    return []
+    return _identity_claim(params, tally, 2, check)
 
 
 @_claim(
@@ -831,14 +856,14 @@ def _check_irr_upper(params, tally):
     n_max=9,
 )
 def _check_irrT_seq(params, tally):
-    def check(t):
-        pairwise = compute_indices(t).irr_t
-        by_seq = total_irregularity_by_sequence(t)
+    # The pairwise side is the degree-class sum, never the formula it checks.
+    def check(deg, parent):
+        pairwise = _row_index(deg, parent, "irr_T")
+        by_seq = total_irregularity_by_degrees(deg)
         if pairwise != by_seq:
-            return {"tree": _edges_str(t), "pairwise": pairwise, "sequence": by_seq}
+            return {"pairwise": pairwise, "sequence": by_seq}
 
-    tally.run((t for n in _orders(1, params["n_max"]) for t in all_trees(n)), check)
-    return []
+    return _identity_claim(params, tally, 1, check)
 
 
 @_claim(
@@ -849,15 +874,12 @@ def _check_irrT_seq(params, tally):
     n_max=10,
 )
 def _check_m1_identity(params, tally):
-    def check(t):
-        deg = degrees(t)
-        edge_sum = sum(deg[u] + deg[v] for u, v in t.edges)
-        m1 = compute_indices(t).m1
+    def check(deg, parent):
+        m1, edge_sum = _row_index(deg, parent, "m1"), _row_index(deg, parent, "edge_sum")
         if m1 != edge_sum:
-            return {"tree": _edges_str(t), "m1": m1, "edge_sum": edge_sum}
+            return {"m1": m1, "edge_sum": edge_sum}
 
-    tally.run((t for n in _orders(1, params["n_max"]) for t in all_trees(n)), check)
-    return []
+    return _identity_claim(params, tally, 1, check)
 
 
 @_claim(

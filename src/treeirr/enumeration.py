@@ -1,21 +1,16 @@
 """Exhaustive tree streams.
 
-:func:`all_trees` is the one enumerator of unlabeled trees. It walks the
-canonical order of an order's level sequences (a recursive-generation
-scheme), kept once per order by :func:`_canonical_order` as the degrees
-and parents of its trees: the first caller to reach an order generates
-its rows (``_kernels.order_rows``, which steps the degrees and parents
-with the successor and builds no level sequence), keeps them in
-generation order and codes nothing. ``all_trees`` needs its rows in
-ascending canonical code, so the first time it reaches an order it codes
-each row once from its parents (:func:`_row_code`) and rewrites the table
-in code order. Only the trees ``all_trees`` yields on the call that codes
-the order carry canonical codes. Every tree of the canonical order is
-built from its parents by :func:`_parent_tree`. Callers that keep only
-some trees of an order (``claims.TreeClass``, the class extremes, the
-relocation sweeps) read :func:`_canonical_table`, which never codes. They
-decide and read index values on degrees and parents, whatever the row
-order, and code, sort and build only the trees they output.
+:func:`all_trees` is the one enumerator of unlabeled trees. Each order's
+trees are kept once by :func:`_canonical_order` as their degrees and
+parents, generated by the first caller to reach the order
+(``_kernels.order_rows``, the level-sequence successor) and kept in
+generation order, uncoded and never reordered. Each ``all_trees`` call
+codes the rows (:func:`_row_code`), sorts them by code and builds each
+tree with its code (:func:`_parent_tree`). Callers that keep only some
+trees (``claims.TreeClass``, the class extremes, the relocation sweeps,
+the identity claims) read :func:`_canonical_table`, which never codes,
+decide on degrees and parents, and code, sort and build only the trees
+they output.
 :func:`trees_with_degree_sequence` realizes one tree-graphical degree
 multiset through Prüfer codes and deduplicates by canonical code. The
 ``realize`` command is its only CLI user: ``extremal --seq`` and the claims
@@ -52,11 +47,10 @@ def _check_order(n: int) -> None:
         raise EnumerationGuard(f"order {n} outside guard range 1..{MAX_ORDER}")
 
 
-# Order -> the degrees and the parents of each tree of the order: two blobs of
-# n bytes per tree (144 KB for all orders up to 14, about 1 MB up to 16), and
-# whether the rows are in ascending canonical code (``all_trees`` order) or
-# in generation order. The root's parent byte is 0.
-_TABLES: dict[int, tuple[bytes, bytes, bool]] = {}
+# Order -> the degrees and the parents of each tree of the order, in generation
+# order: two blobs of n bytes per tree (144 KB for all orders up to 14, about
+# 1 MB up to 16). The root's parent byte is 0.
+_TABLES: dict[int, tuple[bytes, bytes]] = {}
 
 
 def _row_code(parent: Sequence[int]) -> CanonicalCode:
@@ -72,48 +66,29 @@ def _row_code(parent: Sequence[int]) -> CanonicalCode:
     return _kernels.level_code(levels)
 
 
-def _canonical_order(
-    n: int, coded: bool = True
-) -> tuple[list[CanonicalCode] | None, bytes, bytes]:
-    """``(codes, degrees, parents)`` of the trees of order ``n``, kept once per order.
+def _canonical_order(n: int) -> tuple[bytes, bytes]:
+    """``(degrees, parents)`` of the trees of order ``n``, kept once per order.
 
-    The one store of the order. The call that first reaches an order
-    generates its rows once (``_kernels.order_rows``, which steps each
-    tree's degrees and parents with the level-sequence successor) and keeps
-    the two blobs in ``_TABLES`` as they come, in generation order, for the
-    rest of the process; nothing is coded. With ``coded`` (``all_trees``)
-    an order whose rows are not yet in ascending canonical code is coded
-    once from its parents (:func:`_row_code`, once per row) and rewritten
-    in that order; that call alone returns the codes, in row order, and
-    every other call ``None``.
+    The first call generates the rows (``_kernels.order_rows``) and keeps
+    the two blobs in ``_TABLES`` as they come, for the rest of the process.
     """
     _check_order(n)
     table = _TABLES.get(n)
     if table is None:
-        table = _TABLES[n] = (*_kernels.order_rows(n), False)
-    deg_blob, parent_blob, in_code_order = table
-    if in_code_order or not coded:
-        return None, deg_blob, parent_blob
-    starts = range(0, len(parent_blob), n)
-    keyed = sorted((_row_code(parent_blob[start : start + n]), start) for start in starts)
-    deg_blob = b"".join(deg_blob[start : start + n] for _, start in keyed)
-    parent_blob = b"".join(parent_blob[start : start + n] for _, start in keyed)
-    _TABLES[n] = (deg_blob, parent_blob, True)
-    return [code for code, _ in keyed], deg_blob, parent_blob
+        table = _TABLES[n] = _kernels.order_rows(n)
+    return table
 
 
 def _canonical_table(n: int) -> Iterator[tuple[bytes, bytes]]:
-    """``(degrees, parents)`` for each tree of order ``n``, in the table's order.
+    """``(degrees, parents)`` for each tree of order ``n``, in generation order.
 
-    The reader for callers that decide on degrees and parents before they
-    build (``claims.TreeClass``, the class extremes and the relocation
-    sweeps): ``bytes`` slices of the order's table, the root's parent being
-    ``0``, filled uncoded before the first row if no caller has reached the
-    order yet. Rows come in ascending canonical code once ``all_trees`` has
-    reached the order, else in generation order, so a caller that outputs
-    rows codes them (:func:`_row_code`) and sorts them itself.
+    ``bytes`` slices of the order's table, the root's parent being ``0``,
+    filled before the first row if no caller has reached the order yet, for
+    callers that decide on degrees and parents before they build. Nothing
+    is coded: a caller that outputs rows codes (:func:`_row_code`) and
+    sorts them itself.
     """
-    _, deg_blob, parent_blob = _canonical_order(n, coded=False)
+    deg_blob, parent_blob = _canonical_order(n)
     for start in range(0, len(deg_blob), n):
         yield deg_blob[start : start + n], parent_blob[start : start + n]
 
@@ -142,18 +117,16 @@ def _parent_tree(parent: Sequence[int], code: CanonicalCode | None = None) -> Tr
 def all_trees(n: int) -> Iterator[Tree]:
     """One representative per isomorphism class of trees on ``n`` vertices.
 
-    Deterministic emission: ascending canonical code.
-
-    Each tree is built in one unvalidated pass over its parents in the
-    order's table (:func:`_parent_tree`), so every call gives the same
-    labeled trees in the same order, whichever caller filled the table. On
-    the call that codes the order (its first ``all_trees`` call), each tree
-    carries its canonical code; later calls skip the generation, coding and
-    sort, and their trees have no code cached yet.
+    Deterministic emission: ascending canonical code. Every call codes the
+    order's rows from their parents (:func:`_row_code`), sorts their
+    positions by code and builds each tree in one unvalidated pass
+    (:func:`_parent_tree`) with its code preset: every call yields the same
+    labeled trees, each with its code, and leaves the table as it was.
     """
-    codes, _, parent_blob = _canonical_order(n)
-    for i, start in enumerate(range(0, len(parent_blob), n)):
-        yield _parent_tree(parent_blob[start : start + n], None if codes is None else codes[i])
+    _, parent_blob = _canonical_order(n)
+    codes = [_row_code(parent_blob[start : start + n]) for start in range(0, len(parent_blob), n)]
+    for i in sorted(range(len(codes)), key=codes.__getitem__):
+        yield _parent_tree(parent_blob[i * n : i * n + n], codes[i])
 
 
 def tree_degree_sequences(n: int) -> Iterator[DegreeSequence]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import _kernels
 from .tree import Tree, degrees
@@ -32,14 +33,17 @@ def compute_indices(t: Tree) -> IndexBundle:
 
 
 def total_irregularity_by_sequence(t: Tree) -> int:
-    """Total irregularity from the sorted degree sequence.
+    """:func:`total_irregularity_by_degrees` of the tree's degrees."""
+    return total_irregularity_by_degrees(degrees(t))
+
+
+def total_irregularity_by_degrees(deg: Sequence[int]) -> int:
+    """Total irregularity from the sorted degree sequence (a list or ``bytes``).
 
     Evaluates ``2(n+1)m - 2 * sum(i * d_i)`` with degrees sorted
     non-increasing and positions counted from 1. Agrees with the pairwise
     definition in :func:`compute_indices` on every tree.
     """
-    n = t.n
-    m = n - 1
-    ordered = sorted(degrees(t), reverse=True)
-    weighted = sum(i * d for i, d in enumerate(ordered, start=1))
-    return 2 * (n + 1) * m - 2 * weighted
+    n = len(deg)
+    weighted = sum(i * d for i, d in enumerate(sorted(deg, reverse=True), start=1))
+    return 2 * (n + 1) * (n - 1) - 2 * weighted

@@ -317,10 +317,15 @@ def all_trees_by_realization(n):
 
 
 def class_trees(klass):
-    """The trees of a ``claims.TreeClass``: each row it keeps, built from its parents."""
-    from treeirr.enumeration import _parent_tree
+    """The trees of a ``claims.TreeClass``, in ascending canonical code.
 
-    return [_parent_tree(parent) for _, parent in klass._rows()]
+    Each row the class keeps, built from its parents and sorted by its code,
+    so the trees come in ``all_trees`` order.
+    """
+    from treeirr.enumeration import _parent_tree, _row_code
+
+    parents = sorted((parent for _, parent in klass._rows()), key=_row_code)
+    return [_parent_tree(parent) for parent in parents]
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from treeirr import (
     prufer_decode,
     star,
     strong_support_vertices,
+    total_irregularity_by_sequence,
 )
 from treeirr.claims import (
     CATALOG,
@@ -53,10 +54,12 @@ from treeirr.enumeration import (
     EnumerationGuard,
     _canonical_table,
     _parent_tree,
+    _row_code,
     tree_degree_sequences,
     trees_with_degree_sequence,
 )
 from treeirr.formulas import sigma_ordered_value
+from treeirr.indices import total_irregularity_by_degrees
 
 from _brute import (
     _degrees_parents,
@@ -648,11 +651,10 @@ class TestEnumerationOnce:
         assert len(calls) == 5447
 
     def test_cold_report_codes_only_output_trees(self, monkeypatch):
-        # A cold default report codes the 201 trees of orders 1-10, which
-        # sandwich reaches first through all_trees, and the 62 rows whose
-        # witnesses it may keep: 26 caterpillar-support maxima, 13 + 13 + 9
-        # + 1 relocation rows. The filtering claims fill orders 11-14
-        # uncoded and code 10 of their 5,246 trees.
+        # A cold default report codes only the 62 rows whose witnesses it
+        # may keep: 26 caterpillar-support maxima, 13 + 13 + 9 + 1
+        # relocation rows. No claim codes a whole order, and every order's
+        # table stays as generated.
         from treeirr import _kernels, enumeration
 
         calls = []
@@ -666,12 +668,10 @@ class TestEnumerationOnce:
         monkeypatch.setattr(_kernels, "level_code", counted)
         report = run_report(ReportConfig())
         assert report.errors == ()
-        coded = {n: table[2] for n, table in enumeration._TABLES.items()}
-        assert coded == {n: n <= 10 for n in range(1, 15)}
-        fill = Counter({n: unlabeled_tree_count(n) for n in range(1, 11)})
         rows = Counter({2: 1, 4: 1, 5: 1, 6: 3, 7: 6, 8: 18, 9: 18, 10: 4, 11: 4, 12: 6})
-        assert Counter(calls) == fill + rows
-        assert len(calls) == 201 + 62 == 263
+        assert Counter(calls) == rows
+        assert len(calls) == 62
+        assert enumeration._TABLES == {n: _kernels.order_rows(n) for n in range(1, 15)}
 
     def test_extremal_seq_decodes_nothing(self, monkeypatch, capsys):
         # extremal --seq filters all_trees; it never runs the Prüfer realizer.
@@ -698,7 +698,7 @@ class TestEnumerationOnce:
     def test_all_trees_builds_without_fallback(self, monkeypatch):
         # Cold and warm, all_trees builds every tree in one pass from its
         # level sequence: no validation, no adjacency rebuilt from the
-        # edges, no coding.
+        # edges, no coding of a built tree; each comes with its code.
         from treeirr import _kernels, enumeration, tree
 
         calls = []
@@ -724,44 +724,36 @@ class TestEnumerationOnce:
         assert 10 in enumeration._TABLES
         warm = list(all_trees(10))
         assert [t.adjacency for t in warm] == [t.adjacency for t in cold]
+        assert [canonical_code(t) for t in warm] == [t._code for t in cold]
         assert calls == []
         assert warm == cold and len(cold) == 106
         # The counters do see each fallback when it runs.
         Tree(2, [(0, 1)])
-        Tree._unchecked(2, [(0, 1)]).adjacency
-        canonical_code(warm[0])
+        uncoded = Tree._unchecked(2, [(0, 1)])
+        uncoded.adjacency
+        canonical_code(uncoded)
         assert calls == ["__init__", "_sorted_adjacency", "_sorted_adjacency", "canon_code"]
 
 
 def _fill(orders, how):
-    # Empty the order tables, then fill each order the way its first caller
-    # would: all_trees ("coded") codes and sorts it, the table reader
-    # ("uncoded") keeps generation order. "reversed" is an uncoded table
-    # with its rows reversed, an order no caller makes: the filtering
-    # callers may not depend on row order at all. Returns the trees of the
-    # filling all_trees calls.
+    # Empty the order tables, then fill each order: "generated" as every
+    # caller fills it, in generation order, and "reversed" with its rows
+    # reversed, an order no caller makes: no output may depend on row
+    # order at all.
     from treeirr import enumeration
 
     enumeration._TABLES.clear()
-    trees = {}
     for n in orders:
-        if how == "coded":
-            trees[n] = list(all_trees(n))
-        else:
-            rows = list(_canonical_table(n))
-            if how == "reversed":
-                rows.reverse()
-                degs, parents = (b"".join(blobs) for blobs in zip(*rows))
-                enumeration._TABLES[n] = (degs, parents, False)
-    assert all(enumeration._TABLES[n][2] is (how == "coded") for n in orders)
-    return trees
+        rows = list(_canonical_table(n))
+        if how == "reversed":
+            rows.reverse()
+            enumeration._TABLES[n] = tuple(b"".join(blobs) for blobs in zip(*rows))
 
 
 class TestFillOrder:
-    # Filtering outputs must not depend on which caller filled an order:
-    # each is computed after a coded fill (all_trees first), after an
-    # uncoded one (the table reader first) and on the uncoded rows
-    # reversed, the tables emptied for each, and all must be identical.
+    # Outputs must not depend on the order of a table's rows: each is
+    # computed on the generated rows and on the same rows reversed, the
+    # tables emptied for each, and both must be identical.
 
     @pytest.fixture(autouse=True)
     def own_tables(self, monkeypatch):
@@ -787,21 +779,15 @@ class TestFillOrder:
             ranges = [_sequence_ranges(n, index) for index in ("irr", "sigma", "irr_T")]
             return found, ranges
 
-        cold = [(t.edges, t._code) for t in _fill([n], "coded")[n]]
-        coded_parents = enumeration._TABLES[n][1]
-        want = outputs()
+        _fill([n], "generated")
+        table = enumeration._TABLES[n]
+        want = outputs(), [(t.edges, t._code) for t in all_trees(n)]
+        assert enumeration._TABLES[n] is table
+        # From order 5 on, generation order is not code order.
+        parents = [parent for _, parent in _canonical_table(n)]
+        assert (parents != sorted(parents, key=_row_code)) is (n >= 5)
         _fill([n], "reversed")
-        assert outputs() == want
-        _fill([n], "uncoded")
-        assert outputs() == want
-        # The filtering callers left the table uncoded, and from order 5 on
-        # generation order is not code order.
-        assert enumeration._TABLES[n][2] is False
-        assert (enumeration._TABLES[n][1] != coded_parents) is (n >= 5)
-        # all_trees recodes the uncoded table: the same trees, in the same
-        # order, with the same preset codes as its cold coded fill.
-        assert [(t.edges, t._code) for t in all_trees(n)] == cold
-        assert enumeration._TABLES[n][1] == coded_parents
+        assert (outputs(), [(t.edges, t._code) for t in all_trees(n)]) == want
 
     @pytest.mark.parametrize(
         "claim_id",
@@ -820,11 +806,10 @@ class TestFillOrder:
                 for cap in (None, 5, DEFAULT_WITNESS_CAP)
             ]
 
-        _fill(range(1, 13), "coded")
+        _fill(range(1, 13), "generated")
         want = outputs()
-        for how in ("uncoded", "reversed"):
-            _fill(range(1, 13), how)
-            assert outputs() == want, how
+        _fill(range(1, 13), "reversed")
+        assert outputs() == want
         assert "witness: " in want[0]
 
 
@@ -845,6 +830,25 @@ class TestRowReaders:
             for index, attr in ROW_INDICES:
                 got = _row_index(deg, parent, index)
                 assert got == getattr(bundle, attr) == brute[index], (parent, index)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_identity_claim_readers(self, n):
+        # Every value the four identity claims read off a row: irr and sigma
+        # over the edges (i, parent[i]), irr_T and M1 as degree-class sums,
+        # the M1 edge sum over (i, parent[i]) and the sequence formula on
+        # the degrees, each against the built tree's bundle and the brute
+        # definitions.
+        for deg, parent in _canonical_table(n):
+            t = _parent_tree(parent)
+            bundle, brute = compute_indices(t), brute_indices(n, t.edges)
+            for index, attr in ROW_INDICES + (("m1", "m1"),):
+                got = _row_index(deg, parent, index)
+                assert got == getattr(bundle, attr) == brute[index], index
+            tree_deg = degrees(t)
+            edge_sum = sum(tree_deg[u] + tree_deg[v] for u, v in t.edges)
+            assert _row_index(deg, parent, "edge_sum") == edge_sum, parent
+            by_degrees = total_irregularity_by_degrees(deg)
+            assert by_degrees == total_irregularity_by_sequence(t) == brute["irr_T"], parent
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_pendant_neighbours_give_strong_supports(self, n):
@@ -875,6 +879,76 @@ class TestRowReaders:
             assert _sequence_ranges(n, index) == {
                 values: (found["min"][values][0], found["max"][values][0]) for values in by_seq
             }
+
+
+def _irr_fault(irr):
+    return irr * 100 if irr % 3 == 1 else irr
+
+
+def _class_sums_fault(sums):
+    irr_t, m1 = sums
+    return irr_t + 1 if irr_t % 5 == 2 else irr_t, m1 + 2 if m1 % 4 == 2 else m1
+
+
+def _identity_oracle(claim_id, n_max):
+    # The four identity claims as they read before they filtered the table:
+    # every tree of all_trees(n) through compute_indices, which runs the
+    # patched kernel, with the same irr fault. Returns (checked, witnesses).
+    from treeirr.claims import _edges_str
+
+    checked, witnesses = 0, []
+    for n in range(2 if claim_id == "irr-upper-tree" else 1, n_max + 1):
+        for t in all_trees(n):
+            checked += 1
+            b = compute_indices(t)
+            irr, tree = _irr_fault(b.irr), _edges_str(t)
+            if claim_id == "sandwich":
+                if not (b.sigma <= irr ** 2 and irr ** 2 <= (n - 1) * b.sigma):
+                    witnesses.append({"tree": tree, "irr": irr, "sigma": b.sigma})
+            elif claim_id == "irr-upper-tree":
+                if irr > (n - 1) * (n - 2):
+                    witnesses.append({"tree": tree, "irr": irr, "bound": (n - 1) * (n - 2)})
+            elif claim_id == "irrT-seq-formula":
+                by_seq = total_irregularity_by_sequence(t)
+                if b.irr_t != by_seq:
+                    witnesses.append({"tree": tree, "pairwise": b.irr_t, "sequence": by_seq})
+            else:
+                tree_deg = degrees(t)
+                edge_sum = sum(tree_deg[u] + tree_deg[v] for u, v in t.edges)
+                if b.m1 != edge_sum:
+                    witnesses.append({"tree": tree, "m1": b.m1, "edge_sum": edge_sum})
+    return checked, witnesses
+
+
+class TestIdentityClaims:
+    # The four identity claims read rows and build only drawn witnesses;
+    # under injected faults that make each fail, their counts and witnesses,
+    # capped and uncapped, must be the oracle's over all_trees, in order.
+
+    @pytest.mark.parametrize(
+        "claim_id", ["sandwich", "irr-upper-tree", "irrT-seq-formula", "m1-edge-identity"]
+    )
+    def test_faulty_witnesses_match_all_trees(self, claim_id, monkeypatch):
+        from treeirr import _kernels, claims
+
+        sums, row_index = _kernels.degree_class_sums, claims._row_index
+
+        def faulty_sums(deg):
+            return _class_sums_fault(sums(deg))
+
+        def faulty_row_index(deg, parent, index):
+            value = row_index(deg, parent, index)
+            return _irr_fault(value) if index == "irr" else value
+
+        monkeypatch.setattr(_kernels, "degree_class_sums", faulty_sums)
+        monkeypatch.setattr(claims, "degree_class_sums", faulty_sums)
+        monkeypatch.setattr(claims, "_row_index", faulty_row_index)
+        results = {cap: verify(claim_id, witness_cap=cap) for cap in (3, None)}
+        checked, want = _identity_oracle(claim_id, results[None].params["n_max"])
+        assert len(want) > 3
+        for cap, r in results.items():
+            assert (r.verdict, r.checked, r.violations) == ("fails", checked, len(want))
+            assert list(r.witnesses) == want[:cap]
 
 
 class TestRelocationDeltas:
@@ -1128,15 +1202,17 @@ class TestLevelFilters:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_unconstrained_class_reads_the_table(self, n, monkeypatch):
-        # A class with no constraint takes the one filter path, not all_trees.
-        from treeirr import claims
+        # A class with no constraint takes the one filter path, not
+        # all_trees, which the claims do not import.
+        from treeirr import claims, enumeration
 
         want = [t.edges for t in all_trees(n)]
 
         def no_all_trees(order):
             raise AssertionError(f"TreeClass({order}) read all_trees")
 
-        monkeypatch.setattr(claims, "all_trees", no_all_trees)
+        monkeypatch.setattr(enumeration, "all_trees", no_all_trees)
+        assert "all_trees" not in vars(claims)
         assert [t.edges for t in class_trees(TreeClass(n))] == want
 
     @pytest.mark.parametrize("claim_id", sorted(RELOCATION_CLAIMS))
@@ -1176,9 +1252,9 @@ class TestLevelFilters:
     # of the 2,143 caterpillars of orders 2-14, on their rows and builds
     # only the 25 violating ones it keeps as witnesses. The relocation
     # sweeps build each tree that the tally draws a witness from (25 kept
-    # each) once, never a tree they only count. The per-sequence extremes
-    # and sigma-ordered's direct reading read their values off the rows
-    # and build nothing.
+    # each) once, never a tree they only count. The per-sequence extremes,
+    # sigma-ordered's direct reading and the four identity claims read
+    # their values off the rows and build nothing.
     @pytest.mark.parametrize(
         "claim_id, builds",
         [
@@ -1192,6 +1268,10 @@ class TestLevelFilters:
             ("hyp-four", 0),
             ("sigma-five", 0),
             ("sigma-ordered", 0),
+            ("sandwich", 0),
+            ("irr-upper-tree", 0),
+            ("irrT-seq-formula", 0),
+            ("m1-edge-identity", 0),
         ],
     )
     def test_warm_claim_builds_only_kept_trees(self, claim_id, builds, monkeypatch):

@@ -98,14 +98,18 @@ class TestAllTrees:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_warm_call_repeats_cold_call(self, n, cold_orders):
+        # A warm call yields the same trees with the same preset codes, and
+        # neither call changes the kept table.
         cold = list(all_trees(n))
-        degs, parents, coded = enumeration._TABLES[n]
+        table = enumeration._TABLES[n]
+        degs, parents = table
         assert len(degs) == len(parents) == n * len(cold)
-        assert coded
+        assert table == _kernels.order_rows(n)
         warm = list(all_trees(n))
         assert [t.edges for t in warm] == [t.edges for t in cold]
-        assert all(t._code is None for t in warm)
-        assert [canonical_code(t) for t in warm] == [canonical_code(t) for t in cold]
+        assert all(t._code is not None for t in warm)
+        assert [t._code for t in warm] == [t._code for t in cold]
+        assert enumeration._TABLES[n] is table
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_cold_call_presets_codes(self, n, cold_orders):
@@ -199,25 +203,23 @@ class TestLevelReader:
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_reader_is_all_trees(self, n, cold_orders):
-        # Whichever caller fills the order, the table holds the same rows:
-        # their parents build all_trees(n) and its degrees are theirs. A
-        # table filled by the reader is in generation order until all_trees
-        # codes it; codes come only with the trees of the coding call.
+        # Whichever caller fills the order, the table holds the same rows in
+        # generation order: all_trees(n) is their parents' trees sorted by
+        # their codes, its degrees theirs, and every call presets each
+        # tree's code and leaves the rows as they were.
         cold = list(all_trees(n))
-        assert all(t._code is not None for t in cold)
         rows = list(enumeration._canonical_table(n))
-        assert [enumeration._parent_tree(parent) for _, parent in rows] == cold
-        assert [tuple(deg) for deg, _ in rows] == [degrees(t) for t in cold]
+        by_code = sorted(rows, key=lambda row: enumeration._row_code(row[1]))
+        assert [enumeration._parent_tree(parent) for _, parent in by_code] == cold
+        assert [tuple(deg) for deg, _ in by_code] == [degrees(t) for t in cold]
+        assert [t._code for t in cold] == [enumeration._row_code(p) for _, p in by_code]
         enumeration._TABLES.clear()
-        uncoded = list(enumeration._canonical_table(n))
-        assert sorted(uncoded) == sorted(rows)
-        recoded = list(all_trees(n))
-        assert recoded == cold
-        assert [t._code for t in recoded] == [t._code for t in cold]
         assert list(enumeration._canonical_table(n)) == rows
-        warm = list(all_trees(n))
-        assert warm == cold
-        assert all(t._code is None for t in warm)
+        for _ in ("first", "second"):
+            trees = list(all_trees(n))
+            assert trees == cold
+            assert [t._code for t in trees] == [t._code for t in cold]
+            assert list(enumeration._canonical_table(n)) == rows
 
     def test_guard(self):
         for n in (0, 17):
@@ -231,14 +233,14 @@ class TestLevelReader:
         # The table's first call generates every row of the order once,
         # keeps the whole table before it yields, and later calls read it
         # alone. Its rows are the brute generator's layouts, read through
-        # the brute reader, in generation order; all_trees puts them in
-        # code order, generating nothing again.
+        # the brute reader, in generation order; all_trees yields their
+        # trees in code order, generating nothing again and leaving the
+        # rows in generation order.
         layouts = [bytes(seq) for seq in level_sequences(n)]
         first = next(enumeration._canonical_table(n))
         assert counted_readers == ["order_rows"] + ["row"] * len(layouts)
-        degs, parents, coded = enumeration._TABLES[n]
+        degs, parents = enumeration._TABLES[n]
         assert len(degs) == len(parents) == n * len(layouts)
-        assert not coded
         rows = list(enumeration._canonical_table(n))
         assert len(counted_readers) == 1 + len(layouts)
         assert rows[0] == first
@@ -247,34 +249,35 @@ class TestLevelReader:
             assert type(deg) is bytes and type(parent) is bytes
             assert (list(deg), list(parent)) == _degrees_parents(levels)
         read = len(counted_readers)
-        list(all_trees(n))
-        rows = list(enumeration._canonical_table(n))
+        trees = list(all_trees(n))
+        assert list(enumeration._canonical_table(n)) == rows
         assert len(counted_readers) == read
-        for levels, (deg, parent) in zip(canonical_layouts(n), rows, strict=True):
-            assert (list(deg), list(parent)) == _degrees_parents(levels)
+        for levels, t in zip(canonical_layouts(n), trees, strict=True):
+            deg, parent = _degrees_parents(levels)
+            assert t == enumeration._parent_tree(parent)
+            assert list(degrees(t)) == deg
+            assert t._code == _kernels.level_code(levels)
 
 
 class TestRowCode:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_row_code_is_the_tree_code(self, n, cold_orders):
         # Every row's code from its parents alone is the code of its built
-        # tree and the edge-rooted oracle's, whichever caller filled the
-        # table (code order or generation order).
-        for fill in (lambda: list(all_trees(n)), lambda: next(enumeration._canonical_table(n))):
-            enumeration._TABLES.clear()
-            fill()
-            for _, parent in enumeration._canonical_table(n):
-                t = enumeration._parent_tree(parent)
-                assert enumeration._row_code(parent) == canonical_code(t)
-                assert enumeration._row_code(parent) == edge_rooted_code(n, t.edges)
+        # tree and the edge-rooted oracle's; the table has one order, so
+        # one fill covers every caller.
+        for _, parent in enumeration._canonical_table(n):
+            t = enumeration._parent_tree(parent)
+            assert enumeration._row_code(parent) == canonical_code(t)
+            assert enumeration._row_code(parent) == edge_rooted_code(n, t.edges)
 
 
 class TestOneFill:
     @pytest.mark.parametrize("n", range(1, 12))
     def test_one_fill_per_order(self, n, cold_orders, monkeypatch):
         # all_trees and the table share one fill: whichever reaches the
-        # order second generates no row. The fill codes nothing; all_trees
-        # then codes each row once, whichever caller came first.
+        # order second generates no row. The fill codes nothing; each
+        # all_trees call codes each row once, whichever caller came first,
+        # and the table reader never codes.
         calls = []
         level_code = _kernels.level_code
 
@@ -301,6 +304,10 @@ class TestOneFill:
             assert calls == first_calls
             second()
             assert calls == fill + coding
+            table()
+            assert calls == fill + coding
+            trees()
+            assert calls == fill + coding * 2
 
 
 class TestEnumeratePath:
