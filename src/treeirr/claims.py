@@ -44,6 +44,7 @@ from .enumeration import (
     _check_order,
     _parent_tree,
     _row_code,
+    _rows_reaching,
     tree_degree_sequences,
 )
 from .formulas import (
@@ -114,16 +115,19 @@ class TreeClass:
         """The class's rows of the order's table, ``(degrees, parents)``.
 
         The one filter over the canonical order for every class query: each
-        tree is decided on its degrees and parents in
-        ``enumeration._canonical_table``, with no tree built. The maximum
-        degree must equal ``delta``, the sorted degrees must equal the
-        sequence, and a caterpillar's non-leaf vertices each have at most
-        two non-leaf neighbours. A class with no constraint keeps every row.
+        tree is decided on its degrees and parents, with no tree built. Only
+        the rows reaching the class's largest allowed degree (``delta``, or
+        the sequence's first entry) are read
+        (``enumeration._rows_reaching``); of those, the maximum degree must
+        equal ``delta``, the sorted degrees must equal the sequence, and a
+        caterpillar's non-leaf vertices each have at most two non-leaf
+        neighbours. A class with no constraint keeps every row.
         """
         delta = self.delta
         seq = None if self.degree_sequence is None else list(self.degree_sequence.values)
         caterpillar_only = self.caterpillar_only
-        for row in _canonical_table(self.n):
+        top = delta if delta is not None else (seq[0] if seq is not None else 0)
+        for row in _rows_reaching(self.n, top):
             deg, parent = row
             if delta is not None and max(deg) != delta:
                 continue
@@ -500,8 +504,9 @@ def _tree_relocations(rows, lam_min: int, lam_max: int, support_filter: bool):
     """Every leaf relocation off a support of degree ``lam_min..lam_max``, by row and support.
 
     ``rows`` are level-sequence layouts of one order, each given by its
-    degrees and parents (``enumeration._canonical_table``; the root's
-    parent is never read). A parent's id is below its children's, so a
+    degrees and parents (``enumeration._rows_reaching``; the root's
+    parent is never read); a row whose maximum degree is below ``lam_min``
+    yields nothing. A parent's id is below its children's, so a
     vertex's neighbours in ascending id are its parent, then its children
     in ascending id. One children list per vertex is filled again for each
     row.
@@ -622,10 +627,11 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
     Supports of degree ``lam_min`` to ``lam_max`` (``None``: no upper
     bound) are admissible, with ``lam_min >= 3``. A support of degree
     ``lam`` needs ``lam + 1`` vertices, so orders below ``lam_min + 1`` are
-    skipped. Each order's table rows (``enumeration._canonical_table``) are
-    swept on their degrees and parents by :func:`_tree_relocations`, which
-    passes over a row whose maximum degree is below ``lam_min``, and each
-    order is counted at once. While the tally has room, the degrees and
+    skipped. Of each order's table, only the rows with a vertex of degree
+    ``>= lam_min`` are read (``enumeration._rows_reaching``): ``sigma-increase``
+    (``lam_min`` 11) walks 8 of the 5,011 rows of orders 12-14. They are
+    swept on their degrees and parents by :func:`_tree_relocations`, and
+    each order is counted at once. While the tally has room, the degrees and
     parents of the order's violating rows are kept (their records are not,
     to bound the memory of an uncapped run), coded and sorted by code
     (``enumeration._row_code``), so witnesses come in ascending canonical
@@ -658,7 +664,7 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
         order_moves = order_violations = 0
         keep = not tally.full
         witnessing_rows = []
-        for deg, parent, records in walk(_canonical_table(n)):
+        for deg, parent, records in walk(_rows_reaching(n, lam_min)):
             row_violations = 0
             for _, lam, side, donors, leaf_change, inner in records:
                 bad_recipients = 0

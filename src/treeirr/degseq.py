@@ -129,24 +129,6 @@ def path(order: int) -> Tree:
     return Tree._unchecked(order, [(i, i + 1) for i in range(order - 1)])
 
 
-def _spine_slots(spine_degrees: Sequence[int]) -> list[tuple[int, int]]:
-    # (degree, backbone degree) per spine slot, after the feasibility checks
-    # that :func:`caterpillar` and :func:`caterpillar_sigma` share.
-    spine = [int(s) for s in spine_degrees]
-    k = len(spine)
-    if k == 0:
-        raise ValueError("empty spine")
-    slots = []
-    for i, s in enumerate(spine):
-        backbone = 0 if k == 1 else (1 if i in (0, k - 1) else 2)
-        if s < backbone or s < 1:
-            raise ValueError(
-                f"infeasible spine degree {s} at slot {i} (needs >= {max(backbone, 1)})"
-            )
-        slots.append((s, backbone))
-    return slots
-
-
 def caterpillar(spine_degrees: Sequence[int]) -> Tree:
     """Caterpillar whose i-th spine vertex ends up with the given degree.
 
@@ -155,37 +137,47 @@ def caterpillar(spine_degrees: Sequence[int]) -> Tree:
     ``spine_degrees[i]``. Interior spine slots therefore need degree >= 2,
     the two ends (or a lone spine vertex) only >= 1.
     """
-    slots = _spine_slots(spine_degrees)
-    k = len(slots)
-    edges = [(i, i + 1) for i in range(k - 1)]
-    nxt = k
-    for i, (s, backbone) in enumerate(slots):
-        for _ in range(s - backbone):
+    _, n = caterpillar_sigma(spine_degrees)  # the feasibility checks, and the order
+    last = len(spine_degrees) - 1
+    edges = [(i, i + 1) for i in range(last)]
+    nxt = last + 1
+    for i, s in enumerate(spine_degrees):
+        for _ in range(s - 2 + (i == 0) + (i == last)):  # s less the backbone degree
             edges.append((i, nxt))
             nxt += 1
-    # Spine edges (i, i+1) and pendant edges (i, nxt) with nxt >= k > i:
-    # a tree on 0..nxt-1 with u < v by construction, so skip validation.
-    return Tree._unchecked(nxt, edges)
+    # Spine edges (i, i+1) and pendant edges (i, nxt) with nxt > last >= i:
+    # a tree on 0..n-1 with u < v by construction, so skip validation.
+    return Tree._unchecked(n, edges)
 
 
 def caterpillar_sigma(spine_degrees: Sequence[int]) -> tuple[int, int]:
     """``(sigma, order)`` of :func:`caterpillar` of the spine, with no tree built.
 
-    Same checks and errors as :func:`caterpillar`. Its edges fall into two
-    classes: spine edges ``(d_i, d_{i+1})``, and ``d_i - b_i`` pendant
-    edges ``(d_i, 1)`` at slot i, where ``b_i`` (0, 1 or 2) is the slot's
-    backbone degree. So, by the definition of sigma,
+    Its edges fall into two classes: spine edges ``(d_i, d_{i+1})``, and
+    ``d_i - b_i`` pendant edges ``(d_i, 1)`` at slot i, where ``b_i`` is
+    the slot's backbone degree: 1 at an end, 2 inside, 0 for a lone slot.
+    So, by the definition of sigma,
     ``sigma = sum (d_i - d_{i+1})^2 + sum (d_i - b_i)(d_i - 1)^2`` and the
-    order is ``k + sum (d_i - b_i)``. The tests hold both against
-    ``compute_indices(caterpillar(spine))``.
+    order is ``k + sum (d_i - b_i)``. One walk over the (integer) degrees
+    adds both as it goes, with no per-slot record; it is also the
+    feasibility check of :func:`caterpillar`, so the two raise the same
+    error at the same first infeasible slot. The tests hold both values
+    against ``compute_indices(caterpillar(spine))``.
     """
-    slots = _spine_slots(spine_degrees)
+    last = len(spine_degrees) - 1
+    if last < 0:
+        raise ValueError("empty spine")
     sigma = 0
-    order = len(slots)
-    prev = slots[0][0]  # so the first slot adds no spine edge
-    for s, backbone in slots:
-        sigma += (prev - s) ** 2 + (s - backbone) * (s - 1) ** 2
-        order += s - backbone
+    order = last + 1
+    prev = spine_degrees[0]  # so the first slot adds no spine edge
+    for i, s in enumerate(spine_degrees):
+        b = 2 - (i == 0) - (i == last)
+        if s < b or s < 1:
+            raise ValueError(
+                f"infeasible spine degree {s} at slot {i} (needs >= {max(b, 1)})"
+            )
+        sigma += (prev - s) ** 2 + (s - b) * (s - 1) ** 2
+        order += s - b
         prev = s
     return sigma, order
 

@@ -7,10 +7,12 @@ parents, generated by the first caller to reach the order
 generation order, uncoded and never reordered. Each ``all_trees`` call
 codes the rows (:func:`_row_code`), sorts them by code and builds each
 tree with its code (:func:`_parent_tree`). Callers that keep only some
-trees (``claims.TreeClass``, the class extremes, the relocation sweeps,
-the identity claims) read :func:`_canonical_table`, which never codes,
-decide on degrees and parents, and code, sort and build only the trees
-they output.
+trees read the rows uncoded, decide on degrees and parents, and code, sort
+and build only the trees they output: the class extremes and the identity
+claims read every row (:func:`_canonical_table`), while
+``claims.TreeClass`` and the relocation sweeps read only the rows with a
+vertex of at least a given degree (:func:`_rows_reaching`), found by a
+C-level scan of the degree blob that never visits the other rows.
 :func:`trees_with_degree_sequence` realizes one tree-graphical degree
 multiset through Prüfer codes and deduplicates by canonical code. The
 ``realize`` command is its only CLI user: ``extremal --seq`` and the claims
@@ -91,6 +93,35 @@ def _canonical_table(n: int) -> Iterator[tuple[bytes, bytes]]:
     deg_blob, parent_blob = _canonical_order(n)
     for start in range(0, len(deg_blob), n):
         yield deg_blob[start : start + n], parent_blob[start : start + n]
+
+
+def _rows_reaching(n: int, lam: int) -> Iterator[tuple[bytes, bytes]]:
+    """The rows of :func:`_canonical_table` with some degree ``>= lam``, in order.
+
+    The scan is C-level: ``bytes.translate`` maps the order's degree blob
+    to a 0/1 mask, the ``n`` strided slices of the mask (the i-th vertex of
+    every row) are OR-ed as integers into one flag byte per row, and
+    ``find`` jumps from each run of kept rows to the next. So a row with no
+    degree ``>= lam`` is never sliced or visited in Python, and a run of
+    kept rows costs two ``find`` calls, not one per row. ``lam <= 0`` keeps
+    every row.
+    """
+    deg_blob, parent_blob = _canonical_order(n)
+    cut = min(max(lam, 0), 256)
+    mask = deg_blob.translate(bytes(cut) + b"\1" * (256 - cut))
+    rows = len(mask) // n
+    hit = 0
+    for i in range(n):
+        hit |= int.from_bytes(mask[i::n], "big")
+    find = hit.to_bytes(rows, "big").find
+    first = find(b"\1")
+    while first >= 0:
+        end = find(b"\0", first)
+        if end < 0:
+            end = rows
+        for start in range(first * n, end * n, n):
+            yield deg_blob[start : start + n], parent_blob[start : start + n]
+        first = find(b"\1", end)
 
 
 def _parent_tree(parent: Sequence[int], code: CanonicalCode | None = None) -> Tree:

@@ -1079,6 +1079,65 @@ class TestRelocationClaims:
         assert r.verdict == "fails"
         assert r.violations == r.checked
 
+    def test_sigma_increase_walks_only_rows_reaching_degree_11(self, monkeypatch):
+        # Of the 5,011 rows of orders 12-14, only the 8 with a vertex of
+        # degree >= 11 reach the relocation walk: 1, 2 and 5 per order.
+        # The walk reads one more row for the witnesses, the 11-star the
+        # tally draws all 25 from, right after order 12's sweep.
+        from treeirr import claims
+
+        handed = []
+        walk = claims._tree_relocations
+
+        def counted(rows, *bounds):
+            rows = list(rows)
+            handed.append(len(rows))
+            return walk(rows, *bounds)
+
+        monkeypatch.setattr(claims, "_tree_relocations", counted)
+        r = verify("sigma-increase")
+        assert r.params == {"n_max": 14}
+        assert handed == [1, 1, 2, 5]
+
+    @pytest.mark.parametrize(
+        "claim_id, n_max, checked, violations, notes",
+        [
+            (
+                "sigma-increase",
+                16,
+                5609,
+                5609,
+                [
+                    "support below max degree: 0 moves, 0 violations",
+                    "support tying max degree with another vertex: 0 moves, 0 violations",
+                    "no side condition on the support vertex: 5609 moves, 5609 violations",
+                    "a support vertex of degree >= 11 distinct from a maximum-degree vertex "
+                    "needs order >= 23, so at this scale every move has the support vertex "
+                    "alone at the maximum degree",
+                ],
+            ),
+            (
+                "sigma-decrease",
+                14,
+                61731,
+                4821,
+                [
+                    "support below max degree: 6238 moves, 1310 violations",
+                    "support tying max degree with another vertex: 11988 moves, 2164 violations",
+                    "no side condition on the support vertex: 61731 moves, 4821 violations",
+                ],
+            ),
+        ],
+    )
+    def test_sigma_relocation_tallies_past_default(
+        self, claim_id, n_max, checked, violations, notes
+    ):
+        # Counts and notes beyond the default orders, as the full-table
+        # sweep gave them before rows were skipped by degree.
+        r = verify(claim_id, {"n_max": n_max})
+        assert (r.verdict, r.checked, r.violations) == ("fails", checked, violations)
+        assert list(r.notes) == notes
+
 
 class TestExtremal:
     def test_order_five(self):
@@ -1199,6 +1258,27 @@ class TestLevelFilters:
                 TreeClass(n, degree_sequence=seq),
                 lambda t: tuple(sorted(degrees(t), reverse=True)) == seq.values,
             )
+
+    def test_degree_classes_read_only_rows_reaching_their_top_degree(self, monkeypatch):
+        # Of the 19,320 rows of order 16, a class with delta 12, or with a
+        # sequence whose first entry is 12, reads the 12 with a vertex of
+        # degree >= 12 and keeps those that match exactly.
+        from treeirr import claims, validate_tree_sequence
+
+        read = []
+        reader = claims._rows_reaching
+
+        def counted(n, lam):
+            for row in reader(n, lam):
+                read.append(lam)
+                yield row
+
+        monkeypatch.setattr(claims, "_rows_reaching", counted)
+        seq = validate_tree_sequence([12, 4] + [1] * 14)
+        for klass, kept in [(TreeClass(16, delta=12), 7), (TreeClass(16, degree_sequence=seq), 1)]:
+            read.clear()
+            assert len(list(klass._rows())) == kept
+            assert read == [12] * 12
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_unconstrained_class_reads_the_table(self, n, monkeypatch):

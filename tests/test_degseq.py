@@ -232,6 +232,36 @@ class TestCaterpillarSigma:
             return
         assert caterpillar_sigma(spine) == (compute_indices(t).sigma, t.n)
 
+    @pytest.mark.parametrize(
+        "spine, slot, needs",
+        [
+            ((0,), 0, 1),
+            ((-1,), 0, 1),
+            ((1, 2), None, None),
+            ((0, 2), 0, 1),
+            ((-1, 3, 2), 0, 1),
+            ((2, 1, 2), 1, 2),
+            ((2, 0, 2), 1, 2),
+            ((2, 3, -1, 2), 2, 2),
+            ((2, 1, 0), 1, 2),
+            ((2, 2, 1), None, None),
+            ((2, 2, 0), 2, 1),
+            ((3, -1), 1, 1),
+        ],
+    )
+    def test_infeasible_slot_message(self, spine, slot, needs):
+        # A lone slot and the two ends need degree >= 1, an interior slot
+        # >= 2; both builders name the first infeasible slot alike.
+        if slot is None:
+            t = caterpillar(spine)
+            assert caterpillar_sigma(spine) == (compute_indices(t).sigma, t.n)
+            return
+        message = f"infeasible spine degree {spine[slot]} at slot {slot} (needs >= {needs})"
+        for build in (caterpillar, caterpillar_sigma):
+            with pytest.raises(ValueError) as info:
+                build(spine)
+            assert str(info.value) == message
+
     def test_empty_spine_rejected(self):
         for build in (caterpillar, caterpillar_sigma):
             with pytest.raises(ValueError, match="empty spine"):

@@ -259,6 +259,38 @@ class TestLevelReader:
             assert t._code == _kernels.level_code(levels)
 
 
+class TestRowsReaching:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_reader_is_the_filtered_table(self, n, cold_orders, monkeypatch):
+        # For every bound from 0 to n + 1, the reader gives exactly the
+        # table's rows with a degree >= lam, as the same bytes and in the
+        # same order, and all of them share the order's one fill.
+        calls = []
+        counted_order_rows(monkeypatch, calls)
+        rows = list(enumeration._canonical_table(n))
+        fill = ["order_rows"] + ["row"] * unlabeled_tree_count(n)
+        assert calls == fill
+        for lam in range(0, n + 2):
+            got = list(enumeration._rows_reaching(n, lam))
+            assert got == [row for row in rows if max(row[0]) >= lam], lam
+            assert all(type(deg) is bytes and type(parent) is bytes for deg, parent in got)
+        assert calls == fill
+        enumeration._TABLES.clear()
+        calls.clear()
+        assert list(enumeration._rows_reaching(n, 0)) == rows
+        assert calls == fill
+
+    def test_guard(self, cold_orders, monkeypatch):
+        # Orders 0 and 17 are refused before any row is generated.
+        calls = []
+        counted_order_rows(monkeypatch, calls)
+        for n in (0, 17):
+            with pytest.raises(EnumerationGuard):
+                next(enumeration._rows_reaching(n, 0))
+        assert calls == []
+        assert enumeration._TABLES == {}
+
+
 class TestRowCode:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_row_code_is_the_tree_code(self, n, cold_orders):
