@@ -27,11 +27,10 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, combinations_with_replacement, islice, permutations
 from math import comb
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import __version__
 from ._kernels import BACKEND, degree_class_sums
@@ -72,16 +71,14 @@ REFERENCE_PERM_MIN = 14196
 # result containers
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     claim_id: str
     statement: str
     parameter_space: str
     oracle_kind: str  # exhaustive-trees | arithmetic | table-fixture | permutation-search
 
 
-@dataclass
-class ClaimResult:
+class ClaimResult(NamedTuple):
     claim_id: str
     params: dict
     verdict: str  # holds | fails | holds-with-notes
@@ -92,8 +89,7 @@ class ClaimResult:
     wall_time: float = 0.0
 
 
-@dataclass(frozen=True)
-class TreeClass:
+class TreeClass(NamedTuple):
     """A finite class of trees: fixed order, optional extra constraints."""
 
     n: int
@@ -181,8 +177,7 @@ def _pendant_neighbours(parent: Sequence[int]) -> list[int]:
     return count
 
 
-@dataclass(frozen=True)
-class ExtremalResult:
+class ExtremalResult(NamedTuple):
     class_description: str
     index: str
     objective: str
@@ -190,8 +185,7 @@ class ExtremalResult:
     witnesses: tuple[tuple[str, str], ...]  # (canonical code, edge list)
 
 
-@dataclass(frozen=True)
-class PermSearchResult:
+class PermSearchResult(NamedTuple):
     base: tuple[int, ...]
     interpretation: str
     evaluations: tuple[tuple[tuple[int, ...], int], ...]
@@ -204,8 +198,7 @@ class PermSearchResult:
     matches_reference_min: bool | None
 
 
-@dataclass(frozen=True)
-class ReportConfig:
+class _ReportConfigFields(NamedTuple):
     claim_ids: tuple[str, ...] | None = None
     n_max: int | None = None
     witness_cap: int | None = DEFAULT_WITNESS_CAP
@@ -214,13 +207,20 @@ class ReportConfig:
     # value, while perfbench/worker.py still passes jobs=1.
     jobs: int = 1
 
-    def __post_init__(self) -> None:
+
+class ReportConfig(_ReportConfigFields):
+    # A NamedTuple body cannot define __new__, so the check sits on a
+    # subclass; empty slots keep its instances free of a __dict__.
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ReportConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.jobs != 1:
             raise ValueError(f"reports run in one process; jobs must be 1, got {self.jobs}")
+        return self
 
 
-@dataclass
-class ClaimReport:
+class ClaimReport(NamedTuple):
     results: tuple[ClaimResult, ...]
     errors: tuple[tuple[str, str], ...]
     config: ReportConfig
@@ -235,8 +235,7 @@ def _data_text(name: str) -> str:
     return resources.files("treeirr").joinpath(f"data/{name}").read_text(encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(NamedTuple):
     seq: tuple[int, int, int, int]
     irr_max: int
     irr_min: int

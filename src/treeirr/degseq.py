@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .tree import Tree
 
@@ -19,8 +18,11 @@ class NotTreeGraphical(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
+class _DegreeSequenceFields(NamedTuple):
+    values: tuple[int, ...]
+
+
+class DegreeSequence(_DegreeSequenceFields):
     """Non-increasing degree multiset of a tree.
 
     Instances come from :func:`validate_tree_sequence`, so they are always
@@ -28,11 +30,14 @@ class DegreeSequence:
     values summing to ``2(n-1)``.
     """
 
-    values: tuple[int, ...]
+    # A NamedTuple body cannot define __new__, so the check sits on a
+    # subclass; empty slots keep its instances free of a __dict__.
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(self.values[i] < self.values[i + 1] for i in range(len(self.values) - 1)):
+    def __new__(cls, values: tuple[int, ...]) -> DegreeSequence:
+        if any(values[i] < values[i + 1] for i in range(len(values) - 1)):
             raise ValueError("values must be sorted non-increasing")
+        return super().__new__(cls, values)
 
     @property
     def n(self) -> int:

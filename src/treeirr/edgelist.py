@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from .tree import Tree
 
@@ -16,8 +15,7 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-@dataclass(frozen=True)
-class ParsedTree:
+class ParsedTree(NamedTuple):
     """A validated tree plus the original vertex labels, indexed by dense id."""
 
     tree: Tree

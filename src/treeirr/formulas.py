@@ -14,8 +14,7 @@ what permutation experiments call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 
 class FormulaError(ValueError):
@@ -26,8 +25,7 @@ class FormulaDomainError(FormulaError):
     """Input violates the formula's declared domain; nothing was computed."""
 
 
-@dataclass(frozen=True)
-class FormulaResult:
+class FormulaResult(NamedTuple):
     formula_id: str
     inputs: tuple[int, ...]
     value: int | bool

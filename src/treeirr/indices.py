@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import _kernels
 from .tree import Tree, degrees
 
 
-@dataclass(frozen=True)
-class IndexBundle:
+class IndexBundle(NamedTuple):
     """The five invariants of one tree.
 
     irr: sum over edges of |d(u)-d(v)| (Albertson irregularity).

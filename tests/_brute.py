@@ -1,7 +1,7 @@
 """Independent brute-force oracles for the test suite.
 
-Apart from :func:`all_trees_by_realization`, :func:`class_trees` and
-:func:`relocate_leaf` (which builds a validated ``Tree``), nothing here
+Apart from :func:`realized_by_sequence`, :func:`all_trees_by_realization`,
+:func:`class_trees` and :func:`relocate_leaf` (which builds a validated ``Tree``), nothing here
 imports the library:
 every other function works on a plain order ``n`` plus an edge list, or
 on a tuple of degrees, so the values these produce are computed along a
@@ -300,6 +300,23 @@ def unlabeled_tree_count(n):
     return rooted_tree_count(n) - paired // 2
 
 
+@lru_cache(maxsize=None)
+def realized_by_sequence(n):
+    """Every degree sequence of order ``n`` with the trees realizing it.
+
+    Maps each ``DegreeSequence`` to its ``(canonical code, tree)`` pairs
+    from the Prüfer realizer (``trees_with_degree_sequence``), in its code
+    order. Cached, so the tests reading an order share one realizer pass;
+    the trees are only read.
+    """
+    from treeirr import canonical_code, tree_degree_sequences, trees_with_degree_sequence
+
+    return {
+        seq: tuple((canonical_code(t), t) for t in trees_with_degree_sequence(seq))
+        for seq in tree_degree_sequences(n)
+    }
+
+
 def all_trees_by_realization(n):
     """Independent twin of ``all_trees``, built from degree realizations.
 
@@ -307,12 +324,10 @@ def all_trees_by_realization(n):
     Prüfer codes, and the classes are deduplicated and ordered by canonical
     code. ``all_trees`` runs neither the realization nor ``canonical_code``.
     """
-    from treeirr import canonical_code, tree_degree_sequences, trees_with_degree_sequence
-
     found = {}
-    for seq in tree_degree_sequences(n):
-        for t in trees_with_degree_sequence(seq):
-            found.setdefault(canonical_code(t), t)
+    for realized in realized_by_sequence(n).values():
+        for code, t in realized:
+            found.setdefault(code, t)
     return [found[key] for key in sorted(found)]
 
 

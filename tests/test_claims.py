@@ -66,6 +66,7 @@ from _brute import (
     brute_indices,
     class_trees,
     levels_to_edges,
+    realized_by_sequence,
     relocate_leaf,
     spanning_trees,
     unlabeled_tree_count,
@@ -543,11 +544,8 @@ class TestEnumerationOnce:
         # of its code.
         for n in range(1, 11):
             ranges = {index: _sequence_ranges(n, index) for index in ("irr", "sigma")}
-            for seq in tree_degree_sequences(n):
-                oracle = [
-                    (canonical_code(t).decode("ascii"), compute_indices(t))
-                    for t in trees_with_degree_sequence(seq)
-                ]
+            for seq, realized in realized_by_sequence(n).items():
+                oracle = [(code.decode("ascii"), compute_indices(t)) for code, t in realized]
                 for attr in ("irr", "sigma"):
                     values = [getattr(b, attr) for _, b in oracle]
                     assert ranges[attr][seq.values] == (min(values), max(values)), (seq, attr)
