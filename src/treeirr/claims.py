@@ -116,8 +116,9 @@ class TreeClass(NamedTuple):
         the sequence's first entry) are read
         (``enumeration._rows_reaching``); of those, the maximum degree must
         equal ``delta``, the sorted degrees must equal the sequence, and a
-        caterpillar's non-leaf vertices each have at most two non-leaf
-        neighbours. A class with no constraint keeps every row.
+        caterpillar's non-leaf vertices must form at most two chains from
+        the root (:func:`_caterpillar_row`). A class with no constraint
+        keeps every row.
         """
         delta = self.delta
         seq = None if self.degree_sequence is None else list(self.degree_sequence.values)
@@ -135,22 +136,27 @@ class TreeClass(NamedTuple):
 
 
 def _caterpillar_row(deg: Sequence[int], parent: Sequence[int]) -> bool:
-    """``is_caterpillar`` of the tree with these degrees and parents.
+    """``is_caterpillar`` of a table row's tree, off its degrees and parents.
 
-    Removing the leaves leaves a path (or nothing) exactly when every
-    non-leaf vertex has at most two non-leaf neighbours: the non-leaf
-    vertices of a tree span a subtree. Each edge is seen once, from the
-    child. A vertex is seen as a child before any of its children, so its
-    count can pass two only while it is a parent, where it is checked.
+    The row must be a preorder layout rooted at a center, as every table
+    row is: a parent precedes its children, the root's parent is ``0``, and
+    the root is a non-leaf vertex from order 3 on. The non-leaf vertices
+    (degree >= 2) span a subtree, and in row order they are its preorder
+    from the root. Removing the leaves leaves a path (or nothing) exactly
+    when that subtree is at most two chains from the root: every non-leaf
+    vertex hangs from the non-leaf vertex before it, except at most one,
+    which hangs from the root.
     """
-    inner = [0] * len(deg)
-    for i in range(1, len(deg)):
-        p = parent[i]
-        if deg[i] >= 2 and deg[p] >= 2:
-            inner[i] += 1
-            inner[p] += 1
-            if inner[p] > 2:
-                return False
+    prev = 0
+    branched = False
+    for i, d in enumerate(deg):
+        if d >= 2:
+            p = parent[i]
+            if p != prev:
+                if p or branched:
+                    return False
+                branched = True
+            prev = i
     return True
 
 
@@ -464,8 +470,8 @@ class _Tally:
                     self.witnesses.append(witness(case))
 
 
-def _move_change(lam: int, dr: int, sum_w: int, ge_w: int, sum_r: int, le_r: int):
-    """The change ``(irr, sigma)`` of moving a leaf off support ``y`` onto ``r``.
+def _irr_change(lam: int, dr: int, sum_w: int, ge_w: int, sum_r: int, le_r: int) -> int:
+    """The change of ``irr`` from moving a leaf off support ``y`` onto ``r``.
 
     ``y`` has degree ``lam`` and ``r``, another neighbor of ``y``, degree
     ``dr``. Only the edges at ``y`` and ``r`` change, so six integers fix
@@ -475,31 +481,42 @@ def _move_change(lam: int, dr: int, sum_w: int, ge_w: int, sum_r: int, le_r: int
     ``r`` other than ``y``: their degree sum is ``sum_r`` and ``le_r`` of
     them have degree ``<= dr``. The end degrees of edge ``yr`` go from
     ``(lam, dr)`` to ``(lam - 1, dr + 1)``, those of the donor edge from
-    ``(lam, 1)`` to ``(dr + 1, 1)``, so:
+    ``(lam, 1)`` to ``(dr + 1, 1)``, so the change is ``#{W: d_w >= lam}
+    - #{W: d_w < lam} + |lam - 2 - dr| - |lam - dr| + dr - lam + 1 +
+    #{R: d_w <= dr} - #{R: d_w > dr}``. ``sum_w`` and ``sum_r`` are not
+    read: :func:`_sigma_change` takes the same six integers.
 
-    - sigma: ``sum_W (2 d_w - 2 lam + 1) + (lam - 2 - dr)^2 - (lam - dr)^2
-      + dr^2 - (lam - 1)^2 + sum_R (2 dr - 2 d_w + 1)``;
-    - irr: ``#{W: d_w >= lam} - #{W: d_w < lam} + |lam - 2 - dr|
-      - |lam - dr| + dr - lam + 1 + #{R: d_w <= dr} - #{R: d_w > dr}``.
-
-    The tests hold both to ``_brute.relocate_leaf`` plus a full recompute.
+    The tests hold it to ``_brute.relocate_leaf`` plus a full recompute.
     """
-    irr = (
+    return (
         2 * ge_w - (lam - 2)
         + abs(lam - 2 - dr) - abs(lam - dr)
         + dr - lam + 1
         + 2 * le_r - (dr - 1)
     )
-    sigma = (
+
+
+def _sigma_change(lam: int, dr: int, sum_w: int, ge_w: int, sum_r: int, le_r: int) -> int:
+    """The change of ``sigma`` from moving a leaf off support ``y`` onto ``r``.
+
+    The move, ``W``, ``R`` and the six integers are those of
+    :func:`_irr_change`. With edge ``yr`` going from ``(lam, dr)`` to
+    ``(lam - 1, dr + 1)`` and the donor edge from ``(lam, 1)`` to ``(dr +
+    1, 1)``, the change is ``sum_W (2 d_w - 2 lam + 1) + (lam - 2 - dr)^2
+    - (lam - dr)^2 + dr^2 - (lam - 1)^2 + sum_R (2 dr - 2 d_w + 1)``.
+    ``ge_w`` and ``le_r`` are not read.
+
+    The tests hold it to ``_brute.relocate_leaf`` plus a full recompute.
+    """
+    return (
         2 * sum_w + (lam - 2) * (1 - 2 * lam)
         + (lam - 2 - dr) ** 2 - (lam - dr) ** 2
         + dr * dr - (lam - 1) ** 2
         + (dr - 1) * (2 * dr + 1) - 2 * sum_r
     )
-    return irr, sigma
 
 
-def _tree_relocations(rows, lam_min: int, lam_max: int, support_filter: bool):
+def _tree_relocations(rows, lam_min: int, lam_max: int, support_filter: bool, change):
     """Every leaf relocation off a support of degree ``lam_min..lam_max``, by row and support.
 
     ``rows`` are level-sequence layouts of one order, each given by its
@@ -520,7 +537,8 @@ def _tree_relocations(rows, lam_min: int, lam_max: int, support_filter: bool):
     of ``y`` in ascending id. Each may move to every other neighbour of
     ``y``, so the support holds ``len(donors) * (lam - 1)`` moves.
 
-    The change ``(irr, sigma)`` of a move (:func:`_move_change`) depends on
+    ``change`` is :func:`_irr_change` or :func:`_sigma_change`, and each
+    change below is the one int it gives. The change of a move depends on
     the recipient, not on which leaf moves. A leaf recipient has no other
     neighbour, so with two donors or more every donor is a recipient of the
     others and ``leaf_change`` is their one shared change; a lone donor is
@@ -566,7 +584,7 @@ def _tree_relocations(rows, lam_min: int, lam_max: int, support_filter: bool):
                 continue
             leaf_change = None
             if len(donors) > 1:
-                leaf_change = _move_change(lam, 1, sum_y - 1, ge_y, 0, 0)
+                leaf_change = change(lam, 1, sum_y - 1, ge_y, 0, 0)
             inner = []
             for r in nbrs:
                 dr = deg[r]
@@ -583,7 +601,7 @@ def _tree_relocations(rows, lam_min: int, lam_max: int, support_filter: bool):
                     dw = deg[w]
                     sum_r += dw
                     le_r += dw <= dr
-                inner.append((r, _move_change(lam, dr, sum_y - dr, ge_y - (dr >= lam), sum_r, le_r)))
+                inner.append((r, change(lam, dr, sum_y - dr, ge_y - (dr >= lam), sum_r, le_r)))
             records.append((y, lam, side, donors, leaf_change, inner))
         if records:
             yield deg, parent, records
@@ -596,14 +614,13 @@ def _relocation_witnesses(deg, parent, walk, bad, value_key):
     # id whose change ``bad`` rejects, bar itself. The row is walked, its
     # tree and edge list built and its index value read once, when the
     # tally draws the row's first witness.
-    pos = ("irr", "sigma").index(value_key)
     tree = _edges_str(_parent_tree(parent))
     before = _row_index(deg, parent, value_key)
     [(_, _, records)] = walk([(deg, parent)])
     for y, lam, side, donors, leaf_change, inner in records:
-        hit = [(r, change[pos]) for r, change in inner if bad(change[pos], lam)]
-        if leaf_change is not None and bad(leaf_change[pos], lam):
-            hit = sorted(hit + [(d, leaf_change[pos]) for d in donors])
+        hit = [(r, change) for r, change in inner if bad(change, lam)]
+        if leaf_change is not None and bad(leaf_change, lam):
+            hit = sorted(hit + [(d, leaf_change) for d in donors])
         for donor in donors:
             for recipient, change in hit:
                 if recipient != donor:
@@ -629,7 +646,9 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
     skipped. Of each order's table, only the rows with a vertex of degree
     ``>= lam_min`` are read (``enumeration._rows_reaching``): ``sigma-increase``
     (``lam_min`` 11) walks 8 of the 5,011 rows of orders 12-14. They are
-    swept on their degrees and parents by :func:`_tree_relocations`, and
+    swept on their degrees and parents by :func:`_tree_relocations`, which
+    gets the one change function of ``value_key`` (:func:`_irr_change` or
+    :func:`_sigma_change`), so its records carry one int per change, and
     each order is counted at once. While the tally has room, the degrees and
     parents of the order's violating rows are kept (their records are not,
     to bound the memory of an uncapped run), coded and sorted by code
@@ -650,14 +669,14 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
     are tallied separately); without it every admissible move counts and
     the split by side is reported in the notes.
     """
-    pos = ("irr", "sigma").index(value_key)
+    change = {"irr": _irr_change, "sigma": _sigma_change}[value_key]
     if lam_max is None:
         lam_max = params["n_max"]
     moves = dict.fromkeys(("strict", "tied", "unfiltered"), 0)
     violations = dict(moves)
 
     def walk(rows):
-        return _tree_relocations(rows, lam_min, lam_max, apply_support_filter)
+        return _tree_relocations(rows, lam_min, lam_max, apply_support_filter, change)
 
     for n in _orders(lam_min + 1, params["n_max"]):
         order_moves = order_violations = 0
@@ -667,10 +686,10 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
             row_violations = 0
             for _, lam, side, donors, leaf_change, inner in records:
                 bad_recipients = 0
-                for _, change in inner:
-                    bad_recipients += bad(change[pos], lam)
+                for _, inner_change in inner:
+                    bad_recipients += bad(inner_change, lam)
                 d = len(donors)
-                if leaf_change is not None and bad(leaf_change[pos], lam):
+                if leaf_change is not None and bad(leaf_change, lam):
                     bad_recipients += d - 1
                 count = d * (lam - 1)
                 bad_count = d * bad_recipients

@@ -81,15 +81,16 @@ def sigma_ordered_value(d: Sequence[int]) -> int:
     """Variable-length closed form, non-decreasing orientation.
 
     End terms weight (d+1), interior terms (d+2), plus squared interior
-    consecutive differences and the constant 2n-2.
+    consecutive differences and the constant 2n-2. Each interior entry
+    brings its term and its squared difference to the next entry, so one
+    pass over the interior sums both.
     """
     n = len(d)
-    total = (d[0] + 1) * (d[0] - 1) ** 2 + (d[-1] + 1) * (d[-1] - 1) ** 2
+    total = (d[0] + 1) * (d[0] - 1) ** 2 + (d[-1] + 1) * (d[-1] - 1) ** 2 + 2 * n - 2
     for i in range(1, n - 1):
-        total += (d[i] + 2) * (d[i] - 1) ** 2
-    for i in range(1, n - 1):
-        total += (d[i] - d[i + 1]) ** 2
-    return total + 2 * n - 2
+        x = d[i]
+        total += (x + 2) * (x - 1) ** 2 + (x - d[i + 1]) ** 2
+    return total
 
 
 def log_bound_holds(d3: int, d4: int) -> bool:

@@ -49,6 +49,21 @@ def tree_graphical(values):
     return all(x >= 1 for x in values) and sum(values) == 2 * (len(values) - 1)
 
 
+def sigma_ordered_two_loops(d):
+    """``formulas.sigma_ordered_value`` as the formula reads, two index loops.
+
+    End terms weight (d+1), interior terms (d+2), then the squared
+    differences of each interior entry and the entry after it, plus 2n-2.
+    """
+    n = len(d)
+    total = (d[0] + 1) * (d[0] - 1) ** 2 + (d[-1] + 1) * (d[-1] - 1) ** 2
+    for i in range(1, n - 1):
+        total += (d[i] + 2) * (d[i] - 1) ** 2
+    for i in range(1, n - 1):
+        total += (d[i] - d[i + 1]) ** 2
+    return total + 2 * n - 2
+
+
 def edge_list_text(edges, labels):
     """An edge-list document naming each dense id ``i`` by ``labels[i]``."""
     return "".join(f"{labels[u]} {labels[v]}\n" for u, v in edges)

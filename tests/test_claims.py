@@ -42,10 +42,11 @@ from treeirr.claims import (
 from treeirr.claims import (
     _caterpillar_row,
     _extremes,
-    _move_change,
+    _irr_change,
     _pendant_neighbours,
     _row_index,
     _sequence_ranges,
+    _sigma_change,
     _tree_relocations,
 )
 from treeirr.degseq import caterpillar
@@ -459,21 +460,35 @@ def _class_moves(deg, parent, support_filter=False):
     """The moves of the per-support records of a layout, expanded in sweep order.
 
     ``deg`` and ``parent`` describe a level-sequence layout; every support
-    of degree >= 3 is admissible. The records are held to the tree of the
-    parent edges, built by the validating constructor, which the function
-    returns with the moves ``(y, donor, recipient, side, change)``.
+    of degree >= 3 is admissible. The layout is walked once per index, and
+    the two walks' records must agree on all but their changes. The records
+    are held to the tree of the parent edges, built by the validating
+    constructor, which the function returns with the moves ``(y, donor,
+    recipient, side, (irr change, sigma change))``.
     """
     n = len(deg)
     t = Tree(n, [(parent[i], i) for i in range(1, n)])
     top = max(deg)
     ties = deg.count(top)
     moves = []
-    records = [
-        record
-        for _, _, row_records in _tree_relocations([(deg, parent)], 3, top, support_filter)
-        for record in row_records
-    ]
-    for y, lam, side, donors, leaf_change, inner in records:
+    irr_records, sigma_records = (
+        [
+            record
+            for _, _, row_records in _tree_relocations(
+                [(deg, parent)], 3, top, support_filter, change
+            )
+            for record in row_records
+        ]
+        for change in (_irr_change, _sigma_change)
+    )
+    for irr_record, sigma_record in zip(irr_records, sigma_records, strict=True):
+        y, lam, side, donors, irr_leaf, irr_inner = irr_record
+        assert sigma_record[:4] == (y, lam, side, donors)
+        sigma_leaf, sigma_inner = sigma_record[4:]
+        assert (irr_leaf is None) == (sigma_leaf is None)
+        assert [r for r, _ in irr_inner] == [r for r, _ in sigma_inner]
+        leaf_change = None if irr_leaf is None else (irr_leaf, sigma_leaf)
+        inner = [(r, (d_irr, d_sigma)) for (r, d_irr), (_, d_sigma) in zip(irr_inner, sigma_inner)]
         assert lam == len(t.adjacency[y])
         assert donors == [w for w in t.adjacency[y] if len(t.adjacency[w]) == 1]
         # Only two donors or more share a leaf change; a lone donor is no recipient.
@@ -985,11 +1000,12 @@ class TestRelocationDeltas:
         # are inner vertices, so the leaf can only move to 2 or 4.
         levels = (0, 1, 1, 2, 1, 2)
         deg, parent = _degrees_parents(levels)
-        [(_, _, records)] = _tree_relocations([(deg, parent)], 3, 3, False)
-        [(y, lam, side, donors, leaf_change, inner)] = records
-        assert (y, lam, side, donors) == (0, 3, "unfiltered", [1])
-        assert leaf_change is None
-        assert [r for r, _ in inner] == [2, 4]
+        for change in (_irr_change, _sigma_change):
+            [(_, _, records)] = _tree_relocations([(deg, parent)], 3, 3, False, change)
+            [(y, lam, side, donors, leaf_change, inner)] = records
+            assert (y, lam, side, donors) == (0, 3, "unfiltered", [1])
+            assert leaf_change is None
+            assert [r for r, _ in inner] == [2, 4]
         t, moves = _class_moves(deg, parent)
         assert t == Tree(len(levels), levels_to_edges(levels))
         assert t.edges == ((0, 1), (0, 2), (0, 4), (2, 3), (4, 5))
@@ -1002,12 +1018,13 @@ class TestRelocationDeltas:
         # the support tied at the maximum degree.
         levels = (0,) + (1,) * 10 + (1, 2) + (3,) * 10
         deg, parent = _degrees_parents(levels)
-        [(_, _, records)] = _tree_relocations([(deg, parent)], 11, 11, True)
-        supports = [(y, lam, side) for y, lam, side, _, _, _ in records]
-        assert supports == [(0, 11, "tied"), (12, 11, "tied")]
-        for _, _, _, _, _, inner in records:
-            assert dict(inner)[11] == (-20, -316)
-        assert _move_change(11, 2, 9, 0, 11, 0) == (-20, -316)
+        for change, want in ((_irr_change, -20), (_sigma_change, -316)):
+            [(_, _, records)] = _tree_relocations([(deg, parent)], 11, 11, True, change)
+            supports = [(y, lam, side) for y, lam, side, _, _, _ in records]
+            assert supports == [(0, 11, "tied"), (12, 11, "tied")]
+            for _, _, _, _, _, inner in records:
+                assert dict(inner)[11] == want
+            assert change(11, 2, 9, 0, 11, 0) == want
         t = Tree(len(levels), levels_to_edges(levels))
         moved = relocate_leaf(t, 0, 1, 11)[0]
         assert (compute_indices(t).sigma, compute_indices(moved).sigma) == (2162, 1846)
@@ -1229,6 +1246,15 @@ class TestLevelFilters:
                 assert got == is_caterpillar(_parent_tree(parent)), parent
                 seen[got] += 1
         assert seen == {True: 2144, False: 3303}
+
+    def test_caterpillar_rows_match_harary_schwenk_count(self):
+        # Harary & Schwenk (1973): 2^(n-4) + 2^floor((n-4)/2) caterpillars of
+        # order n >= 4, and the one tree of each order below. Counted off the
+        # table rows, with no tree built and no is_caterpillar.
+        for n in range(1, 17):
+            want = 1 if n <= 3 else 2 ** (n - 4) + 2 ** ((n - 4) // 2)
+            got = sum(_caterpillar_row(deg, parent) for deg, parent in _canonical_table(n))
+            assert got == want, n
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_tree_class_matches_brute_filter(self, n):

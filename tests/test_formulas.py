@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,8 @@ from treeirr.formulas import (
     log_bound_holds,
     sigma_ordered_value,
 )
+
+from _brute import sigma_ordered_two_loops
 
 descending4 = (
     st.tuples(*(st.integers(1, 60),) * 4).map(lambda t: tuple(sorted(t, reverse=True)))
@@ -86,6 +89,13 @@ class TestIdentities:
             - 2
         )
         assert sigma_ordered_value(d) == by_hand
+
+    def test_sigma_ordered_matches_two_loop_transcription(self):
+        # Every tuple of length 1-6 over 0-5, ordered or not: the one-pass
+        # sum against the formula's literal two loops.
+        for k in range(1, 7):
+            for d in product(range(6), repeat=k):
+                assert sigma_ordered_value(d) == sigma_ordered_two_loops(d), d
 
 
 class TestDomainEnforcement:
