@@ -39,7 +39,6 @@ from .edgelist import parse_edge_list
 from .enumeration import (
     CODE_CAP,
     EnumerationGuard,
-    _canonical_table,
     _check_order,
     _parent_tree,
     _row_code,
@@ -316,7 +315,7 @@ def _extremes(rows, key, index: str, objectives: Sequence[str] = ("min", "max"))
 
 def _sequence_ranges(n: int, index: str) -> dict[tuple[int, ...], tuple[int, int]]:
     """``(min, max)`` of ``index`` per degree sequence (largest first) of order ``n``."""
-    found = _extremes(_canonical_table(n), lambda deg, _: tuple(sorted(deg, reverse=True)), index)
+    found = _extremes(_rows_reaching(n, 0), lambda deg, _: tuple(sorted(deg, reverse=True)), index)
     return {k: (low, found["max"][k][0]) for k, (low, _) in found["min"].items()}
 
 
@@ -417,7 +416,12 @@ def _leaf_counts(n_max: int) -> range:
 
 
 class _Tally:
-    """Cases checked and violations of one claim run, with the first ``cap`` witnesses."""
+    """Cases checked and violations of one claim run, with the first ``cap`` witnesses.
+
+    A checker records each case through :meth:`count`, or a whole class of
+    cases through :meth:`add_class`; one with its own loop counts
+    ``checked`` itself and records each violation through :meth:`add`.
+    """
 
     def __init__(self, cap: int | None):
         self.cap = cap
@@ -431,6 +435,7 @@ class _Tally:
         return self.cap is not None and len(self.witnesses) >= self.cap
 
     def add(self, witness: dict) -> None:
+        """One violation, with its witness kept while the cap has room."""
         self.violations += 1
         if not self.full:
             self.witnesses.append(witness)
@@ -448,16 +453,8 @@ class _Tally:
         if room > 0:
             self.witnesses.extend(islice(witnesses, room))
 
-    def run(self, cases, check: Callable[..., dict | None]) -> None:
-        """Each case through ``check``, which returns a witness dict or ``None``."""
-        for case in cases:
-            self.checked += 1
-            bad = check(case)
-            if bad is not None:
-                self.add(bad)
-
     def count(self, cases, bad: Callable[..., bool], witness: Callable[..., dict]) -> None:
-        """Each case through ``bad``, which decides whether it violates.
+        """Each case checked, through ``bad``, which decides whether it violates.
 
         ``witness(case)`` builds a violation's dict only while the cap
         keeps it, so a claim with many violations builds no more than that.
@@ -788,12 +785,14 @@ def _check_fig2(params, tally):
     n_max=50,
 )
 def _check_star_albertson(params, tally):
-    def check(k):
-        got = compute_indices(star(k)).irr
-        if got != k * (k - 1):
-            return {"leaves": k, "got": got, "want": k * (k - 1)}
+    def irr(k):
+        return compute_indices(star(k)).irr
 
-    tally.run(_leaf_counts(params["n_max"]), check)
+    tally.count(
+        _leaf_counts(params["n_max"]),
+        lambda k: irr(k) != k * (k - 1),
+        lambda k: {"leaves": k, "got": irr(k), "want": k * (k - 1)},
+    )
     return []
 
 
@@ -806,13 +805,14 @@ def _check_star_albertson(params, tally):
 )
 def _check_star_iso_sum(params, tally):
     # Two disjoint isomorphic stars: the indices add up.
-    def check(k):
-        one = compute_indices(star(k)).irr
-        other = compute_indices(star(k)).irr
-        if one + other != 2 * k * (k - 1):
-            return {"leaves": k, "got": one + other, "want": 2 * k * (k - 1)}
+    def irr_sum(k):
+        return compute_indices(star(k)).irr + compute_indices(star(k)).irr
 
-    tally.run(_leaf_counts(params["n_max"]), check)
+    tally.count(
+        _leaf_counts(params["n_max"]),
+        lambda k: irr_sum(k) != 2 * k * (k - 1),
+        lambda k: {"leaves": k, "got": irr_sum(k), "want": 2 * k * (k - 1)},
+    )
     return []
 
 
@@ -828,7 +828,7 @@ def _identity_claim(params, tally, lo, check):
     for n in _orders(lo, params["n_max"]):
         checked = 0
         bad = []
-        for deg, parent in _canonical_table(n):
+        for deg, parent in _rows_reaching(n, 0):
             checked += 1
             values = check(deg, parent)
             if values is not None:
@@ -838,6 +838,26 @@ def _identity_claim(params, tally, lo, check):
         witnesses = ({"tree": _edges_str(_parent_tree(p)), **values} for p, values in bad)
         tally.add_class(checked, len(bad), witnesses)
     return []
+
+
+def _range_claim(tally, n, index, formula, note):
+    """Shared engine for the closed forms of one order's tree sequences.
+
+    For each tree sequence of order ``n`` (largest first), ``formula(values)``
+    violates unless it lies in the exhaustive ``(min, max)`` of ``index`` over
+    the sequence's trees (:func:`_sequence_ranges`). Each sequence adds the
+    note ``note(seq, value, min, max)``.
+    """
+    notes = []
+    ranges = _sequence_ranges(n, index)
+    for seq in tree_degree_sequences(n):
+        tally.checked += 1
+        value = formula(seq.values)
+        tmn, tmx = ranges[seq.values]
+        if not tmn <= value <= tmx:
+            tally.add({"sequence": str(seq), "formula": value, "true_min": tmn, "true_max": tmx})
+        notes.append(note(seq, value, tmn, tmx))
+    return notes
 
 
 @_claim(
@@ -955,27 +975,14 @@ def _check_three_c(params, tally):
     "exhaustive-trees",
 )
 def _check_hyp_four(params, tally):
-    notes = []
-    ranges = _sequence_ranges(4, "irr")
-    for seq in tree_degree_sequences(4):
-        tally.checked += 1
-        value = hyp_four_value(seq.values)
-        bmx, bmn = hyp_four_bounds_values(seq.values)
-        tmn, tmx = ranges[seq.values]
-        if not (tmn <= value <= tmx):
-            tally.add(
-                {
-                    "sequence": str(seq),
-                    "formula": value,
-                    "true_min": tmn,
-                    "true_max": tmx,
-                }
-            )
-        notes.append(
-            f"{seq}: single form {value}, paired bounds ({bmx}, {bmn}), "
-            f"exhaustive range [{tmn}, {tmx}]"
-        )
-    return notes
+    return _range_claim(
+        tally,
+        4,
+        "irr",
+        hyp_four_value,
+        lambda seq, value, tmn, tmx: f"{seq}: single form {value}, paired bounds "
+        f"{hyp_four_bounds_values(seq.values)}, exhaustive range [{tmn}, {tmx}]",
+    )
 
 
 @_claim(
@@ -1197,24 +1204,15 @@ def _check_resn1(params, tally):
     "exhaustive-trees",
 )
 def _check_sigma_five(params, tally):
-    notes = []
-    ranges = _sequence_ranges(5, "sigma")
-    for seq in tree_degree_sequences(5):
-        tally.checked += 1
-        ascending = tuple(reversed(seq.values))
-        value = sigma_five_value(ascending)
-        tmn, tmx = ranges[seq.values]
-        if not (tmn <= value <= tmx):
-            tally.add(
-                {
-                    "sequence": str(seq),
-                    "formula": value,
-                    "true_min": tmn,
-                    "true_max": tmx,
-                }
-            )
-        notes.append(f"{seq}: formula {value}, exhaustive sigma range [{tmn}, {tmx}]")
-    return notes
+    # The closed form takes the degrees in ascending order.
+    return _range_claim(
+        tally,
+        5,
+        "sigma",
+        lambda values: sigma_five_value(values[::-1]),
+        lambda seq, value, tmn, tmx: f"{seq}: formula {value}, "
+        f"exhaustive sigma range [{tmn}, {tmx}]",
+    )
 
 
 @_claim(
@@ -1275,7 +1273,7 @@ def _check_cor3_part1(params, tally):
     if count > CODE_CAP:
         raise EnumerationGuard(f"{count} pairs above the cap of {CODE_CAP}")
     pairs = ((d3, d4) for d3 in range(4, d_max + 1) for d4 in range(d3, d_max + 1))
-    tally.run(pairs, lambda p: None if log_bound_holds(*p) else {"d3": p[0], "d4": p[1]})
+    tally.count(pairs, lambda p: not log_bound_holds(*p), lambda p: {"d3": p[0], "d4": p[1]})
     return []
 
 
@@ -1312,7 +1310,7 @@ def _check_sigma_ordered(params, tally):
     )
     direct_total = direct_agree = 0
     for n in orders:
-        for deg, parent in _canonical_table(n):
+        for deg, parent in _rows_reaching(n, 0):
             direct_total += 1
             if sigma_ordered_value(tuple(sorted(deg))) == _row_index(deg, parent, "sigma"):
                 direct_agree += 1

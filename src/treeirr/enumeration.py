@@ -7,12 +7,13 @@ parents, generated by the first caller to reach the order
 generation order, uncoded and never reordered. Each ``all_trees`` call
 codes the rows (:func:`_row_code`), sorts them by code and builds each
 tree with its code (:func:`_parent_tree`). Callers that keep only some
-trees read the rows uncoded, decide on degrees and parents, and code, sort
-and build only the trees they output: the class extremes and the identity
-claims read every row (:func:`_canonical_table`), while
-``claims.TreeClass`` and the relocation sweeps read only the rows with a
-vertex of at least a given degree (:func:`_rows_reaching`), found by a
-C-level scan of the degree blob that never visits the other rows.
+trees read the rows uncoded through one reader, :func:`_rows_reaching`,
+decide on degrees and parents, and code, sort and build only the trees
+they output. The reader keeps the rows with a vertex of at least a given
+degree, found by a C-level scan of the degree blob that never visits the
+other rows. The sequence ranges, the identity claims and ``sigma-ordered``'s
+direct reading read every row (lam 0); ``claims.TreeClass`` and the
+relocation sweeps read only the rows reaching a degree.
 :func:`trees_with_degree_sequence` realizes one tree-graphical degree
 multiset through Prüfer codes and deduplicates by canonical code. The
 ``realize`` command is its only CLI user: ``extremal --seq`` and the claims
@@ -81,30 +82,21 @@ def _canonical_order(n: int) -> tuple[bytes, bytes]:
     return table
 
 
-def _canonical_table(n: int) -> Iterator[tuple[bytes, bytes]]:
-    """``(degrees, parents)`` for each tree of order ``n``, in generation order.
-
-    ``bytes`` slices of the order's table, the root's parent being ``0``,
-    filled before the first row if no caller has reached the order yet, for
-    callers that decide on degrees and parents before they build. Nothing
-    is coded: a caller that outputs rows codes (:func:`_row_code`) and
-    sorts them itself.
-    """
-    deg_blob, parent_blob = _canonical_order(n)
-    for start in range(0, len(deg_blob), n):
-        yield deg_blob[start : start + n], parent_blob[start : start + n]
-
-
 def _rows_reaching(n: int, lam: int) -> Iterator[tuple[bytes, bytes]]:
-    """The rows of :func:`_canonical_table` with some degree ``>= lam``, in order.
+    """``(degrees, parents)`` of each tree of order ``n`` with some degree ``>= lam``.
+
+    ``bytes`` slices of the order's table (:func:`_canonical_order`), the
+    root's parent being ``0``, in generation order; lam 0 (or below) reads
+    every row. The table is filled before the first row if no caller has
+    reached the order yet. Nothing is coded: a caller that outputs rows
+    codes (:func:`_row_code`) and sorts them itself.
 
     The scan is C-level: ``bytes.translate`` maps the order's degree blob
     to a 0/1 mask, the ``n`` strided slices of the mask (the i-th vertex of
     every row) are OR-ed as integers into one flag byte per row, and
     ``find`` jumps from each run of kept rows to the next. So a row with no
     degree ``>= lam`` is never sliced or visited in Python, and a run of
-    kept rows costs two ``find`` calls, not one per row. ``lam <= 0`` keeps
-    every row.
+    kept rows costs two ``find`` calls, not one per row.
     """
     deg_blob, parent_blob = _canonical_order(n)
     cut = min(max(lam, 0), 256)

@@ -1,8 +1,8 @@
 """Independent brute-force oracles for the test suite.
 
 Apart from :func:`realized_by_sequence`, :func:`all_trees_by_realization`,
-:func:`class_trees` and :func:`relocate_leaf` (which builds a validated ``Tree``), nothing here
-imports the library:
+:func:`table_rows`, :func:`class_trees` and :func:`relocate_leaf` (which
+builds a validated ``Tree``), nothing here imports the library:
 every other function works on a plain order ``n`` plus an edge list, or
 on a tuple of degrees, so the values these produce are computed along a
 second, unrelated path.
@@ -344,6 +344,21 @@ def all_trees_by_realization(n):
         for code, t in realized:
             found.setdefault(code, t)
     return [found[key] for key in sorted(found)]
+
+
+def table_rows(n):
+    """Every ``(degrees, parents)`` row of order ``n``'s table, in table order.
+
+    Plain ``n``-byte slices of the two blobs of ``enumeration._canonical_order``,
+    the oracle of the library's one row reader.
+    """
+    from treeirr.enumeration import _canonical_order
+
+    deg_blob, parent_blob = _canonical_order(n)
+    return [
+        (deg_blob[start : start + n], parent_blob[start : start + n])
+        for start in range(0, len(deg_blob), n)
+    ]
 
 
 def class_trees(klass):

@@ -53,9 +53,9 @@ from treeirr.degseq import caterpillar
 from treeirr.enumeration import (
     CODE_CAP,
     EnumerationGuard,
-    _canonical_table,
     _parent_tree,
     _row_code,
+    _rows_reaching,
     tree_degree_sequences,
     trees_with_degree_sequence,
 )
@@ -121,10 +121,10 @@ class TestCatalog:
         # Rejected before the sweep reads a single order.
         from treeirr import claims
 
-        def no_work(n):
+        def no_work(n, lam):
             raise AssertionError("swept with a negative cap")
 
-        monkeypatch.setattr(claims, "_canonical_table", no_work)
+        monkeypatch.setattr(claims, "_rows_reaching", no_work)
         with pytest.raises(ValueError, match=f"witness_cap must be >= 0 or None, got {cap}"):
             verify("irr-decrease", {"n_max": 6}, witness_cap=cap)
 
@@ -186,6 +186,62 @@ class TestArithmeticClaims:
         r = verify("cor3-part1", {"d_max": 40})
         assert r.verdict == "holds"
         assert r.checked == sum(1 for a in range(4, 41) for _ in range(a, 41))
+
+    @pytest.mark.parametrize(
+        "claim_id, params, witnesses",
+        [
+            (
+                "star-albertson",
+                {"n_max": 8},
+                [
+                    {"leaves": 4, "got": 13, "want": 12},
+                    {"leaves": 6, "got": 31, "want": 30},
+                    {"leaves": 8, "got": 57, "want": 56},
+                ],
+            ),
+            (
+                "star-iso-sum",
+                {"n_max": 8},
+                [
+                    {"leaves": 4, "got": 26, "want": 24},
+                    {"leaves": 6, "got": 62, "want": 60},
+                    {"leaves": 8, "got": 114, "want": 112},
+                ],
+            ),
+            (
+                "cor3-part1",
+                {"d_max": 8},
+                [
+                    {"d3": 4, "d4": 5},
+                    {"d3": 4, "d4": 8},
+                    {"d3": 5, "d4": 7},
+                    {"d3": 6, "d4": 6},
+                    {"d3": 7, "d4": 8},
+                ],
+            ),
+        ],
+        ids=["star-albertson", "star-iso-sum", "cor3-part1"],
+    )
+    def test_forced_violations_pin_witnesses(self, claim_id, params, witnesses, monkeypatch):
+        # These claims hold, so no golden file shows their witnesses. A star
+        # with an even leaf count gets irr one too high, and a pair whose
+        # sum is a multiple of 3 fails the log bound; every case is counted
+        # and the first `cap` witnesses are kept, in case order.
+        from treeirr import claims
+
+        real = claims.compute_indices
+
+        def off_by_one(t):
+            bundle = real(t)
+            return bundle._replace(irr=bundle.irr + t.n % 2)
+
+        monkeypatch.setattr(claims, "compute_indices", off_by_one)
+        monkeypatch.setattr(claims, "log_bound_holds", lambda d3, d4: (d3 + d4) % 3 != 0)
+        checked = 6 if claim_id.startswith("star") else 15
+        for cap, kept in [(2, witnesses[:2]), (None, witnesses)]:
+            r = verify(claim_id, params, witness_cap=cap)
+            assert (r.verdict, r.checked, r.violations) == ("fails", checked, len(witnesses))
+            assert list(r.witnesses) == kept
 
     @pytest.mark.parametrize(
         "claim_id, params, message",
@@ -757,7 +813,7 @@ def _fill(orders, how):
 
     enumeration._TABLES.clear()
     for n in orders:
-        rows = list(_canonical_table(n))
+        rows = list(_rows_reaching(n, 0))
         if how == "reversed":
             rows.reverse()
             enumeration._TABLES[n] = tuple(b"".join(blobs) for blobs in zip(*rows))
@@ -797,7 +853,7 @@ class TestFillOrder:
         want = outputs(), [(t.edges, t._code) for t in all_trees(n)]
         assert enumeration._TABLES[n] is table
         # From order 5 on, generation order is not code order.
-        parents = [parent for _, parent in _canonical_table(n)]
+        parents = [parent for _, parent in _rows_reaching(n, 0)]
         assert (parents != sorted(parents, key=_row_code)) is (n >= 5)
         _fill([n], "reversed")
         assert (outputs(), [(t.edges, t._code) for t in all_trees(n)]) == want
@@ -837,7 +893,7 @@ class TestRowReaders:
     # pass; the per-sequence class filter plus compute_indices is its.
     @pytest.mark.parametrize("n", range(1, 13))
     def test_row_index_is_the_bundle(self, n):
-        for deg, parent in _canonical_table(n):
+        for deg, parent in _rows_reaching(n, 0):
             t = _parent_tree(parent)
             bundle, brute = compute_indices(t), brute_indices(n, t.edges)
             for index, attr in ROW_INDICES:
@@ -851,7 +907,7 @@ class TestRowReaders:
         # the M1 edge sum over (i, parent[i]) and the sequence formula on
         # the degrees, each against the built tree's bundle and the brute
         # definitions.
-        for deg, parent in _canonical_table(n):
+        for deg, parent in _rows_reaching(n, 0):
             t = _parent_tree(parent)
             bundle, brute = compute_indices(t), brute_indices(n, t.edges)
             for index, attr in ROW_INDICES + (("m1", "m1"),):
@@ -867,7 +923,7 @@ class TestRowReaders:
     def test_pendant_neighbours_give_strong_supports(self, n):
         # Both readings of a strong support vertex, off a row's parents,
         # against strong_support_vertices of the built tree.
-        for _, parent in _canonical_table(n):
+        for _, parent in _rows_reaching(n, 0):
             count = _pendant_neighbours(parent)
             t = _parent_tree(parent)
             for m in (1, 2):
@@ -882,7 +938,7 @@ class TestRowReaders:
             by_seq[seq.values] = [(p, compute_indices(_parent_tree(p))) for _, p in rows]
         sorted_degrees = lambda deg, parent: tuple(sorted(deg, reverse=True))
         for index, attr in ROW_INDICES:
-            found = _extremes(_canonical_table(n), sorted_degrees, index)
+            found = _extremes(_rows_reaching(n, 0), sorted_degrees, index)
             assert set(found["min"]) == set(found["max"]) == set(by_seq)
             for values, rows in by_seq.items():
                 for objective, pick in (("min", min), ("max", max)):
@@ -984,7 +1040,7 @@ class TestRelocationDeltas:
 
     def test_every_move_up_to_order_nine(self):
         for n in range(2, 10):
-            for deg, parent in _canonical_table(n):
+            for deg, parent in _rows_reaching(n, 0):
                 t, moves = _class_moves(deg, parent)
                 assert [m[:3] for m in moves] == _admissible_moves(t)
                 _assert_matches_recompute(t, moves)
@@ -1241,7 +1297,7 @@ class TestLevelFilters:
 
         seen = {True: 0, False: 0}
         for n in range(1, 15):
-            for deg, parent in _canonical_table(n):
+            for deg, parent in _rows_reaching(n, 0):
                 got = _caterpillar_row(deg, parent)
                 assert got == is_caterpillar(_parent_tree(parent)), parent
                 seen[got] += 1
@@ -1253,7 +1309,7 @@ class TestLevelFilters:
         # table rows, with no tree built and no is_caterpillar.
         for n in range(1, 17):
             want = 1 if n <= 3 else 2 ** (n - 4) + 2 ** ((n - 4) // 2)
-            got = sum(_caterpillar_row(deg, parent) for deg, parent in _canonical_table(n))
+            got = sum(_caterpillar_row(deg, parent) for deg, parent in _rows_reaching(n, 0))
             assert got == want, n
 
     @pytest.mark.parametrize("n", range(1, 13))

@@ -27,6 +27,7 @@ from _brute import (
     levels_to_edges,
     relocate_leaf,
     spanning_trees,
+    table_rows,
     tree_graphical,
     unlabeled_tree_count,
 )
@@ -208,25 +209,25 @@ class TestLevelReader:
         # their codes, its degrees theirs, and every call presets each
         # tree's code and leaves the rows as they were.
         cold = list(all_trees(n))
-        rows = list(enumeration._canonical_table(n))
+        rows = list(enumeration._rows_reaching(n, 0))
         by_code = sorted(rows, key=lambda row: enumeration._row_code(row[1]))
         assert [enumeration._parent_tree(parent) for _, parent in by_code] == cold
         assert [tuple(deg) for deg, _ in by_code] == [degrees(t) for t in cold]
         assert [t._code for t in cold] == [enumeration._row_code(p) for _, p in by_code]
         enumeration._TABLES.clear()
-        assert list(enumeration._canonical_table(n)) == rows
+        assert list(enumeration._rows_reaching(n, 0)) == rows
         for _ in ("first", "second"):
             trees = list(all_trees(n))
             assert trees == cold
             assert [t._code for t in trees] == [t._code for t in cold]
-            assert list(enumeration._canonical_table(n)) == rows
+            assert list(enumeration._rows_reaching(n, 0)) == rows
 
     def test_guard(self):
         for n in (0, 17):
             with pytest.raises(EnumerationGuard):
                 enumeration._canonical_order(n)
             with pytest.raises(EnumerationGuard):
-                next(enumeration._canonical_table(n))
+                next(enumeration._rows_reaching(n, 0))
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_table_is_degrees_parents(self, n, cold_orders, counted_readers):
@@ -237,11 +238,11 @@ class TestLevelReader:
         # trees in code order, generating nothing again and leaving the
         # rows in generation order.
         layouts = [bytes(seq) for seq in level_sequences(n)]
-        first = next(enumeration._canonical_table(n))
+        first = next(enumeration._rows_reaching(n, 0))
         assert counted_readers == ["order_rows"] + ["row"] * len(layouts)
         degs, parents = enumeration._TABLES[n]
         assert len(degs) == len(parents) == n * len(layouts)
-        rows = list(enumeration._canonical_table(n))
+        rows = list(enumeration._rows_reaching(n, 0))
         assert len(counted_readers) == 1 + len(layouts)
         assert rows[0] == first
         assert len(rows) == len(layouts)
@@ -250,7 +251,7 @@ class TestLevelReader:
             assert (list(deg), list(parent)) == _degrees_parents(levels)
         read = len(counted_readers)
         trees = list(all_trees(n))
-        assert list(enumeration._canonical_table(n)) == rows
+        assert list(enumeration._rows_reaching(n, 0)) == rows
         assert len(counted_readers) == read
         for levels, t in zip(canonical_layouts(n), trees, strict=True):
             deg, parent = _degrees_parents(levels)
@@ -267,7 +268,7 @@ class TestRowsReaching:
         # same order, and all of them share the order's one fill.
         calls = []
         counted_order_rows(monkeypatch, calls)
-        rows = list(enumeration._canonical_table(n))
+        rows = table_rows(n)
         fill = ["order_rows"] + ["row"] * unlabeled_tree_count(n)
         assert calls == fill
         for lam in range(0, n + 2):
@@ -297,7 +298,7 @@ class TestRowCode:
         # Every row's code from its parents alone is the code of its built
         # tree and the edge-rooted oracle's; the table has one order, so
         # one fill covers every caller.
-        for _, parent in enumeration._canonical_table(n):
+        for _, parent in enumeration._rows_reaching(n, 0):
             t = enumeration._parent_tree(parent)
             assert enumeration._row_code(parent) == canonical_code(t)
             assert enumeration._row_code(parent) == edge_rooted_code(n, t.edges)
@@ -327,7 +328,7 @@ class TestOneFill:
             list(all_trees(n))
 
         def table():
-            next(enumeration._canonical_table(n))
+            next(enumeration._rows_reaching(n, 0))
 
         for first, second, first_calls in [(trees, table, fill + coding), (table, trees, fill)]:
             enumeration._TABLES.clear()
