@@ -39,6 +39,13 @@ def order_rows(n):
     at their ends; the jump past a layout that is no free tree's rewrites a
     tail the same way. Each layout is appended as it stands, with no level
     tuple built and no per-tree reread.
+
+    This is the one generator of the rows, but the library calls it only
+    for an order that the package data file ``data/tree_rows.bin`` does not
+    hold (``enumeration._order_rows``; the file holds orders 1-14). The
+    file is this function's output, checked by size and row roots on load;
+    ``python tests/_brute.py`` regenerates it, and the test suite holds it
+    to this function byte for byte.
     """
     if n < 1:
         raise ValueError("order must be >= 1")

@@ -37,10 +37,10 @@ from ._kernels import BACKEND, degree_class_sums
 from .degseq import DegreeSequence, caterpillar_sigma, star
 from .edgelist import parse_edge_list
 from .enumeration import (
-    CODE_CAP,
     EnumerationGuard,
     _check_order,
     _parent_tree,
+    _refuse_above_cap,
     _row_code,
     _rows_reaching,
     tree_degree_sequences,
@@ -1270,8 +1270,7 @@ def _check_cor3_part1(params, tally):
     d_max = params["d_max"]
     span = max(d_max - 3, 0)  # the values 4..d_max
     count = span * (span + 1) // 2
-    if count > CODE_CAP:
-        raise EnumerationGuard(f"{count} pairs above the cap of {CODE_CAP}")
+    _refuse_above_cap(count, "{count} pairs above the cap of {cap}")
     pairs = ((d3, d4) for d3 in range(4, d_max + 1) for d4 in range(d3, d_max + 1))
     tally.count(pairs, lambda p: not log_bound_holds(*p), lambda p: {"d3": p[0], "d4": p[1]})
     return []
@@ -1291,8 +1290,7 @@ def _check_sigma_ordered(params, tally):
     degs = range(2, params["deg_max"] + 1)
     # combinations_with_replacement(degs, k) yields comb(len(degs) + k - 1, k) spines.
     spines = sum(comb(len(degs) + k - 1, k) for k in orders)
-    if spines > CODE_CAP:
-        raise EnumerationGuard(f"{spines} spines above the cap of {CODE_CAP}")
+    _refuse_above_cap(spines, "{count} spines above the cap of {cap}")
 
     def witness(spine):
         true_sigma, order = caterpillar_sigma(spine)

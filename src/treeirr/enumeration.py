@@ -2,10 +2,18 @@
 
 :func:`all_trees` is the one enumerator of unlabeled trees. Each order's
 trees are kept once by :func:`_canonical_order` as their degrees and
-parents, generated by the first caller to reach the order
-(``_kernels.order_rows``, the level-sequence successor) and kept in
-generation order, uncoded and never reordered. Each ``all_trees`` call
-codes the rows (:func:`_row_code`), sorts them by code and builds each
+parents, filled by the first caller to reach the order (:func:`_order_rows`)
+and kept in generation order, uncoded and never reordered. The rows come
+from the package data file ``data/tree_rows.bin`` when it holds the order
+(orders 1-14, the orders a default report reads), and from
+``_kernels.order_rows``, the level-sequence successor, otherwise. The file
+holds that generator's rows: a header line gives the row count of each
+order it holds (1, 2, ...), and the body each order's degree blob, then its
+parent blob. It is read and checked once per process (:func:`_unpack`): a
+body whose size is not the header's, or a row whose root has a parent,
+fails the load. ``python tests/_brute.py`` regenerates it, and the test
+suite holds it to ``_kernels.order_rows``. Each ``all_trees`` call codes the
+rows (:func:`_row_code`), sorts them by code and builds each
 tree with its code (:func:`_parent_tree`). Callers that keep only some
 trees read the rows uncoded through one reader, :func:`_rows_reaching`,
 decide on degrees and parents, and code, sort and build only the trees
@@ -24,7 +32,8 @@ degree multiset of an order, and holds the two to agreement.
 These and :func:`tree_degree_sequences` walk through one guard,
 :func:`_check_order`: orders 1 to ``MAX_ORDER`` (16), with no
 override. The realizer also refuses any sequence with more than
-``CODE_CAP`` (10⁷) Prüfer arrangements.
+``CODE_CAP`` (10⁷) Prüfer arrangements, through the one cap check that
+the capped claims share, :func:`_refuse_above_cap`.
 """
 
 from __future__ import annotations
@@ -50,10 +59,69 @@ def _check_order(n: int) -> None:
         raise EnumerationGuard(f"order {n} outside guard range 1..{MAX_ORDER}")
 
 
+def _refuse_above_cap(count: int, message: str) -> None:
+    """The one ``CODE_CAP`` check: refuse a sweep of more than ``CODE_CAP`` cases.
+
+    ``message`` is the refusal's text, with ``{count}`` and ``{cap}`` filled
+    in; the caller computes ``count`` up front, before any case is run.
+    """
+    if count > CODE_CAP:
+        raise EnumerationGuard(message.format(count=count, cap=CODE_CAP))
+
+
 # Order -> the degrees and the parents of each tree of the order, in generation
 # order: two blobs of n bytes per tree (144 KB for all orders up to 14, about
 # 1 MB up to 16). The root's parent byte is 0.
 _TABLES: dict[int, tuple[bytes, bytes]] = {}
+
+# The packed rows file, as a package resource path.
+_ROWS_FILE = "data/tree_rows.bin"
+
+# Order -> ``(degrees, parents)`` of each order the packed file holds, the
+# blobs that every fill of the order keeps; read and checked by the first
+# fill in the process.
+_PACKED: dict[int, tuple[bytes, bytes]] = {}
+
+
+def _unpack(data: bytes) -> dict[int, tuple[bytes, bytes]]:
+    """The ``(degrees, parents)`` blobs of each order in a packed rows file.
+
+    The header line holds the row count of orders 1, 2, ... in decimal,
+    and the body each order's degree blob, then its parent blob, ``n``
+    bytes per row. A file whose body is not the size the counts give, or
+    in which some row's root (its first vertex) has a parent, is refused.
+    """
+    end = data.find(b"\n")
+    counts = [int(count) for count in data[:end].split()] if end >= 0 else []
+    size = sum(2 * n * rows for n, rows in enumerate(counts, 1))
+    if not counts or len(data) - end - 1 != size:
+        raise ValueError(
+            f"{_ROWS_FILE}: {len(data) - end - 1} bytes of rows, but its header counts {size}"
+        )
+    orders = {}
+    start = end + 1
+    for n, rows in enumerate(counts, 1):
+        half = n * rows
+        parents = data[start + half : start + 2 * half]
+        if parents[::n] != bytes(rows):
+            raise ValueError(f"{_ROWS_FILE}: a row of order {n} does not start at its root")
+        orders[n] = data[start : start + half], parents
+        start += 2 * half
+    return orders
+
+
+def _order_rows(n: int) -> tuple[bytes, bytes]:
+    """``(degrees, parents)`` of every tree of order ``n``, in generation order.
+
+    The packed file's blobs when it holds the order, and
+    ``_kernels.order_rows(n)`` otherwise. The first call reads and checks
+    the file (:func:`_unpack`) for the rest of the process.
+    """
+    if not _PACKED:
+        from importlib import resources
+
+        _PACKED.update(_unpack(resources.files(__package__).joinpath(_ROWS_FILE).read_bytes()))
+    return _PACKED.get(n) or _kernels.order_rows(n)
 
 
 def _row_code(parent: Sequence[int]) -> CanonicalCode:
@@ -72,13 +140,13 @@ def _row_code(parent: Sequence[int]) -> CanonicalCode:
 def _canonical_order(n: int) -> tuple[bytes, bytes]:
     """``(degrees, parents)`` of the trees of order ``n``, kept once per order.
 
-    The first call generates the rows (``_kernels.order_rows``) and keeps
-    the two blobs in ``_TABLES`` as they come, for the rest of the process.
+    The first call fills the rows (:func:`_order_rows`) and keeps the two
+    blobs in ``_TABLES`` as they come, for the rest of the process.
     """
     _check_order(n)
     table = _TABLES.get(n)
     if table is None:
-        table = _TABLES[n] = _kernels.order_rows(n)
+        table = _TABLES[n] = _order_rows(n)
     return table
 
 
@@ -213,11 +281,10 @@ def trees_with_degree_sequence(seq: DegreeSequence | Sequence[int]) -> Iterator[
     if n == 1:
         yield Tree(1, [])
         return
-    count = realization_count(seq)
-    if count > CODE_CAP:
-        raise EnumerationGuard(
-            f"degree sequence {seq} needs {count} realization codes, cap is {CODE_CAP}"
-        )
+    _refuse_above_cap(
+        realization_count(seq),
+        f"degree sequence {seq} needs {{count}} realization codes, cap is {{cap}}",
+    )
     entries = [[v, d - 1] for v, d in enumerate(seq.values) if d >= 2]
     found: dict[bytes, Tree] = {}
     for code in _multiset_perms(entries, n - 2):

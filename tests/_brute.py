@@ -196,6 +196,35 @@ def _degrees_parents(levels):
     return deg, parent
 
 
+def pack_tree_rows(orders):
+    """The bytes of the package's packed rows file, for orders ``1..orders``.
+
+    The header line holds each order's row count in decimal, the body each
+    order's degrees, then its parents, one row of ``n`` bytes per layout
+    of :func:`level_sequences` read through :func:`_degrees_parents`: the
+    rows ``_kernels.order_rows`` generates, along the brute path.
+    """
+    tables = [
+        [_degrees_parents(levels) for levels in level_sequences(n)] for n in range(1, orders + 1)
+    ]
+    header = " ".join(str(len(rows)) for rows in tables).encode("ascii") + b"\n"
+    return header + b"".join(
+        bytes(value for row in rows for value in row[half]) for rows in tables for half in (0, 1)
+    )
+
+
+def write_tree_rows(orders=14):
+    """Regenerate ``src/treeirr/data/tree_rows.bin`` with :func:`pack_tree_rows`.
+
+    Run as ``python tests/_brute.py``. Orders 1-14 (5,447 trees, 144 KB of
+    rows) are the orders a default report reads.
+    """
+    from pathlib import Path
+
+    target = Path(__file__).resolve().parents[1] / "src" / "treeirr" / "data" / "tree_rows.bin"
+    target.write_bytes(pack_tree_rows(orders))
+
+
 def spanning_trees(n):
     """Every labeled tree on n vertices, enumerated from edge subsets."""
     if n == 1:
@@ -420,3 +449,7 @@ def relocate_leaf(t, y, donor, recipient):
     if step.degrees_after != (lam - 1, 1, len(adj[recipient]) + 1):
         raise RuntimeError(f"relocation broke its degree post-condition: {step}")
     return out, step
+
+
+if __name__ == "__main__":
+    write_tree_rows()

@@ -251,11 +251,19 @@ class TestArithmeticClaims:
         ],
         ids=["sigma-ordered", "cor3-part1"],
     )
-    def test_arithmetic_sweep_guarded(self, claim_id, params, message):
+    def test_arithmetic_sweep_guarded(self, claim_id, params, message, monkeypatch):
         # The case count is computed up front and refused above CODE_CAP
-        # before the first case is checked.
+        # before the first case is checked: the first case's check raises,
+        # so a cap that lets the sweep start fails here at once.
+        from treeirr import claims
+
+        def first_case(*args):
+            raise AssertionError("a case was checked above the cap")
+
+        monkeypatch.setattr(claims, "log_bound_holds", first_case)
+        monkeypatch.setattr(claims, "sigma_ordered_value", first_case)
         start = time.perf_counter()
-        with pytest.raises(EnumerationGuard, match=f"{message} above the cap of {CODE_CAP}"):
+        with pytest.raises(EnumerationGuard, match=f"^{message} above the cap of {CODE_CAP}$"):
             verify(claim_id, params)
         assert time.perf_counter() - start < 1
 
@@ -636,13 +644,15 @@ class TestEnumerationOnce:
             assert set(ranges["irr"]) == {seq.values for seq in tree_degree_sequences(n)}
 
     def test_report_generates_each_order_once(self, monkeypatch):
-        from treeirr import _kernels, degseq, enumeration
+        # Each order a report reaches is filled once, with all its rows,
+        # whether the packed file or the generator holds it.
+        from treeirr import degseq, enumeration
 
         orders, decodes = [], []
-        order_rows, prufer = _kernels.order_rows, degseq.prufer_decode
+        fill, prufer = enumeration._order_rows, degseq.prufer_decode
 
         def counted_rows(n):
-            degs, parents = order_rows(n)
+            degs, parents = fill(n)
             orders.append((n, len(parents) // n))
             return degs, parents
 
@@ -651,7 +661,7 @@ class TestEnumerationOnce:
             return prufer(code, n)
 
         monkeypatch.setattr(enumeration, "_TABLES", {})
-        monkeypatch.setattr(_kernels, "order_rows", counted_rows)
+        monkeypatch.setattr(enumeration, "_order_rows", counted_rows)
         for module in (degseq, enumeration):
             monkeypatch.setattr(module, "prufer_decode", counted_decode)
         report = run_report(ReportConfig(n_max=10))
@@ -681,43 +691,78 @@ class TestEnumerationOnce:
     )
     def test_order_guard_before_any_sweep(self, claim_id, monkeypatch):
         # An n_max past the guard is refused before the first order is
-        # generated, not after sweeping every order below it.
-        from treeirr import _kernels, enumeration
+        # filled, not after sweeping every order below it.
+        from treeirr import enumeration
 
         orders = []
-        order_rows = _kernels.order_rows
+        fill = enumeration._order_rows
 
         def counted_rows(n):
-            degs, parents = order_rows(n)
+            degs, parents = fill(n)
             orders.append((n, len(parents) // n))
             return degs, parents
 
         monkeypatch.setattr(enumeration, "_TABLES", {})
-        monkeypatch.setattr(_kernels, "order_rows", counted_rows)
+        monkeypatch.setattr(enumeration, "_order_rows", counted_rows)
         with pytest.raises(EnumerationGuard, match="order 17 outside guard range 1..16"):
             verify(claim_id, {"n_max": 17})
         assert orders == []
 
     def test_report_reads_each_tree_once(self, monkeypatch):
-        # A cold default report generates each tree of orders 1-14, the
-        # orders it reaches, through order_rows exactly once: 5,447 rows.
-        from treeirr import _kernels, enumeration
+        # A cold default report fills each tree of orders 1-14, the orders
+        # it reaches, exactly once: 5,447 rows.
+        from treeirr import enumeration
 
         calls = []
-        order_rows = _kernels.order_rows
+        fill = enumeration._order_rows
 
         def counted(n):
-            degs, parents = order_rows(n)
+            degs, parents = fill(n)
             calls.extend([n] * (len(parents) // n))
             return degs, parents
 
         monkeypatch.setattr(enumeration, "_TABLES", {})
-        monkeypatch.setattr(_kernels, "order_rows", counted)
+        monkeypatch.setattr(enumeration, "_order_rows", counted)
         report = run_report(ReportConfig())
         assert report.errors == ()
         assert Counter(calls) == {n: unlabeled_tree_count(n) for n in range(1, 15)}
         assert sorted(enumeration._TABLES) == list(range(1, 15))
         assert len(calls) == 5447
+
+    def test_cold_report_generates_nothing(self, monkeypatch):
+        # Orders 1-14 come from the packed file: a default report in a
+        # fresh process reads the file and never runs the generator.
+        from treeirr import _kernels, enumeration
+
+        calls = []
+        generate = _kernels.order_rows
+        monkeypatch.setattr(_kernels, "order_rows", lambda n: calls.append(n) or generate(n))
+        monkeypatch.setattr(enumeration, "_TABLES", {})
+        monkeypatch.setattr(enumeration, "_PACKED", {})
+        report = run_report(ReportConfig())
+        assert report.errors == ()
+        assert calls == []
+        assert sorted(enumeration._TABLES) == list(range(1, 15))
+        assert sorted(enumeration._PACKED) == list(range(1, 15))
+
+    def test_orders_past_the_file_are_generated_once(self, monkeypatch, capsys):
+        # verify --n-max 16 reaches orders 12-16 (a move needs degree 11),
+        # and the packed file does not hold 15 and 16: the generator fills
+        # each of them once, and a second run in the same process
+        # generates nothing.
+        from treeirr import _kernels, enumeration
+        from treeirr.cli import main
+
+        calls = []
+        generate = _kernels.order_rows
+        monkeypatch.setattr(_kernels, "order_rows", lambda n: calls.append(n) or generate(n))
+        monkeypatch.setattr(enumeration, "_TABLES", {})
+        argv = ["verify", "--claim", "sigma-increase", "--n-max", "16"]
+        for _ in ("cold", "warm"):
+            assert main(argv) == 1
+            assert "verdict: fails\nchecked: 5609\n" in capsys.readouterr().out
+        assert calls == [15, 16]
+        assert sorted(enumeration._TABLES) == [12, 13, 14, 15, 16]
 
     def test_cold_report_codes_only_output_trees(self, monkeypatch):
         # A cold default report codes only the 62 rows whose witnesses it

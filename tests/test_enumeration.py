@@ -25,6 +25,7 @@ from _brute import (
     edge_rooted_code,
     level_sequences,
     levels_to_edges,
+    pack_tree_rows,
     relocate_leaf,
     spanning_trees,
     table_rows,
@@ -43,22 +44,23 @@ def cold_orders():
     enumeration._TABLES.clear()
 
 
-def counted_order_rows(monkeypatch, calls):
-    # Each call of the generator, then each row it returns.
-    generate = _kernels.order_rows
+def counted_fills(monkeypatch, calls):
+    # Each fill of an order's rows, from the packed file or the generator,
+    # then each row it returns.
+    fill = enumeration._order_rows
 
     def counted(n):
-        degs, parents = generate(n)
-        calls.append("order_rows")
+        degs, parents = fill(n)
+        calls.append("fill")
         calls.extend(["row"] * (len(parents) // n))
         return degs, parents
 
-    monkeypatch.setattr(_kernels, "order_rows", counted)
+    monkeypatch.setattr(enumeration, "_order_rows", counted)
 
 
 @pytest.fixture
 def counted_readers(monkeypatch):
-    # Calls of the row generator, the rows it returns, and calls of the
+    # Fills of an order's rows, the rows each returns, and calls of the
     # adjacency builder that a tree runs when no builder handed its
     # adjacency over.
     from treeirr import tree
@@ -70,7 +72,7 @@ def counted_readers(monkeypatch):
         calls.append("_sorted_adjacency")
         return builder(n, edges)
 
-    counted_order_rows(monkeypatch, calls)
+    counted_fills(monkeypatch, calls)
     monkeypatch.setattr(tree, "_sorted_adjacency", counted_builder)
     return calls
 
@@ -231,15 +233,15 @@ class TestLevelReader:
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_table_is_degrees_parents(self, n, cold_orders, counted_readers):
-        # The table's first call generates every row of the order once,
-        # keeps the whole table before it yields, and later calls read it
-        # alone. Its rows are the brute generator's layouts, read through
-        # the brute reader, in generation order; all_trees yields their
-        # trees in code order, generating nothing again and leaving the
-        # rows in generation order.
+        # The table's first call fills every row of the order once, keeps
+        # the whole table before it yields, and later calls read it alone.
+        # Its rows are the brute generator's layouts, read through the
+        # brute reader, in generation order; all_trees yields their trees
+        # in code order, filling nothing again and leaving the rows in
+        # generation order.
         layouts = [bytes(seq) for seq in level_sequences(n)]
         first = next(enumeration._rows_reaching(n, 0))
-        assert counted_readers == ["order_rows"] + ["row"] * len(layouts)
+        assert counted_readers == ["fill"] + ["row"] * len(layouts)
         degs, parents = enumeration._TABLES[n]
         assert len(degs) == len(parents) == n * len(layouts)
         rows = list(enumeration._rows_reaching(n, 0))
@@ -267,9 +269,9 @@ class TestRowsReaching:
         # table's rows with a degree >= lam, as the same bytes and in the
         # same order, and all of them share the order's one fill.
         calls = []
-        counted_order_rows(monkeypatch, calls)
+        counted_fills(monkeypatch, calls)
         rows = table_rows(n)
-        fill = ["order_rows"] + ["row"] * unlabeled_tree_count(n)
+        fill = ["fill"] + ["row"] * unlabeled_tree_count(n)
         assert calls == fill
         for lam in range(0, n + 2):
             got = list(enumeration._rows_reaching(n, lam))
@@ -282,14 +284,22 @@ class TestRowsReaching:
         assert calls == fill
 
     def test_guard(self, cold_orders, monkeypatch):
-        # Orders 0 and 17 are refused before any row is generated.
+        # Orders 0 and 17 are refused by the table and by its reader before
+        # any row is filled: nothing is generated, no table is kept and the
+        # packed file is not read.
         calls = []
-        counted_order_rows(monkeypatch, calls)
+        generate = _kernels.order_rows
+        monkeypatch.setattr(_kernels, "order_rows", lambda n: calls.append(n) or generate(n))
+        counted_fills(monkeypatch, calls)
+        monkeypatch.setattr(enumeration, "_PACKED", {})
         for n in (0, 17):
+            with pytest.raises(EnumerationGuard):
+                enumeration._canonical_order(n)
             with pytest.raises(EnumerationGuard):
                 next(enumeration._rows_reaching(n, 0))
         assert calls == []
         assert enumeration._TABLES == {}
+        assert enumeration._PACKED == {}
 
 
 class TestRowCode:
@@ -302,6 +312,108 @@ class TestRowCode:
             t = enumeration._parent_tree(parent)
             assert enumeration._row_code(parent) == canonical_code(t)
             assert enumeration._row_code(parent) == edge_rooted_code(n, t.edges)
+
+
+def packed_file():
+    from importlib import resources
+
+    return resources.files("treeirr").joinpath(enumeration._ROWS_FILE).read_bytes()
+
+
+REGENERATE = "stale data/tree_rows.bin: regenerate it with `python tests/_brute.py`"
+
+
+class TestPackedRows:
+    def test_file_is_the_generators_rows(self):
+        # The package ships the generator's rows of orders 1-14, each order
+        # as _kernels.order_rows makes it, under a header of their counts
+        # (OEIS A000055); the file is the one the brute path writes.
+        data = packed_file()
+        counts = [int(count) for count in data[: data.index(b"\n")].split()]
+        assert counts == [unlabeled_tree_count(n) for n in range(1, 15)], REGENERATE
+        packed = enumeration._unpack(data)
+        assert list(packed) == list(range(1, 15)), REGENERATE
+        for n, table in packed.items():
+            assert table == _kernels.order_rows(n), f"order {n}: {REGENERATE}"
+        assert data == pack_tree_rows(14), REGENERATE
+
+    def test_fill_reads_the_file_once(self, cold_orders, monkeypatch):
+        # A packed order's table is the file's two blobs, the file read
+        # once for every order and every refill; an order the file lacks
+        # is generated.
+        calls = []
+        generate = _kernels.order_rows
+        monkeypatch.setattr(_kernels, "order_rows", lambda n: calls.append(n) or generate(n))
+        monkeypatch.setattr(enumeration, "_PACKED", {})
+        unpacked = []
+        unpack = enumeration._unpack
+        monkeypatch.setattr(enumeration, "_unpack", lambda data: unpacked.append(1) or unpack(data))
+        for n in (14, 1, 9):
+            degs, parents = enumeration._canonical_order(n)
+            assert type(degs) is bytes and type(parents) is bytes
+            assert (degs, parents) == generate(n)
+        assert calls == [] and unpacked == [1]
+        enumeration._TABLES.clear()
+        assert enumeration._canonical_order(14) is enumeration._PACKED[14]
+        assert enumeration._canonical_order(15) == generate(15)
+        assert calls == [15] and unpacked == [1]
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda data: data[:-1], "144289 bytes of rows, but its header counts 144290"),
+            (
+                lambda data: data.replace(b" 3159\n", b" 3158\n"),
+                "144290 bytes of rows, but its header counts 144262",
+            ),
+            (
+                # 14 more rows of order 13 and 13 fewer of order 14: the
+                # size holds, and the rows of order 13 go out of step.
+                lambda data: data.replace(b"1301 3159\n", b"1315 3146\n"),
+                "a row of order 13 does not start at its root",
+            ),
+        ],
+        ids=["truncated", "wrong-count", "rows-out-of-step"],
+    )
+    def test_damaged_file_fails_the_load(self, damage, message, cold_orders, monkeypatch, tmp_path):
+        # A damaged file is refused on the first fill, and keeps being
+        # refused: no order is kept from it.
+        from importlib import resources
+
+        target = tmp_path / enumeration._ROWS_FILE
+        target.parent.mkdir()
+        target.write_bytes(damage(packed_file()))
+        monkeypatch.setattr(resources, "files", lambda package: tmp_path)
+        monkeypatch.setattr(enumeration, "_PACKED", {})
+        for n in (5, 5, 16):
+            with pytest.raises(ValueError, match=message):
+                enumeration._canonical_order(n)
+        assert enumeration._TABLES == {}
+        assert enumeration._PACKED == {}
+
+    def test_wheel_ships_the_file(self):
+        # setuptools puts the package data that pyproject.toml's globs
+        # match into the wheel; the file must be one of them.
+        from fnmatch import fnmatch
+        from pathlib import Path
+
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        config = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+        globs = config["tool"]["setuptools"]["package-data"]["treeirr"]
+        assert (root / "src" / "treeirr" / enumeration._ROWS_FILE).is_file()
+        assert any(fnmatch(enumeration._ROWS_FILE, glob) for glob in globs), globs
+
+
+class TestCodeCap:
+    def test_cap_boundary(self):
+        # The one CODE_CAP check accepts CODE_CAP cases and refuses one
+        # more, with the caller's text filled in.
+        assert enumeration.CODE_CAP == 10_000_000
+        assert enumeration._refuse_above_cap(enumeration.CODE_CAP, "{count} {cap}") is None
+        with pytest.raises(EnumerationGuard) as refused:
+            enumeration._refuse_above_cap(enumeration.CODE_CAP + 1, "{count} cases, cap {cap}")
+        assert str(refused.value) == "10000001 cases, cap 10000000"
 
 
 class TestOneFill:
@@ -318,10 +430,10 @@ class TestOneFill:
             calls.append("level_code")
             return level_code(levels)
 
-        counted_order_rows(monkeypatch, calls)
+        counted_fills(monkeypatch, calls)
         monkeypatch.setattr(_kernels, "level_code", counted_code)
         count = unlabeled_tree_count(n)
-        fill = ["order_rows"] + ["row"] * count
+        fill = ["fill"] + ["row"] * count
         coding = ["level_code"] * count
 
         def trees():
@@ -363,7 +475,7 @@ class TestEnumeratePath:
             assert main(["enumerate", "--n", str(n), "--json"]) == 0
             assert len(capsys.readouterr().out) > 0
         assert list(enumeration._TABLES) == [n]
-        assert counted_readers == (["order_rows"] + ["row"] * count) * 2
+        assert counted_readers == (["fill"] + ["row"] * count) * 2
         # The counter does see the lazy adjacency when it runs.
         prufer_decode([], 2).adjacency
         assert counted_readers[-1] == "_sorted_adjacency"
@@ -437,8 +549,12 @@ class TestRealization:
         assert realization_count(seq) == 681_080_400 > enumeration.CODE_CAP
         decodes = []
         monkeypatch.setattr(enumeration, "prufer_decode", lambda code, n: decodes.append(n))
-        with pytest.raises(EnumerationGuard, match="cap is 10000000"):
+        with pytest.raises(EnumerationGuard) as refused:
             list(trees_with_degree_sequence(seq))
+        assert str(refused.value) == (
+            "degree sequence (3,3,3,3,3,3,3,1,1,1,1,1,1,1,1,1) needs 681080400 "
+            "realization codes, cap is 10000000"
+        )
         assert decodes == []
 
     def test_order_guard(self):
