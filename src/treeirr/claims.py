@@ -19,7 +19,8 @@ Each class of trees a statement ranges over (an order, a maximum degree, a
 degree sequence, caterpillars) is a :class:`TreeClass`, the one filter over
 an order's canonical table of degrees and parents. Index values are read off
 its rows in one grouped pass (:func:`_extremes`), whatever the row order;
-only output trees are coded, sorted by code and built.
+the rows a claim or ``extremal`` prints become witnesses through one record
+path, ``enumeration._witness_records``, and no ``Tree`` is built for them.
 """
 
 from __future__ import annotations
@@ -39,10 +40,9 @@ from .edgelist import parse_edge_list
 from .enumeration import (
     EnumerationGuard,
     _check_order,
-    _parent_tree,
     _refuse_above_cap,
-    _row_code,
     _rows_reaching,
+    _witness_records,
     tree_degree_sequences,
 )
 from .formulas import (
@@ -273,10 +273,6 @@ def load_fig2_tree() -> Tree:
 # searches shared by several claims
 
 
-def _edges_str(t: Tree) -> str:
-    return " ".join(f"{u}-{v}" for u, v in t.edges)
-
-
 def _row_index(deg: Sequence[int], parent: Sequence[int], index: str) -> int:
     """An index of a table row's tree, by definition, unbuilt.
 
@@ -324,9 +320,9 @@ def extremal_over_class(tree_class: TreeClass, index: str, objective: str) -> Ex
 
     Every row of the class (:meth:`TreeClass._rows`) is read, under the
     enumeration's order guard, so the result is certified, not heuristic;
-    only the witnesses are coded and built. They come in ascending canonical
-    code, each with the edge list of its ``all_trees`` representative
-    (level-sequence labels).
+    only the witnesses are coded (``enumeration._witness_records``), in
+    ascending canonical code, each with the edge list of its ``all_trees``
+    representative (level-sequence labels).
     """
     if index not in ("irr", "sigma", "irr_T"):
         raise ValueError(f"unknown index {index!r} (expected irr, sigma or irr_T)")
@@ -339,15 +335,13 @@ def extremal_over_class(tree_class: TreeClass, index: str, objective: str) -> Ex
     if not found:
         raise ValueError(f"empty tree class: {tree_class.describe()}")
     best, parents = found[None]
-    coded = sorted((_row_code(parent), parent) for parent in parents)
+    records = _witness_records(zip(parents))
     return ExtremalResult(
         class_description=tree_class.describe(),
         index=index,
         objective=objective,
         value=best,
-        witnesses=tuple(
-            (code.decode("ascii"), _edges_str(_parent_tree(parent))) for code, parent in coded
-        ),
+        witnesses=tuple((code.decode("ascii"), text) for code, text, _ in records),
     )
 
 
@@ -604,14 +598,13 @@ def _tree_relocations(rows, lam_min: int, lam_max: int, support_filter: bool, ch
             yield deg, parent, records
 
 
-def _relocation_witnesses(deg, parent, walk, bad, value_key):
+def _relocation_witnesses(tree, parent, deg, walk, bad, value_key):
     # The row's violating moves in sweep order, from its records, which
     # ``walk`` (_tree_relocations with the claim's bounds) gives again: per
     # support, each donor in ascending id onto each recipient in ascending
-    # id whose change ``bad`` rejects, bar itself. The row is walked, its
-    # tree and edge list built and its index value read once, when the
+    # id whose change ``bad`` rejects, bar itself. ``tree`` is the row's
+    # edge text; the row is walked and its index value read once, when the
     # tally draws the row's first witness.
-    tree = _edges_str(_parent_tree(parent))
     before = _row_index(deg, parent, value_key)
     [(_, _, records)] = walk([(deg, parent)])
     for y, lam, side, donors, leaf_change, inner in records:
@@ -646,13 +639,13 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
     swept on their degrees and parents by :func:`_tree_relocations`, which
     gets the one change function of ``value_key`` (:func:`_irr_change` or
     :func:`_sigma_change`), so its records carry one int per change, and
-    each order is counted at once. While the tally has room, the degrees and
-    parents of the order's violating rows are kept (their records are not,
-    to bound the memory of an uncapped run), coded and sorted by code
-    (``enumeration._row_code``), so witnesses come in ascending canonical
-    code and in sweep order within a tree; a row is walked again and its
-    tree built, once, only when the tally draws a witness from it
-    (:func:`_relocation_witnesses`).
+    each order is counted at once. While the tally has room, the order's
+    violating rows are kept for the witness records
+    (``enumeration._witness_records``), but not their records, which would
+    swell an uncapped run; a full tally keeps none (16,801 rows for
+    ``irr-decrease`` at order 16). So witnesses come in ascending canonical
+    code and in sweep order within a tree, and a row is walked again only
+    when the tally draws a witness from it (:func:`_relocation_witnesses`).
 
     ``bad(change, lam)`` decides whether a move that changes the index
     ``value_key`` by ``change`` violates the claim. It is decided once per
@@ -696,15 +689,12 @@ def _relocation_claim(params, tally, lam_min, bad, value_key, apply_support_filt
                 row_violations += bad_count
             order_violations += row_violations
             if row_violations and keep:
-                witnessing_rows.append((deg, parent))
-        witnessing_rows.sort(key=lambda row: _row_code(row[1]))
-        tally.add_class(
-            order_moves,
-            order_violations,
-            chain.from_iterable(
-                _relocation_witnesses(*row, walk, bad, value_key) for row in witnessing_rows
-            ),
+                witnessing_rows.append((parent, deg))
+        witnesses = chain.from_iterable(
+            _relocation_witnesses(tree, *row, walk, bad, value_key)
+            for _, tree, row in _witness_records(witnessing_rows)
         )
+        tally.add_class(order_moves, order_violations, witnesses)
     notes = [
         f"support below max degree: {moves['strict']} moves, {violations['strict']} violations",
         f"support tying max degree with another vertex: {moves['tied']} moves, "
@@ -820,10 +810,9 @@ def _identity_claim(params, tally, lo, check):
     """Shared engine for the claims checked on every tree of orders ``lo..n_max``.
 
     ``check(deg, parent)`` returns a table row's violation values or
-    ``None``. Each order is counted at once; while the tally has room, its
-    violating rows are coded and sorted (``enumeration._row_code``), so
-    witnesses come in ``all_trees`` order, and a tree is built only for a
-    witness the tally draws. The claims have no notes.
+    ``None``. Each order is counted at once, and its violating rows are its
+    witness records (``enumeration._witness_records``), in ``all_trees``
+    order. The claims have no notes.
     """
     for n in _orders(lo, params["n_max"]):
         checked = 0
@@ -833,9 +822,7 @@ def _identity_claim(params, tally, lo, check):
             values = check(deg, parent)
             if values is not None:
                 bad.append((parent, values))
-        if not tally.full:
-            bad.sort(key=lambda row: _row_code(row[0]))
-        witnesses = ({"tree": _edges_str(_parent_tree(p)), **values} for p, values in bad)
+        witnesses = ({"tree": tree, **values} for _, tree, (_, values) in _witness_records(bad))
         tally.add_class(checked, len(bad), witnesses)
     return []
 
@@ -1039,9 +1026,8 @@ def _check_caterpillar_support(params, tally):
     # (order, pendants) -> (largest irr, its caterpillars' parents), off the
     # caterpillar class's rows. Both readings of a strong support vertex are
     # decided on each maximum's leaf-neighbour counts, with no tree built; a
-    # group's violating maxima are coded and sorted while the tally has
-    # room, so witnesses come in ascending canonical code within a group,
-    # and only the kept ones are built, for their edge lists.
+    # group's violating maxima are its witness records, in ascending
+    # canonical code (enumeration._witness_records).
     classes = (TreeClass(n, caterpillar_only=True) for n in _orders(2, params["n_max"]))
     rows = chain.from_iterable(klass._rows() for klass in classes)
     groups = _extremes(rows, lambda deg, parent: (len(deg), deg.count(1)), "irr", ("max",))
@@ -1049,15 +1035,10 @@ def _check_caterpillar_support(params, tally):
     for (n, pendants), (best, maxima) in sorted(groups["max"].items()):
         most = [max(_pendant_neighbours(parent)) for parent in maxima]
         weak_violations += sum(leaves < 1 for leaves in most)
-        bad = [parent for parent, leaves in zip(maxima, most) if leaves < 2]
-        if not tally.full:
-            bad.sort(key=_row_code)
+        bad = [(parent,) for parent, leaves in zip(maxima, most) if leaves < 2]
+        records = _witness_records(bad)
         witness = {"n": n, "pendants": pendants, "irr": best}
-        tally.add_class(
-            1,
-            len(bad),
-            ({**witness, "tree": _edges_str(_parent_tree(parent))} for parent in bad),
-        )
+        tally.add_class(1, len(bad), ({**witness, "tree": tree} for _, tree, _ in records))
     return [
         "operative reading: a strong support vertex needs two pendant neighbors",
         f"under the one-pendant-neighbor reading the violations drop to {weak_violations}",

@@ -11,7 +11,6 @@ from .claims import (
     CLAIM_IDS,
     DEFAULT_WITNESS_CAP,
     ReportConfig,
-    _edges_str,
     exit_status,
     extremal_over_class,
     load_table1,
@@ -84,6 +83,10 @@ def _cmd_compute(args) -> int:
     else:
         print(" ".join(f"{k}={v}" for k, v in pairs))
     return 0
+
+
+def _edges_str(t: Tree) -> str:
+    return " ".join(f"{u}-{v}" for u, v in t.edges)
 
 
 def _tree_records(stream) -> list[dict]:

@@ -12,12 +12,13 @@ order it holds (1, 2, ...), and the body each order's degree blob, then its
 parent blob. It is read and checked once per process (:func:`_unpack`): a
 body whose size is not the header's, or a row whose root has a parent,
 fails the load. ``python tests/_brute.py`` regenerates it, and the test
-suite holds it to ``_kernels.order_rows``. Each ``all_trees`` call codes the
-rows (:func:`_row_code`), sorts them by code and builds each
-tree with its code (:func:`_parent_tree`). Callers that keep only some
-trees read the rows uncoded through one reader, :func:`_rows_reaching`,
-decide on degrees and parents, and code, sort and build only the trees
-they output. The reader keeps the rows with a vertex of at least a given
+suite holds it to ``_kernels.order_rows``. Each ``all_trees`` call codes
+the rows (:func:`_row_code`), sorts them by code and builds each tree with
+its code (:func:`_parent_tree`). Callers that keep only some trees read
+the rows uncoded through one reader, :func:`_rows_reaching`, and decide on
+degrees and parents; the trees they print are coded, sorted and written
+from the parents by one record path, :func:`_witness_records`, with no
+tree built. The reader keeps the rows with a vertex of at least a given
 degree, found by a C-level scan of the degree blob that never visits the
 other rows. The sequence ranges, the identity claims and ``sigma-ordered``'s
 direct reading read every row (lam 0); ``claims.TreeClass`` and the
@@ -137,6 +138,20 @@ def _row_code(parent: Sequence[int]) -> CanonicalCode:
     return _kernels.level_code(levels)
 
 
+def _witness_records(items) -> Iterator[tuple[CanonicalCode, str, tuple]]:
+    """``(code, edge_text, item)`` per item, in ascending canonical code.
+
+    Each item is a tuple whose first entry is a table row's parents. Only
+    the first pull codes every item (:func:`_row_code`) and sorts them; an
+    edge text, the row's ``all_trees`` edge list, is built as its item is
+    yielded, straight from the sorted pairs ``(parent[i], i)``.
+    """
+    coded = sorted([(_row_code(item[0]), k, item) for k, item in enumerate(items)])
+    for code, _, item in coded:
+        pairs = sorted(zip(item[0][1:], range(1, len(item[0]))))
+        yield code, " ".join([f"{u}-{v}" for u, v in pairs]), item
+
+
 def _canonical_order(n: int) -> tuple[bytes, bytes]:
     """``(degrees, parents)`` of the trees of order ``n``, kept once per order.
 
@@ -156,8 +171,8 @@ def _rows_reaching(n: int, lam: int) -> Iterator[tuple[bytes, bytes]]:
     ``bytes`` slices of the order's table (:func:`_canonical_order`), the
     root's parent being ``0``, in generation order; lam 0 (or below) reads
     every row. The table is filled before the first row if no caller has
-    reached the order yet. Nothing is coded: a caller that outputs rows
-    codes (:func:`_row_code`) and sorts them itself.
+    reached the order yet. Nothing is coded: a caller that prints rows
+    hands them to :func:`_witness_records`.
 
     The scan is C-level: ``bytes.translate`` maps the order's degree blob
     to a 0/1 mask, the ``n`` strided slices of the mask (the i-th vertex of

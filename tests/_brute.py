@@ -402,6 +402,20 @@ def class_trees(klass):
     return [_parent_tree(parent) for parent in parents]
 
 
+def witness_record(parent):
+    """``(code, edge_text)`` of a table row's tree, by the public route.
+
+    The pairs ``(parent[i], i)`` go through the validating ``Tree``
+    constructor; the code is its ``canonical_code`` (``_kernels.canon_code``,
+    which reads the edges) and the text its sorted edges as ``u-v`` joined
+    by spaces, the format of every printed edge list.
+    """
+    from treeirr import Tree, canonical_code
+
+    t = Tree(len(parent), [(parent[i], i) for i in range(1, len(parent))])
+    return canonical_code(t), " ".join(f"{u}-{v}" for u, v in t.edges)
+
+
 @dataclass(frozen=True)
 class RelocationStep:
     """Record of one leaf relocation: who moved where and the degree effect."""

@@ -128,6 +128,26 @@ class TestCatalog:
         with pytest.raises(ValueError, match=f"witness_cap must be >= 0 or None, got {cap}"):
             verify("irr-decrease", {"n_max": 6}, witness_cap=cap)
 
+    @pytest.mark.parametrize("claim_id", ["irr-decrease", "caterpillar-support", "sandwich"])
+    def test_zero_cap_codes_nothing(self, claim_id, monkeypatch):
+        # A cap with no room draws no witness, so no row is coded: the
+        # witness records are lazy, and the relocation sweeps keep no row
+        # for them. sandwich fails under the injected identity faults.
+        from treeirr import _kernels
+
+        if claim_id == "sandwich":
+            _inject_identity_faults(monkeypatch)
+        calls = []
+        code = _kernels.level_code
+        monkeypatch.setattr(_kernels, "level_code", lambda levels: calls.append(1) or code(levels))
+        r = verify(claim_id, witness_cap=0)
+        assert (r.verdict, r.witnesses) == ("fails", ())
+        assert r.violations > 0
+        assert calls == []
+        # The counter does see the coding when a witness is drawn.
+        assert len(verify(claim_id, witness_cap=1).witnesses) == 1
+        assert calls
+
     def test_small_parameter_checks_nothing(self):
         # Legal but below the claim's smallest instance: no support of
         # degree >= 11 fits in order 11.
@@ -598,19 +618,26 @@ def _assert_matches_recompute(t, moves):
 
 
 def _count_builds(monkeypatch):
-    # The order of every tree built through _parent_tree from here on.
+    # From here on: the order of every edge text the witness-record
+    # generator builds (one per record it yields), and of every tree built
+    # through _parent_tree.
     from treeirr import claims, enumeration
 
-    builds = []
-    parent_tree = enumeration._parent_tree
+    texts, trees = [], []
+    records, parent_tree = enumeration._witness_records, enumeration._parent_tree
 
-    def counted(parent, code=None):
-        builds.append(len(parent))
+    def counted_records(items):
+        for record in records(items):
+            texts.append(len(record[2][0]))
+            yield record
+
+    def counted_tree(parent, code=None):
+        trees.append(len(parent))
         return parent_tree(parent, code)
 
-    monkeypatch.setattr(claims, "_parent_tree", counted)
-    monkeypatch.setattr(enumeration, "_parent_tree", counted)
-    return builds
+    monkeypatch.setattr(claims, "_witness_records", counted_records)
+    monkeypatch.setattr(enumeration, "_parent_tree", counted_tree)
+    return texts, trees
 
 
 class TestEnumerationOnce:
@@ -1008,7 +1035,7 @@ def _identity_oracle(claim_id, n_max):
     # The four identity claims as they read before they filtered the table:
     # every tree of all_trees(n) through compute_indices, which runs the
     # patched kernel, with the same irr fault. Returns (checked, witnesses).
-    from treeirr.claims import _edges_str
+    from treeirr.cli import _edges_str
 
     checked, witnesses = 0, []
     for n in range(2 if claim_id == "irr-upper-tree" else 1, n_max + 1):
@@ -1034,6 +1061,24 @@ def _identity_oracle(claim_id, n_max):
     return checked, witnesses
 
 
+def _inject_identity_faults(monkeypatch):
+    # The irr and degree-class faults under which the identity claims fail.
+    from treeirr import _kernels, claims
+
+    sums, row_index = _kernels.degree_class_sums, claims._row_index
+
+    def faulty_sums(deg):
+        return _class_sums_fault(sums(deg))
+
+    def faulty_row_index(deg, parent, index):
+        value = row_index(deg, parent, index)
+        return _irr_fault(value) if index == "irr" else value
+
+    monkeypatch.setattr(_kernels, "degree_class_sums", faulty_sums)
+    monkeypatch.setattr(claims, "degree_class_sums", faulty_sums)
+    monkeypatch.setattr(claims, "_row_index", faulty_row_index)
+
+
 class TestIdentityClaims:
     # The four identity claims read rows and build only drawn witnesses;
     # under injected faults that make each fail, their counts and witnesses,
@@ -1043,20 +1088,7 @@ class TestIdentityClaims:
         "claim_id", ["sandwich", "irr-upper-tree", "irrT-seq-formula", "m1-edge-identity"]
     )
     def test_faulty_witnesses_match_all_trees(self, claim_id, monkeypatch):
-        from treeirr import _kernels, claims
-
-        sums, row_index = _kernels.degree_class_sums, claims._row_index
-
-        def faulty_sums(deg):
-            return _class_sums_fault(sums(deg))
-
-        def faulty_row_index(deg, parent, index):
-            value = row_index(deg, parent, index)
-            return _irr_fault(value) if index == "irr" else value
-
-        monkeypatch.setattr(_kernels, "degree_class_sums", faulty_sums)
-        monkeypatch.setattr(claims, "degree_class_sums", faulty_sums)
-        monkeypatch.setattr(claims, "_row_index", faulty_row_index)
+        _inject_identity_faults(monkeypatch)
         results = {cap: verify(claim_id, witness_cap=cap) for cap in (3, None)}
         checked, want = _identity_oracle(claim_id, results[None].params["n_max"])
         assert len(want) > 3
@@ -1133,11 +1165,30 @@ class TestRelocationDeltas:
         _assert_matches_recompute(t, _class_moves(deg, parent)[1])
 
     def test_witnesses_built_only_while_kept(self, monkeypatch):
-        calls = _count_builds(monkeypatch)
+        calls, trees = _count_builds(monkeypatch)
         r = verify("irr-decrease", {"n_max": 10})
         assert r.violations > 2 * DEFAULT_WITNESS_CAP
         assert len(r.witnesses) == DEFAULT_WITNESS_CAP
         assert 0 < len(calls) <= DEFAULT_WITNESS_CAP
+        assert trees == []
+
+    def test_full_cap_keeps_no_row(self, monkeypatch):
+        # The violating rows of an order are handed to the witness records
+        # only while the cap has room, so a full cap holds none of them in
+        # memory (16,801 at order 16 for irr-decrease).
+        from treeirr import claims
+
+        handed = []
+        records = claims._witness_records
+        monkeypatch.setattr(
+            claims, "_witness_records", lambda items: handed.append(len(items)) or records(items)
+        )
+        uncapped = verify("irr-decrease", {"n_max": 10}, witness_cap=None)
+        assert handed == [0, 0, 1, 2, 10, 24, 66]
+        handed.clear()
+        r = verify("irr-decrease", {"n_max": 10}, witness_cap=0)
+        assert (r.checked, r.violations) == (uncapped.checked, uncapped.violations)
+        assert handed == [0] * 7
 
 
 class TestRelocationClaims:
@@ -1455,11 +1506,12 @@ class TestLevelFilters:
 
     # caterpillar-support decides each (order, pendants) group's irr maxima,
     # of the 2,143 caterpillars of orders 2-14, on their rows and builds
-    # only the 25 violating ones it keeps as witnesses. The relocation
-    # sweeps build each tree that the tally draws a witness from (25 kept
-    # each) once, never a tree they only count. The per-sequence extremes,
-    # sigma-ordered's direct reading and the four identity claims read
-    # their values off the rows and build nothing.
+    # the edge texts of only the 25 violating ones it keeps as witnesses.
+    # The relocation sweeps build the edge text of each row that the tally
+    # draws a witness from (25 kept each) once, never of a row they only
+    # count. The per-sequence extremes, sigma-ordered's direct reading and
+    # the four identity claims read their values off the rows and build
+    # nothing. No claim builds a tree.
     @pytest.mark.parametrize(
         "claim_id, builds",
         [
@@ -1481,16 +1533,19 @@ class TestLevelFilters:
     )
     def test_warm_claim_builds_only_kept_trees(self, claim_id, builds, monkeypatch):
         verify(claim_id)
-        builds_seen = _count_builds(monkeypatch)
+        builds_seen, trees = _count_builds(monkeypatch)
         verify(claim_id)
         assert len(builds_seen) == builds
+        assert trees == []
 
     def test_warm_extremal_builds_only_its_witnesses(self, monkeypatch):
-        # Of the 3,159 trees of order 14, extremal builds the witnesses alone.
+        # Of the 3,159 trees of order 14, extremal builds the edge texts of
+        # the witnesses alone, and no tree.
         extremal_over_class(TreeClass(14), "irr", "max")
-        builds_seen = _count_builds(monkeypatch)
+        builds_seen, trees = _count_builds(monkeypatch)
         result = extremal_over_class(TreeClass(14), "irr", "max")
         assert len(builds_seen) == len(result.witnesses) >= 1
+        assert trees == []
 
 
 class TestPermSearch:

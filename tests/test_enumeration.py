@@ -31,6 +31,7 @@ from _brute import (
     table_rows,
     tree_graphical,
     unlabeled_tree_count,
+    witness_record,
 )
 
 
@@ -312,6 +313,37 @@ class TestRowCode:
             t = enumeration._parent_tree(parent)
             assert enumeration._row_code(parent) == canonical_code(t)
             assert enumeration._row_code(parent) == edge_rooted_code(n, t.edges)
+
+
+class TestWitnessRecords:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_records_are_the_public_route(self, n):
+        # Every row of the order, with a tag after its parents: each record
+        # is the row's code and edge text by the validated public route
+        # (_brute.witness_record), the codes strictly ascend, and every item
+        # comes back once, as given.
+        items = [(parent, k) for k, (_, parent) in enumerate(enumeration._rows_reaching(n, 0))]
+        records = list(enumeration._witness_records(items))
+        for code, text, item in records:
+            assert (code, text) == witness_record(item[0]), item
+        codes = [code for code, _, _ in records]
+        assert codes == sorted(set(codes))
+        assert sorted(item[1] for _, _, item in records) == list(range(len(items)))
+        assert all(item is items[item[1]] for _, _, item in records)
+
+    def test_codes_on_first_pull_only(self, monkeypatch):
+        # Making the generator codes nothing; its first pull codes every
+        # item once, and the rest code nothing more.
+        calls = []
+        code = _kernels.level_code
+        monkeypatch.setattr(_kernels, "level_code", lambda levels: calls.append(1) or code(levels))
+        items = [(parent,) for _, parent in enumeration._rows_reaching(7, 0)]
+        records = enumeration._witness_records(items)
+        assert calls == []
+        next(records)
+        assert len(calls) == len(items) == 11
+        assert len(list(records)) == len(items) - 1
+        assert len(calls) == len(items)
 
 
 def packed_file():
