@@ -32,10 +32,13 @@ from .tree import Tree, canonical_code, degrees
 
 
 def _read_text(path: str) -> str:
+    # One leading byte-order mark (U+FEFF) is an encoding mark, not text.
     if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        text = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    return text.removeprefix("\ufeff")
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:

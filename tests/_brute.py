@@ -1,8 +1,9 @@
 """Independent brute-force oracles for the test suite.
 
 Apart from :func:`realized_by_sequence`, :func:`all_trees_by_realization`,
-:func:`table_rows`, :func:`class_trees` and :func:`relocate_leaf` (which
-builds a validated ``Tree``), nothing here imports the library:
+:func:`table_rows`, :func:`class_trees`, :func:`witness_record`,
+:func:`parse_edge_list_by_lines` and :func:`relocate_leaf` (which builds a
+validated ``Tree``), nothing here imports the library:
 every other function works on a plain order ``n`` plus an edge list, or
 on a tuple of degrees, so the values these produce are computed along a
 second, unrelated path.
@@ -463,6 +464,81 @@ def relocate_leaf(t, y, donor, recipient):
     if step.degrees_after != (lam - 1, 1, len(adj[recipient]) + 1):
         raise RuntimeError(f"relocation broke its degree post-condition: {step}")
     return out, step
+
+
+def parse_edge_list_by_lines(text: str):
+    """The line-by-line twin of ``edgelist.parse_edge_list``, its oracle.
+
+    Each line is split, counted and converted on its own with its number at
+    hand, and each edge joins the union-find as it is read; the library
+    collects every token in one walk instead and locates an error only
+    after the fact. Both give the same tree and labels, or the same error
+    line and message.
+
+    Every line is tokenized first, so a format error anywhere comes before
+    any structural one. Labels may be arbitrary integers with gaps; ids are
+    assigned by sorted label order. Self-loops, duplicate edges and cycles
+    are then rejected with the first offending line number, disconnected
+    input after the fact. A graph on ``n`` vertices with ``n - 1`` edges
+    and no cycle is a tree, so the result is built without re-validation.
+    """
+    from treeirr.edgelist import ParsedTree, ParseError
+    from treeirr.tree import Tree
+
+    pairs: list[tuple[int, int, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
+            continue
+        if len(parts) != 2:
+            raise ParseError(lineno, f"expected two integers, got {raw.strip()!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(lineno, f"non-integer vertex label in {raw.strip()!r}") from None
+        pairs.append((lineno, u, v))
+    if not pairs:
+        raise ParseError(None, "document contains no edges")
+
+    labels = tuple(sorted({x for _, u, v in pairs for x in (u, v)}))
+    n = len(labels)
+    index = {lab: i for i, lab in enumerate(labels)}
+    # Union-find over the dense ids. A self-loop and a duplicate both join
+    # two vertices already joined, so the first line that does so is the
+    # first offending line; only then is it told apart from a cycle.
+    root = list(range(n))
+    edges = []
+    for k, (lineno, u, v) in enumerate(pairs):
+        a, b = index[u], index[v]
+        ra = a
+        while root[ra] != ra:
+            root[ra] = ra = root[root[ra]]
+        rb = b
+        while root[rb] != rb:
+            root[rb] = rb = root[root[rb]]
+        if ra == rb:
+            _raise_closed_by_lines(pairs[:k], lineno, u, v)
+        root[ra] = rb
+        edges.append((a, b) if a < b else (b, a))
+    if len(edges) != n - 1:
+        raise ParseError(
+            None, f"disconnected input: {n} vertices but only {len(edges)} edges"
+        )
+    return ParsedTree(tree=Tree._unchecked(n, edges), labels=labels)
+
+
+def _raise_closed_by_lines(
+    earlier: list[tuple[int, int, int]], lineno: int, u: int, v: int
+):
+    from treeirr.edgelist import ParseError
+
+    # The line joins two vertices already joined: say how.
+    if u == v:
+        raise ParseError(lineno, f"self-loop at vertex {u}")
+    key = (u, v) if u < v else (v, u)
+    if any((x, y) == key or (y, x) == key for _, x, y in earlier):
+        raise ParseError(lineno, f"duplicate edge {key}")
+    raise ParseError(lineno, "edge closes a cycle")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from treeirr.claims import TreeClass, extremal_over_class, fig2_text
 from treeirr.degseq import parse_degree_sequence
 from treeirr.edgelist import ParseError, parse_edge_list
 
-from _brute import brute_indices, edge_list_text
+from _brute import brute_indices, edge_list_text, parse_edge_list_by_lines
 
 # sha256 of the concatenated `extremal --json` outputs of
 # test_extremal_digest: irr, sigma and irr_T, min and max, at four classes.
@@ -198,6 +198,114 @@ class TestParserOracle:
         assert payload == {"n": n, "m": n - 1, **brute_indices(n, list(t.edges))}
 
 
+# Line breaks that str.splitlines honours, blanks that only str.split does,
+# and tokens int() refuses.
+LINE_BREAKS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+BLANKS = (" ", "\t", "\xa0", "\u3000", "\x1f", " \t ")
+JUNK = ("x", "1.0", "0x1", "1__0", "_1", "1_", "#", "#3", "3#")
+FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+def _spellings(v: int) -> list[str]:
+    # Ways int() reads v: plain, signed, zero-padded (007), with an
+    # underscore (1_0), as -0, and in full-width digits.
+    sign, digits = "-" if v < 0 else "", str(abs(v))
+    out = [str(v), (sign or "+") + digits, f"{sign}00{digits}", str(v).translate(FULL_WIDTH)]
+    if len(digits) > 1:
+        out.append(f"{sign}{digits[0]}_{digits[1:]}")
+    if v == 0:
+        out.append("-0")
+    return out
+
+
+@st.composite
+def hostile_documents(draw) -> str:
+    # A random labelled tree, maybe with an edge dropped (disconnected) and
+    # extra pairs (self-loops, duplicates, cycles), shuffled and spelled in
+    # the hostile alphabet, with comment, blank and malformed lines mixed in.
+    n = draw(st.integers(1, 8))
+    labels = draw(st.lists(st.integers(-40, 140), min_size=n, max_size=n, unique=True))
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    if pairs and draw(st.integers(0, 2)) == 0:
+        del pairs[draw(st.integers(0, len(pairs) - 1))]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2))
+    spell = [st.sampled_from(_spellings(v)) for v in labels]
+    label = st.sampled_from(spell).flatmap(lambda s: s)
+    blank = st.sampled_from(BLANKS)
+    lines = []
+    for u, v in draw(st.permutations(pairs)):
+        if draw(st.booleans()):
+            u, v = v, u
+        a, b = draw(spell[u]), draw(spell[v])
+        lines.append(draw(st.sampled_from(["", " "])) + a + draw(blank) + b + draw(st.sampled_from(["", " ", "\t"])))
+    noise = st.one_of(
+        st.sampled_from(["", " ", "\t", "#", "# 1 2", "\t#note 1 2 3"]),
+        st.one_of(
+            label,
+            st.tuples(label, blank, label, blank, label).map("".join),
+            st.tuples(label, label).map(lambda t: f"{t[0]} #{t[1]}"),
+            st.tuples(label, label).map(lambda t: f"{t[0]} {t[1]} # note"),
+            st.tuples(label, blank, st.sampled_from(JUNK)).map("".join),
+        ),
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(noise))
+    text = "".join(line + draw(st.sampled_from(LINE_BREAKS)) for line in lines)
+    return text[:-1] if text and draw(st.booleans()) else text
+
+
+def _outcome(parse, text: str) -> tuple:
+    try:
+        parsed = parse(text)
+    except ParseError as err:
+        return ("error", err.line, str(err))
+    return ("tree", parsed.tree.n, parsed.tree.edges, parsed.labels)
+
+
+class TestParserDifferential:
+    @settings(max_examples=500, deadline=None)
+    @given(hostile_documents())
+    def test_matches_line_by_line_parser(self, text):
+        assert _outcome(parse_edge_list, text) == _outcome(parse_edge_list_by_lines, text)
+
+
+def _long_document() -> list[str]:
+    # 2,000 lines: a path through the labels 0, 3, ..., 5997 in shuffled
+    # line order and orientation, with one comment line in the middle.
+    rng = random.Random(2000)
+    lines = [f"{3 * i} {3 * i + 3}" if rng.random() < 0.5 else f"{3 * i + 3} {3 * i}" for i in range(1999)]
+    rng.shuffle(lines)
+    lines.insert(1000, "# midway")
+    return lines
+
+
+class TestLateErrors:
+    # The one bad line is the last; the token walk has read the whole text
+    # before the error is located.
+    @pytest.mark.parametrize(
+        "bad, line, message",
+        [
+            ("x 3", 2001, "non-integer vertex label in 'x 3'"),
+            ("0 3 6", 2001, "expected two integers, got '0 3 6'"),
+            ("5997 5997", 2001, "self-loop at vertex 5997"),
+            (None, 2001, None),
+            ("0 5997", 2001, "edge closes a cycle"),
+            ("6000 6003", None, "disconnected input: 2002 vertices but only 2000 edges"),
+        ],
+        ids=["non-integer", "three-tokens", "self-loop", "duplicate-of-line-1", "cycle", "disconnected"],
+    )
+    def test_last_line(self, bad, line, message):
+        lines = _long_document()
+        assert len(lines) == 2000 and parse_edge_list("\n".join(lines)).tree.n == 2000
+        if bad is None:
+            u, v = map(int, lines[0].split())
+            bad, message = f"{v} {u}", f"duplicate edge {(min(u, v), max(u, v))}"
+        with pytest.raises(ParseError) as info:
+            parse_edge_list("\n".join([*lines, bad]) + "\n")
+        assert info.value.line == line
+        assert str(info.value) == (message if line is None else f"line {line}: {message}")
+
+
 class TestCompute:
     def test_fixture_line(self, fig2_file, capsys):
         assert main(["compute", "--tree", fig2_file]) == 0
@@ -226,6 +334,23 @@ class TestCompute:
         monkeypatch.setattr(sys, "stdin", io.StringIO(fig2_text()))
         assert main(["compute", "--tree", "-"]) == 0
         assert capsys.readouterr().out == from_file
+
+    def test_byte_order_mark(self, fig2_file, tmp_path, monkeypatch, capsys):
+        assert main(["compute", "--tree", fig2_file]) == 0
+        plain = capsys.readouterr().out
+        marked = tmp_path / "bom.edges"
+        marked.write_text(fig2_text(), encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert main(["compute", "--tree", str(marked)]) == 0
+        assert capsys.readouterr().out == plain
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + fig2_text()))
+        assert main(["compute", "--tree", "-"]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_only_one_byte_order_mark_is_dropped(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff\ufeff0 1\n"))
+        assert main(["compute", "--tree", "-"]) == 2
+        assert "line 1: non-integer vertex label in '\\ufeff0 1'" in capsys.readouterr().err
 
 
 class TestStreams:
@@ -284,6 +409,12 @@ class TestStreams:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "argument --file: not allowed with argument --seq" in captured.err
+
+    def test_realize_file_with_byte_order_mark(self, tmp_path, capsys):
+        seq_file = tmp_path / "seq.txt"
+        seq_file.write_text("3 2 2 1 1 1\n", encoding="utf-8-sig")
+        assert main(["realize", "--file", str(seq_file)]) == 0
+        assert "count: 2" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "flags",
