@@ -284,7 +284,7 @@ def _row_index(deg: Sequence[int], parent: Sequence[int], index: str) -> int:
     if index == "irr":
         return sum([abs(d - deg[p]) for d, p in zip(deg, parent)])
     if index == "sigma":
-        return sum([(d - deg[p]) ** 2 for d, p in zip(deg, parent)])
+        return sum([(x := d - deg[p]) * x for d, p in zip(deg, parent)])
     if index == "edge_sum":
         return sum([deg[i] + deg[parent[i]] for i in range(1, len(deg))])
     return degree_class_sums(deg)[("irr_T", "m1").index(index)]
@@ -470,41 +470,37 @@ def _irr_change(lam: int, dr: int, sum_w: int, ge_w: int, sum_r: int, le_r: int)
     donor leaf and ``r``: their degree sum is ``sum_w`` and ``ge_w`` of
     them have degree ``>= lam``. ``R`` are the ``dr - 1`` neighbors of
     ``r`` other than ``y``: their degree sum is ``sum_r`` and ``le_r`` of
-    them have degree ``<= dr``. The end degrees of edge ``yr`` go from
-    ``(lam, dr)`` to ``(lam - 1, dr + 1)``, those of the donor edge from
-    ``(lam, 1)`` to ``(dr + 1, 1)``, so the change is ``#{W: d_w >= lam}
-    - #{W: d_w < lam} + |lam - 2 - dr| - |lam - dr| + dr - lam + 1 +
-    #{R: d_w <= dr} - #{R: d_w > dr}``. ``sum_w`` and ``sum_r`` are not
-    read: :func:`_sigma_change` takes the same six integers.
+    them have degree ``<= dr``. By edge class: an edge to ``W`` goes from
+    ``(lam, d_w)`` to ``(lam - 1, d_w)``, +1 if ``d_w >= lam`` and -1
+    otherwise, so ``W`` adds ``2 ge_w - lam + 2``; an edge to ``R`` goes
+    from ``(dr, d_w)`` to ``(dr + 1, d_w)``, so ``R`` adds ``2 le_r - dr +
+    1``; edge ``yr`` goes from ``(lam, dr)`` to ``(lam - 1, dr + 1)``,
+    adding ``|lam - 2 - dr| - |lam - dr|``; the donor edge goes from ``(lam,
+    1)`` to ``(dr + 1, 1)``, adding ``dr - lam + 1``. The four terms add
+    up to the return value. ``sum_w`` and ``sum_r`` are not read:
+    :func:`_sigma_change` takes the same six integers.
 
-    The tests hold it to ``_brute.relocate_leaf`` plus a full recompute.
+    The tests hold it to ``_brute.relocate_leaf`` plus a full recompute,
+    and to the unreduced class sum ``_brute.irr_change_by_class``.
     """
-    return (
-        2 * ge_w - (lam - 2)
-        + abs(lam - 2 - dr) - abs(lam - dr)
-        + dr - lam + 1
-        + 2 * le_r - (dr - 1)
-    )
+    return 2 * (ge_w + le_r - lam + 2) + abs(lam - 2 - dr) - abs(lam - dr)
 
 
 def _sigma_change(lam: int, dr: int, sum_w: int, ge_w: int, sum_r: int, le_r: int) -> int:
     """The change of ``sigma`` from moving a leaf off support ``y`` onto ``r``.
 
     The move, ``W``, ``R`` and the six integers are those of
-    :func:`_irr_change`. With edge ``yr`` going from ``(lam, dr)`` to
-    ``(lam - 1, dr + 1)`` and the donor edge from ``(lam, 1)`` to ``(dr +
-    1, 1)``, the change is ``sum_W (2 d_w - 2 lam + 1) + (lam - 2 - dr)^2
-    - (lam - dr)^2 + dr^2 - (lam - 1)^2 + sum_R (2 dr - 2 d_w + 1)``.
-    ``ge_w`` and ``le_r`` are not read.
+    :func:`_irr_change`. By edge class: ``W`` adds ``sum_W (2 d_w - 2 lam +
+    1) = 2 sum_w - (lam - 2)(2 lam - 1)``; ``R`` adds ``sum_R (2 dr - 2 d_w
+    + 1) = (dr - 1)(2 dr + 1) - 2 sum_r``; edge ``yr`` adds ``(lam - 2 -
+    dr)^2 - (lam - dr)^2 = 4 (dr - lam + 1)``; the donor edge adds ``dr^2 -
+    (lam - 1)^2``. The terms free of the sums add up to ``3 dr (dr + 1) - 3
+    lam (lam - 1)``. ``ge_w`` and ``le_r`` are not read.
 
-    The tests hold it to ``_brute.relocate_leaf`` plus a full recompute.
+    The tests hold it to ``_brute.relocate_leaf`` plus a full recompute,
+    and to the unreduced class sum ``_brute.sigma_change_by_class``.
     """
-    return (
-        2 * sum_w + (lam - 2) * (1 - 2 * lam)
-        + (lam - 2 - dr) ** 2 - (lam - dr) ** 2
-        + dr * dr - (lam - 1) ** 2
-        + (dr - 1) * (2 * dr + 1) - 2 * sum_r
-    )
+    return 2 * (sum_w - sum_r) + 3 * (dr * (dr + 1) - lam * (lam - 1))
 
 
 def _tree_relocations(rows, lam_min: int, lam_max: int, support_filter: bool, change):

@@ -162,29 +162,41 @@ def caterpillar_sigma(spine_degrees: Sequence[int]) -> tuple[int, int]:
     ``d_i - b_i`` pendant edges ``(d_i, 1)`` at slot i, where ``b_i`` is
     the slot's backbone degree: 1 at an end, 2 inside, 0 for a lone slot.
     So, by the definition of sigma,
-    ``sigma = sum (d_i - d_{i+1})^2 + sum (d_i - b_i)(d_i - 1)^2`` and the
-    order is ``k + sum (d_i - b_i)``. One walk over the (integer) degrees
-    adds both as it goes, with no per-slot record; it is also the
-    feasibility check of :func:`caterpillar`, so the two raise the same
-    error at the same first infeasible slot. The tests hold both values
-    against ``compute_indices(caterpillar(spine))``.
+    ``sigma = sum (d_i - d_{i+1})^2 + sum (d_i - b_i)(d_i - 1)^2``: an end
+    slot adds ``(s - 1)^3``, an interior slot ``(s - 2)(s - 1)^2`` and its
+    spine edge to the previous slot, a lone slot ``s (s - 1)^2``. The
+    order is ``k + sum (d_i - b_i) = sum d_i - k + 2`` (``s + 1`` alone).
+    The two end slots sit outside the walk over the interior, which adds
+    both sums as it goes, with no per-slot record. It is also the
+    feasibility check of :func:`caterpillar`, slot by slot in order, so the
+    two raise the same error at the same first infeasible slot. The tests
+    hold both values against ``compute_indices(caterpillar(spine))`` and
+    against the per-slot walk ``_brute.caterpillar_sigma_per_slot``.
     """
     last = len(spine_degrees) - 1
     if last < 0:
         raise ValueError("empty spine")
-    sigma = 0
-    order = last + 1
-    prev = spine_degrees[0]  # so the first slot adds no spine edge
-    for i, s in enumerate(spine_degrees):
-        b = 2 - (i == 0) - (i == last)
-        if s < b or s < 1:
-            raise ValueError(
-                f"infeasible spine degree {s} at slot {i} (needs >= {max(b, 1)})"
-            )
-        sigma += (prev - s) ** 2 + (s - b) * (s - 1) ** 2
-        order += s - b
+    prev = spine_degrees[0]
+    if prev < 1:
+        raise ValueError(f"infeasible spine degree {prev} at slot 0 (needs >= 1)")
+    t = prev - 1
+    if not last:
+        return prev * t * t, prev + 1
+    sigma = t * t * t
+    for i in range(1, last):
+        s = spine_degrees[i]
+        if s < 2:
+            raise ValueError(f"infeasible spine degree {s} at slot {i} (needs >= 2)")
+        t = s - 1
+        x = prev - s
+        sigma += (s - 2) * t * t + x * x
         prev = s
-    return sigma, order
+    s = spine_degrees[last]
+    if s < 1:
+        raise ValueError(f"infeasible spine degree {s} at slot {last} (needs >= 1)")
+    t = s - 1
+    x = prev - s
+    return sigma + t * t * t + x * x, sum(spine_degrees) - last + 1
 
 
 def parse_degree_sequence(text: str) -> DegreeSequence:

@@ -83,13 +83,17 @@ def sigma_ordered_value(d: Sequence[int]) -> int:
     End terms weight (d+1), interior terms (d+2), plus squared interior
     consecutive differences and the constant 2n-2. Each interior entry
     brings its term and its squared difference to the next entry, so one
-    pass over the interior sums both.
+    pass over the interior sums both, squaring by multiplication.
     """
     n = len(d)
-    total = (d[0] + 1) * (d[0] - 1) ** 2 + (d[-1] + 1) * (d[-1] - 1) ** 2 + 2 * n - 2
+    a = d[0] - 1
+    z = d[-1] - 1
+    total = (a + 2) * a * a + (z + 2) * z * z + 2 * n - 2
     for i in range(1, n - 1):
         x = d[i]
-        total += (x + 2) * (x - 1) ** 2 + (x - d[i + 1]) ** 2
+        t = x - 1
+        u = x - d[i + 1]
+        total += (x + 2) * t * t + u * u
     return total
 
 

@@ -4,9 +4,9 @@ Apart from :func:`realized_by_sequence`, :func:`all_trees_by_realization`,
 :func:`table_rows`, :func:`class_trees`, :func:`witness_record`,
 :func:`parse_edge_list_by_lines` and :func:`relocate_leaf` (which builds a
 validated ``Tree``), nothing here imports the library:
-every other function works on a plain order ``n`` plus an edge list, or
-on a tuple of degrees, so the values these produce are computed along a
-second, unrelated path.
+every other function works on a plain order ``n`` plus an edge list, on
+a tuple of degrees or on a few degree sums and counts, so the values these
+produce are computed along a second, unrelated path.
 """
 
 from dataclasses import dataclass
@@ -63,6 +63,61 @@ def sigma_ordered_two_loops(d):
     for i in range(1, n - 1):
         total += (d[i] - d[i + 1]) ** 2
     return total + 2 * n - 2
+
+
+def irr_change_by_class(lam, dr, sum_w, ge_w, sum_r, le_r):
+    """``claims._irr_change`` summed edge class by edge class, its oracle.
+
+    ``W`` (``2 ge_w - (lam - 2)``), edge ``yr``, the donor edge (``dr -
+    lam + 1``) and ``R`` (``2 le_r - (dr - 1)``), as the change reads
+    before reduction.
+    """
+    return (
+        2 * ge_w - (lam - 2)
+        + abs(lam - 2 - dr) - abs(lam - dr)
+        + dr - lam + 1
+        + 2 * le_r - (dr - 1)
+    )
+
+
+def sigma_change_by_class(lam, dr, sum_w, ge_w, sum_r, le_r):
+    """``claims._sigma_change`` summed edge class by edge class, its oracle.
+
+    ``W`` (``2 sum_w + (lam - 2)(1 - 2 lam)``), edge ``yr``, the donor
+    edge (``dr^2 - (lam - 1)^2``) and ``R`` (``(dr - 1)(2 dr + 1) - 2
+    sum_r``), as the change reads before reduction.
+    """
+    return (
+        2 * sum_w + (lam - 2) * (1 - 2 * lam)
+        + (lam - 2 - dr) ** 2 - (lam - dr) ** 2
+        + dr * dr - (lam - 1) ** 2
+        + (dr - 1) * (2 * dr + 1) - 2 * sum_r
+    )
+
+
+def caterpillar_sigma_per_slot(spine_degrees):
+    """``degseq.caterpillar_sigma`` with one backbone degree per slot, its oracle.
+
+    Slot i has backbone degree ``b`` (1 at an end, 2 inside, 0 alone) and
+    adds its spine edge to the previous slot and its ``s - b`` pendant
+    edges; the same slot raises the same error.
+    """
+    last = len(spine_degrees) - 1
+    if last < 0:
+        raise ValueError("empty spine")
+    sigma = 0
+    order = last + 1
+    prev = spine_degrees[0]  # so the first slot adds no spine edge
+    for i, s in enumerate(spine_degrees):
+        b = 2 - (i == 0) - (i == last)
+        if s < b or s < 1:
+            raise ValueError(
+                f"infeasible spine degree {s} at slot {i} (needs >= {max(b, 1)})"
+            )
+        sigma += (prev - s) ** 2 + (s - b) * (s - 1) ** 2
+        order += s - b
+        prev = s
+    return sigma, order
 
 
 def edge_list_text(edges, labels):

@@ -66,9 +66,11 @@ from _brute import (
     _degrees_parents,
     brute_indices,
     class_trees,
+    irr_change_by_class,
     levels_to_edges,
     realized_by_sequence,
     relocate_leaf,
+    sigma_change_by_class,
     spanning_trees,
     unlabeled_tree_count,
 )
@@ -1163,6 +1165,29 @@ class TestRelocationDeltas:
         assert (compute_indices(t).sigma, compute_indices(moved).sigma) == (2162, 1846)
         assert _class_moves(deg, parent)[0] == t
         _assert_matches_recompute(t, _class_moves(deg, parent)[1])
+
+    def test_reduced_changes_match_class_sums(self):
+        # Every lambda 3-20, recipient degree 1-20 and count of W at >= lambda
+        # and of R at <= dr; each sum at both ends and the middle of its
+        # feasible range with degrees up to 21 (dr 1 has R empty: le_r = sum_r = 0).
+        top = 21
+        checked = 0
+        for lam in range(3, 21):
+            for dr in range(1, 21):
+                for ge_w in range(lam - 1):
+                    low = ge_w * lam + (lam - 2 - ge_w)
+                    high = ge_w * top + (lam - 2 - ge_w) * (lam - 1)
+                    sums_w = {low, (low + high) // 2, high}
+                    for le_r in range(dr):
+                        low = le_r + (dr - 1 - le_r) * (dr + 1)
+                        high = le_r * dr + (dr - 1 - le_r) * top
+                        for sum_w in sums_w:
+                            for sum_r in {low, (low + high) // 2, high}:
+                                args = (lam, dr, sum_w, ge_w, sum_r, le_r)
+                                assert _irr_change(*args) == irr_change_by_class(*args), args
+                                assert _sigma_change(*args) == sigma_change_by_class(*args), args
+                                checked += 1
+        assert checked == 353_750
 
     def test_witnesses_built_only_while_kept(self, monkeypatch):
         calls, trees = _count_builds(monkeypatch)

@@ -19,7 +19,7 @@ from treeirr import (
 )
 from treeirr.degseq import caterpillar_sigma, parse_degree_sequence
 
-from _brute import degree_sequence_of, tree_graphical
+from _brute import caterpillar_sigma_per_slot, degree_sequence_of, tree_graphical
 
 
 class TestValidation:
@@ -261,6 +261,21 @@ class TestCaterpillarSigma:
             with pytest.raises(ValueError) as info:
                 build(spine)
             assert str(info.value) == message
+
+    def test_matches_per_slot_walk(self):
+        # Every spine of length 0-6 over 0-5, feasible or not: the same
+        # (sigma, order) as the walk with one backbone degree per slot, or the
+        # same error from the same slot.
+        for k in range(7):
+            for spine in product(range(6), repeat=k):
+                try:
+                    want = caterpillar_sigma_per_slot(spine)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as info:
+                        caterpillar_sigma(spine)
+                    assert str(info.value) == str(exc), spine
+                else:
+                    assert caterpillar_sigma(spine) == want, spine
 
     def test_empty_spine_rejected(self):
         for build in (caterpillar, caterpillar_sigma):
